@@ -41,6 +41,7 @@ from .image_source import (
     ResourceError,
     reflectivity_from_t60,
     synthesize_rir,
+    synthesize_rirs,
 )
 from .manifest import (
     CorpusReport,

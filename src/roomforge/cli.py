@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .array_dsp import delay_and_sum, oracle_select, steer_and_sum
 from .core import MicSpec, RoomSpec, SourceSpec, ValidationError
-from .image_source import ImageSynthesisConfig, synthesize_rir
+from .image_source import ImageSynthesisConfig, ResourceError, synthesize_rir
 from .manifest import ManifestError, load_manifest, plan_and_run
 from .metrics import direct_to_reverberant_db, estimate_t60, schroeder_curve
 from .storage import load_ir, save_ir
@@ -264,7 +264,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except FileNotFoundError as exc:

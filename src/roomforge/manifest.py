@@ -4,9 +4,10 @@ A manifest is a JSON document describing rooms, microphone layouts and
 speaker sessions (one placement plus a block of sentences each).  Angles
 are authored in degrees and converted to radians internally; geometry is
 in meters.  ``plan_and_run`` expands the manifest into one contamination
-job per (session, sentence), synthesizing or loading the session's IRs
-once per microphone, and writes a reproducible corpus: the same manifest
-and seed yield byte-identical outputs regardless of worker count.
+job per (session, sentence), synthesizing each session's IRs for its whole
+array in one call (or loading them), and writes a reproducible corpus: the
+same manifest and seed yield byte-identical outputs regardless of worker
+count.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .contaminate import ContaminationJob, run_job
 from .core import (
     AudioSignal,
     Directivity,
+    ImpulseResponse,
     MicSpec,
     PIPELINE_SAMPLE_RATES,
     RoomSpec,
@@ -34,7 +37,13 @@ from .core import (
     ValidationError,
     validate_mic_array,
 )
-from .image_source import ImageSynthesisConfig, synthesize_rir
+from .image_source import (
+    SYNTHESIS_VERSION,
+    ImageSynthesisConfig,
+    lattice_image_count,
+    synthesize_rir,  # noqa: F401 - kept as a module attribute: perfbench's tracer wraps it here
+    synthesize_rirs,
+)
 from .storage import load_ir, save_ir
 from .wavio import read_wav, write_wav
 
@@ -238,6 +247,17 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
                 )
             )
 
+    for room_name in sorted({s.room for s in sessions if s.ir_mode == "synthesize"}):
+        count = lattice_image_count(rooms[room_name], synthesis)
+        if count > synthesis.image_budget:
+            errors.append(
+                (
+                    "$.synthesis.ir_length",
+                    f"room {room_name!r} needs {count} images, "
+                    f"exceeding the budget of {synthesis.image_budget}",
+                )
+            )
+
     if errors:
         raise ManifestError(errors)
 
@@ -291,7 +311,8 @@ class IrCache:
     """Synthesis cache keyed by a digest of the full geometry + config.
 
     In-memory always; mirrored to ``ROOMFORGE_CACHE_DIR`` as .npy files when
-    the env var is set, so repeated runs skip re-synthesis.
+    the env var is set, so repeated runs skip re-synthesis.  Keys include
+    ``SYNTHESIS_VERSION``, so files written by an older engine are not reused.
     """
 
     def __init__(self, directory: Optional[Union[str, Path]] = None):
@@ -300,7 +321,7 @@ class IrCache:
         self.directory = Path(directory) if directory else None
         if self.directory:
             self.directory.mkdir(parents=True, exist_ok=True)
-        self._mem: Dict[str, object] = {}
+        self._mem: Dict[str, ImpulseResponse] = {}
 
     @staticmethod
     def key(room: RoomSpec, source: SourceSpec, mic: MicSpec, config: ImageSynthesisConfig, fs: int) -> str:
@@ -314,29 +335,55 @@ class IrCache:
                            config.fractional_delay, config.highpass_hz,
                            config.negative_reflection],
                 "fs": fs,
+                "version": SYNTHESIS_VERSION,
             },
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def get_or_synthesize(self, room, source, mic, config, fs):
-        from .core import ImpulseResponse
-
-        k = self.key(room, source, mic, config, fs)
-        if k in self._mem:
-            return self._mem[k]
+    def _lookup(self, key: str, fs: int) -> Optional[ImpulseResponse]:
+        if key in self._mem:
+            return self._mem[key]
         if self.directory:
-            f = self.directory / f"{k}.npy"
+            f = self.directory / f"{key}.npy"
             if f.exists():
                 ir = ImpulseResponse(fs, np.load(f), provenance="image-method")
                 ir.detect_direct_path()
-                self._mem[k] = ir
+                self._mem[key] = ir
                 return ir
-        ir = synthesize_rir(room, source, mic, config, sample_rate=fs)
+        return None
+
+    def _store(self, key: str, ir: ImpulseResponse) -> None:
+        self._mem[key] = ir
         if self.directory:
-            np.save(self.directory / f"{k}.npy", ir.samples)
-        self._mem[k] = ir
-        return ir
+            # write aside, then rename: a reader never sees a partly written file
+            fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f".{key}.", suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as f:
+                    np.save(f, ir.samples)
+                os.replace(tmp, self.directory / f"{key}.npy")
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+
+    def get_or_synthesize(
+        self,
+        room: RoomSpec,
+        source: SourceSpec,
+        mics: Sequence[MicSpec],
+        config: ImageSynthesisConfig,
+        fs: int,
+    ) -> List[ImpulseResponse]:
+        """IRs for ``mics``: hits from memory or disk, the misses from one batched synthesis."""
+        keys = [self.key(room, source, mic, config, fs) for mic in mics]
+        irs = [self._lookup(k, fs) for k in keys]
+        missing = [i for i, ir in enumerate(irs) if ir is None]
+        if missing:
+            fresh = synthesize_rirs(room, source, [mics[i] for i in missing], config, sample_rate=fs)
+            for i, ir in zip(missing, fresh):
+                self._store(keys[i], ir)
+                irs[i] = ir
+        return irs
 
 
 def _job_seed(global_seed: int, session: str, sentence: str) -> int:
@@ -352,8 +399,9 @@ def plan_and_run(
 ) -> CorpusReport:
     """Expand the manifest into jobs and write the corpus.
 
-    IRs are resolved serially first (cached per placement/mic), then the
-    independent per-sentence jobs run on a bounded thread pool.  Each job
+    IRs are resolved serially first (one batched synthesis per placement,
+    cached per mic), then the independent per-sentence jobs run on a
+    bounded thread pool.  Each job
     writes one mono WAV per microphone plus a JSON sidecar; a top-level
     ``corpus.json`` indexes everything.
     """
@@ -375,13 +423,12 @@ def plan_and_run(
     for sess in manifest.sessions:
         room = manifest.rooms[sess.room]
         mics = manifest.arrays[sess.array]
-        irs = []
-        for mic in mics:
-            if sess.ir_mode == "load":
-                irs.append(load_ir(sess.ir_files[mic.id]))
-            else:
-                irs.append(cache.get_or_synthesize(room, sess.source, mic, manifest.synthesis, fs))
-        session_irs[sess.name] = irs
+        if sess.ir_mode == "load":
+            session_irs[sess.name] = [load_ir(sess.ir_files[mic.id]) for mic in mics]
+        else:
+            session_irs[sess.name] = cache.get_or_synthesize(
+                room, sess.source, mics, manifest.synthesis, fs
+            )
 
     jobs = [(sess, sentence) for sess in manifest.sessions for sentence in sess.sentences]
     if dry_run:

@@ -29,8 +29,15 @@ def read_wav(path: Union[str, Path]) -> AudioSignal:
     while pos + 8 <= len(raw):
         chunk_id = raw[pos : pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
+        if pos + 8 + size > len(raw):
+            raise ValidationError(
+                f"{path}: truncated {chunk_id.decode('latin-1')!r} chunk: "
+                f"declares {size} bytes, {len(raw) - pos - 8} remain"
+            )
         body = raw[pos + 8 : pos + 8 + size]
         if chunk_id == b"fmt ":
+            if size < 16:
+                raise ValidationError(f"{path}: fmt chunk of {size} bytes, at least 16 expected")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
             data = body

@@ -39,6 +39,14 @@ class TestRirCommand:
         )
         assert code == EXIT_OK
 
+    def test_over_budget_ir_length_is_invalid(self, tmp_path, capsys):
+        code = run_cli(
+            "rir", "--room", "5,4,3", "--beta", "0.9", "--source", "1,1,1", "--mic", "2,2,2",
+            "--ir-length", "3.0", "-o", tmp_path / "rir.wav",
+        )
+        assert code == EXIT_INVALID
+        assert "exceeding the budget" in capsys.readouterr().err
+
     def test_source_outside_room_is_invalid(self, tmp_path):
         code = run_cli(
             "rir", "--room", "5,4,3", "--beta", "0.8",
@@ -150,6 +158,38 @@ class TestSelectCommand:
         assert lines[2].startswith("u2,ch1,")
 
 
+def write_run_manifest(tmp_path, sentences, synthesis):
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    rng = np.random.default_rng(74)
+    for name in sentences:
+        write_wav(
+            clean / f"{name}.wav",
+            AudioSignal(FS, 0.2 * rng.standard_normal(FS // 2)),
+            fmt="pcm16",
+        )
+    doc = {
+        "sample_rate": FS,
+        "clean_dir": "clean",
+        "output_dir": "out",
+        "rooms": {"lab": {"dimensions": [5.0, 4.0, 3.0], "reflectivity": [0.7]}},
+        "arrays": {"solo": [{"id": "m0", "position": [1.0, 1.0, 1.5]}]},
+        "synthesis": synthesis,
+        "sessions": [
+            {
+                "name": "sessA",
+                "room": "lab",
+                "array": "solo",
+                "source": {"position": [3.0, 2.0, 1.5]},
+                "sentences": list(sentences),
+            }
+        ],
+    }
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    return manifest
+
+
 class TestRunCommand:
     def test_invalid_manifest_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -192,32 +232,24 @@ class TestRunCommand:
         assert (tmp_path / "out" / "corpus.json").exists()
 
     def test_partial_failure_exit_code(self, tmp_path):
-        clean = tmp_path / "clean"
-        clean.mkdir()
-        rng = np.random.default_rng(74)
-        write_wav(
-            clean / "s01.wav",
-            AudioSignal(FS, 0.2 * rng.standard_normal(FS // 2)),
-            fmt="float32",
-        )
-        doc = {
-            "sample_rate": FS,
-            "clean_dir": "clean",
-            "output_dir": "out",
-            "rooms": {"lab": {"dimensions": [5.0, 4.0, 3.0], "reflectivity": [0.7]}},
-            "arrays": {"solo": [{"id": "m0", "position": [1.0, 1.0, 1.5]}]},
-            "synthesis": {"ir_length": 0.1, "max_order": 2},
-            "sessions": [
-                {
-                    "name": "sessA",
-                    "room": "lab",
-                    "array": "solo",
-                    "source": {"position": [3.0, 2.0, 1.5]},
-                    "sentences": ["s01", "s02"],
-                }
-            ],
-        }
-        manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps(doc))
-        # s02.wav never written: one job fails, one succeeds
+        manifest = write_run_manifest(tmp_path, ["s01", "s02"], {"ir_length": 0.1, "max_order": 2})
+        # s02.wav removed: one job fails, one succeeds
+        (tmp_path / "clean" / "s02.wav").unlink()
         assert run_cli("run", manifest) == EXIT_PARTIAL
+
+    def test_over_budget_ir_length_is_invalid(self, tmp_path, capsys):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 3.0})
+        assert run_cli("run", manifest) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "$.synthesis.ir_length" in err and "'lab'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_truncated_clean_file_is_a_job_failure(self, tmp_path, capsys):
+        manifest = write_run_manifest(tmp_path, ["s01", "s02"], {"ir_length": 0.1, "max_order": 2})
+        wav = tmp_path / "clean" / "s02.wav"
+        wav.write_bytes(wav.read_bytes()[:5000])
+        assert run_cli("run", manifest) == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        assert "FAILED sessA/s02" in err and "s02.wav" in err and "truncated" in err
+        assert (tmp_path / "out" / "sessA" / "s01_m0.wav").exists()

@@ -1,10 +1,17 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from image_source_reference import reference_rir
 from roomforge import (
+    Directivity,
     ImageSynthesisConfig,
     ImpulseResponse,
     MicSpec,
@@ -16,6 +23,7 @@ from roomforge import (
     reflectivity_from_t60,
     synthesize_rir,
 )
+from roomforge.image_source import lattice_image_count, synthesize_rirs
 
 C = 343.0
 
@@ -212,6 +220,16 @@ class TestEnergyAndModes:
         ir = synthesize_rir(room, src, mic, cfg, sample_rate=48000)
         assert ir.samples[480] == pytest.approx(1.0 / (4 * np.pi * 3.43), rel=1e-9)
 
+    def test_sinc_mode_exact_integer_delay_is_one_tap(self):
+        # 2.5 m at 320 m/s is 2^-7 s: exactly 125 samples at 16 kHz
+        room = RoomSpec((6, 4, 3), reflectivity=(0.0,), speed_of_sound=320.0)
+        src = SourceSpec((1, 1, 1))
+        mic = MicSpec("m", (3.5, 1, 1))
+        cfg = ImageSynthesisConfig(ir_length=0.02, max_reflection_order=0, fractional_delay="sinc")
+        ir = synthesize_rir(room, src, mic, cfg, sample_rate=16000).samples
+        assert ir[125] == 1.0 / (4 * np.pi * 2.5)
+        assert np.max(np.abs(np.delete(ir, 125))) < 1e-12 * ir[125]
+
     def test_sinc_mode_places_fractional_peak(self):
         room = RoomSpec((6, 4, 3), reflectivity=(0.0,))
         src = SourceSpec((1, 1, 1))
@@ -276,3 +294,104 @@ class TestEnergyAndModes:
         a = synthesize_rir(room, src, mic, cfg, sample_rate=16000)
         b = synthesize_rir(room, src, mic, cfg, sample_rate=16000)
         assert np.array_equal(a.samples, b.samples)
+
+
+@st.composite
+def synthesis_case(draw, n_mics=1):
+    """Random shoebox, source, mics, config and rate; the engine's input space."""
+    dims = tuple(draw(st.floats(2.0, 6.0)) for _ in range(3))
+    if draw(st.booleans()):
+        room = RoomSpec(dims, reflectivity=tuple(draw(st.floats(0.0, 1.0)) for _ in range(6)))
+    else:
+        room = RoomSpec(dims, target_t60=draw(st.floats(0.2, 1.0)))
+    inside = st.floats(0.05, 0.95)
+    kind = draw(st.sampled_from(["omnidirectional", "cardioid", "subcardioid", "hypercardioid", "custom"]))
+    if kind == "custom":
+        angles = sorted(set(draw(st.lists(st.floats(0.0, math.pi), min_size=2, max_size=6))))
+        assume(len(angles) >= 2)
+        gains = [draw(st.floats(0.0, 1.0)) for _ in angles]
+        directivity = Directivity("custom", table=(tuple(angles), tuple(gains)))
+    else:
+        directivity = Directivity(kind)
+    source = SourceSpec(
+        tuple(draw(inside) * d for d in dims),
+        azimuth=draw(st.floats(-math.pi, math.pi)),
+        elevation=draw(st.floats(-1.5, 1.5)),
+        directivity=directivity,
+    )
+    mics = [MicSpec(f"m{i}", tuple(draw(inside) * d for d in dims)) for i in range(n_mics)]
+    config = ImageSynthesisConfig(
+        ir_length=draw(st.floats(0.01, 0.06)),
+        max_reflection_order=draw(st.one_of(st.just("auto"), st.integers(0, 6))),
+        fractional_delay=draw(st.sampled_from(["nearest", "sinc"])),
+        negative_reflection=draw(st.booleans()),
+    )
+    fs = draw(st.sampled_from([8000, 16000, 48000]))
+    return room, source, mics, config, fs
+
+
+class TestEngineAgainstReference:
+    """The pruned, batched engine against the full-lattice reference algorithm."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(synthesis_case())
+    def test_matches_full_lattice_reference(self, case):
+        room, source, (mic,), config, fs = case
+        assume(not np.allclose(source.position, mic.position))
+        expected = reference_rir(room, source, mic, config, fs)
+        if np.sum(expected**2) == 0.0:
+            with pytest.raises(ValidationError, match="nonzero energy"):
+                synthesize_rir(room, source, mic, config, sample_rate=fs)
+            return
+        got = synthesize_rir(room, source, mic, config, sample_rate=fs).samples
+        exact = config.fractional_delay == "nearest" and source.directivity.pattern in (
+            "omnidirectional",
+            "custom",
+        )
+        if exact:
+            assert np.array_equal(got, expected)
+        else:
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @settings(max_examples=40, deadline=None)
+    @given(synthesis_case(n_mics=4))
+    def test_batched_equals_one_mic_at_a_time(self, case):
+        room, source, mics, config, fs = case
+        try:
+            alone = [synthesize_rirs(room, source, [m], config, fs)[0] for m in mics]
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                synthesize_rirs(room, source, mics, config, fs)
+            return
+        together = synthesize_rirs(room, source, mics, config, fs)
+        for a, b in zip(together, alone):
+            assert np.array_equal(a.samples, b.samples)
+            assert a.direct_path_index == b.direct_path_index
+            assert a.meta == b.meta
+
+    def test_sinc_and_highpass_drift_within_bound_on_a_reverberant_room(self):
+        room = RoomSpec((5, 4, 3), target_t60=0.5)
+        src = SourceSpec((1.2, 1.7, 1.4), azimuth=0.4, directivity="cardioid")
+        mic = MicSpec("m", (3.9, 2.8, 2.1))
+        cfg = ImageSynthesisConfig(ir_length=0.25, fractional_delay="sinc", highpass_hz=60.0)
+        expected = reference_rir(room, src, mic, cfg, 16000)
+        got = synthesize_rir(room, src, mic, cfg, sample_rate=16000).samples
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_lattice_image_count_is_the_budget(self):
+        room = RoomSpec((5, 4, 3), reflectivity=(0.9,))
+        cfg = ImageSynthesisConfig(ir_length=3.0)
+        assert lattice_image_count(room, cfg) == 151_428_024
+        assert lattice_image_count(room, ImageSynthesisConfig(max_reflection_order=3)) == 10**3
+        src = SourceSpec((1, 1, 1))
+        mic = MicSpec("m", (2, 2, 2))
+        tight = ImageSynthesisConfig(max_reflection_order=3, image_budget=10**3 - 1)
+        with pytest.raises(ResourceError, match="1000 images"):
+            synthesize_rir(room, src, mic, tight, sample_rate=16000)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    code = "import sys, roomforge; print('scipy.signal' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

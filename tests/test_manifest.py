@@ -101,6 +101,23 @@ class TestParseManifest:
             parse_manifest(json.dumps(doc), base_dir=tmp_path)
         assert any(p == "$.noise.file" for p, _ in exc_info.value.errors)
 
+    def test_image_budget_checked_per_synthesized_room(self, tmp_path):
+        doc = base_doc(tmp_path)
+        doc["synthesis"] = {"ir_length": 3.0}
+        with pytest.raises(ManifestError) as exc_info:
+            parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert exc_info.value.errors == [
+            (
+                "$.synthesis.ir_length",
+                "room 'lab' needs 151428024 images, exceeding the budget of 10000000",
+            )
+        ]
+        # measured IRs need no synthesis, so the same budget does not apply
+        (tmp_path / "m0.wav").touch()
+        (tmp_path / "m1.wav").touch()
+        doc["sessions"][0]["ir"] = {"mode": "load", "files": {"m0": "m0.wav", "m1": "m1.wav"}}
+        parse_manifest(json.dumps(doc), base_dir=tmp_path)
+
     def test_multi_room_session_grid(self, tmp_path):
         doc = base_doc(tmp_path)
         doc["rooms"]["hall"] = {"dimensions": [8.0, 6.0, 4.0], "t60": 0.5}
@@ -224,6 +241,61 @@ class TestIrCache:
             outputs.append((tmp_path / f"out{run}" / "sessA" / "s01_m0.wav").read_bytes())
         assert outputs[0] == outputs[1]
         assert list((tmp_path / "cache").glob("*.npy"))
+
+    def test_batched_misses_match_single_synthesis(self, tmp_path):
+        from roomforge import MicSpec, RoomSpec, SourceSpec
+        from roomforge.image_source import ImageSynthesisConfig, synthesize_rir
+
+        room = RoomSpec(dimensions=(5.0, 4.0, 3.0), reflectivity=(0.8,))
+        src = SourceSpec(position=(3.0, 2.0, 1.5), directivity="cardioid")
+        cfg = ImageSynthesisConfig(ir_length=0.1)
+        mics = [MicSpec(id=f"m{i}", position=(1.0 + 0.1 * i, 1.0, 1.5)) for i in range(3)]
+        cache = IrCache(tmp_path / "cache")
+        first = cache.get_or_synthesize(room, src, mics[:1], cfg, FS)
+        irs = cache.get_or_synthesize(room, src, mics, cfg, FS)
+        assert irs[0] is first[0]
+        for mic, ir in zip(mics, irs):
+            assert np.array_equal(ir.samples, synthesize_rir(room, src, mic, cfg, FS).samples)
+        # a fresh cache on the same directory serves every mic from disk
+        again = IrCache(tmp_path / "cache").get_or_synthesize(room, src, mics, cfg, FS)
+        for a, b in zip(irs, again):
+            assert np.array_equal(a.samples, b.samples)
+        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(
+            f"{IrCache.key(room, src, mic, cfg, FS)}.npy" for mic in mics
+        )
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        from roomforge import MicSpec, RoomSpec, SourceSpec
+        from roomforge.image_source import ImageSynthesisConfig
+
+        def broken_save(f, arr):
+            f.write(b"\x93NUMPY partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "save", broken_save)
+        cache = IrCache(tmp_path / "cache")
+        room = RoomSpec(dimensions=(5.0, 4.0, 3.0), reflectivity=(0.8,))
+        mic = MicSpec(id="a", position=(1.0, 1.0, 1.5))
+        with pytest.raises(OSError, match="disk full"):
+            cache.get_or_synthesize(room, SourceSpec(position=(3.0, 2.0, 1.5)), [mic],
+                                    ImageSynthesisConfig(ir_length=0.1), FS)
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_key_changes_with_synthesis_version(self, monkeypatch):
+        from roomforge import MicSpec, RoomSpec, SourceSpec
+        from roomforge import manifest as manifest_module
+        from roomforge.image_source import ImageSynthesisConfig
+
+        args = (
+            RoomSpec(dimensions=(5.0, 4.0, 3.0), reflectivity=(0.8,)),
+            SourceSpec(position=(3.0, 2.0, 1.5)),
+            MicSpec(id="a", position=(1.0, 1.0, 1.5)),
+            ImageSynthesisConfig(ir_length=0.1),
+            FS,
+        )
+        before = IrCache.key(*args)
+        monkeypatch.setattr(manifest_module, "SYNTHESIS_VERSION", manifest_module.SYNTHESIS_VERSION + 1)
+        assert IrCache.key(*args) != before
 
     def test_key_distinguishes_geometry(self, tmp_path):
         from roomforge import MicSpec, RoomSpec, SourceSpec

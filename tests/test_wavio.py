@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -57,4 +59,22 @@ def test_non_wav_rejected(tmp_path):
     path = tmp_path / "x.wav"
     path.write_bytes(b"definitely not audio")
     with pytest.raises(ValidationError):
+        read_wav(path)
+
+
+def test_truncated_data_chunk_rejected(tmp_path):
+    path = tmp_path / "full.wav"
+    write_wav(path, AudioSignal(16000, np.linspace(-0.5, 0.5, 10000)), fmt="pcm16")
+    cut = tmp_path / "cut.wav"
+    cut.write_bytes(path.read_bytes()[:5000])
+    with pytest.raises(ValidationError, match="cut.wav.*truncated"):
+        read_wav(cut)
+
+
+def test_short_fmt_chunk_rejected(tmp_path):
+    path = tmp_path / "short.wav"
+    body = b"WAVE" + b"fmt " + struct.pack("<I", 4) + b"\x01\x00\x01\x00"
+    body += b"data" + struct.pack("<I", 4) + bytes(4)
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    with pytest.raises(ValidationError, match="short.wav.*fmt chunk"):
         read_wav(path)
