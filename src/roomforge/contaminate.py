@@ -36,34 +36,45 @@ def _rms(x: np.ndarray) -> float:
 
 
 def _tile_noise(noise: np.ndarray, length: int, offset: int, fade: int) -> np.ndarray:
-    """Noise cropped/tiled to ``length`` starting at ``offset``, with crossfaded wraps."""
+    """Noise cropped/tiled to ``length`` starting at ``offset``, with crossfaded wraps.
+
+    Each wrap starts ``fade`` samples before the previous copy ends and blends
+    them with a linear ramp; the last copy keeps its unblended tail.
+    """
     n = noise.size
-    offset = offset % n
-    rolled = np.roll(noise, -offset)
+    rolled = np.roll(noise, -(offset % n))
     if length <= n:
         return rolled[:length].copy()
     fade = min(fade, n // 2)
-    if fade > 0:
-        ramp = np.linspace(0.0, 1.0, fade, endpoint=False)
-        body = rolled.copy()
-        body[:fade] = ramp * body[:fade] + (1.0 - ramp) * rolled[n - fade :]
-        hop = n - fade
-    else:
-        body = rolled
-        hop = n
-    reps = int(np.ceil((length - n) / hop)) + 1
-    out = np.empty(n + (reps - 1) * hop)
-    out[:n] = rolled
-    pos = n - fade if fade > 0 else n
-    for _ in range(reps - 1):
-        out[pos : pos + n] = body if fade > 0 else rolled
-        pos += hop
-    return out[:length]
+    ramp = np.linspace(0.0, 1.0, fade, endpoint=False)
+    body = rolled.copy()
+    body[:fade] = ramp * body[:fade] + (1.0 - ramp) * rolled[n - fade :]
+    hop = n - fade
+    reps = -(-(length - n) // hop)
+    return np.concatenate([rolled[:hop], np.tile(body[:hop], reps - 1), body])[:length]
 
 
 def noise_gain(signal_rms: float, noise_rms: float, target_snr_db: float) -> float:
     """Scale factor g so that rms(signal) / rms(g * noise) hits the target SNR."""
     return signal_rms / (noise_rms * 10.0 ** (target_snr_db / 20.0))
+
+
+def _add_noise(channels: np.ndarray, noise: np.ndarray, target_snr_db: float, seed: int, fs: int) -> None:
+    """Add one noise realization to each row of ``channels`` in place, every row at the target SNR.
+
+    The start offset into ``noise`` is drawn from ``seed``; all rows share it
+    (one room noise source) and differ only in gain.
+    """
+    if _rms(noise) == 0.0:
+        raise ValidationError("noise signal is silent")
+    offset = int(np.random.default_rng(seed).integers(0, noise.size))
+    n = _tile_noise(noise, channels.shape[1], offset, int(round(NOISE_CROSSFADE * fs)))
+    n_rms = _rms(n)
+    for i, row in enumerate(channels):
+        sig_rms = _rms(row)
+        if sig_rms == 0.0:
+            raise ValidationError(f"channel {i} is silent, cannot set SNR")
+        row += noise_gain(sig_rms, n_rms, target_snr_db) * n
 
 
 def mix_noise(
@@ -75,18 +86,9 @@ def mix_noise(
     """Add background noise to ``y`` at the requested SNR (full-signal rms ratio)."""
     if y.sample_rate != noise.sample_rate:
         raise ValidationError("sample-rate mismatch between signal and noise")
-    sig = y.mono
-    if _rms(sig) == 0.0:
-        raise ValidationError("cannot set an SNR against a silent signal")
-    src = noise.mono
-    if _rms(src) == 0.0:
-        raise ValidationError("noise signal is silent")
-    rng = np.random.default_rng(seed)
-    offset = int(rng.integers(0, src.size))
-    fade = int(round(NOISE_CROSSFADE * y.sample_rate))
-    n = _tile_noise(src, sig.size, offset, fade)
-    g = noise_gain(_rms(sig), _rms(n), target_snr_db)
-    return AudioSignal(y.sample_rate, sig + g * n)
+    out = y.mono[np.newaxis].copy()
+    _add_noise(out, noise.mono, target_snr_db, seed, y.sample_rate)
+    return AudioSignal(y.sample_rate, out)
 
 
 @dataclass
@@ -151,7 +153,6 @@ class ContaminationJob:
     target_snr_db: Optional[float] = None
     seed: int = 0
     normalization: str = "none"  # "none" | "peak"
-    per_channel_noise: bool = False
 
     def __post_init__(self):
         if not self.irs:
@@ -170,9 +171,9 @@ class ContaminationJob:
 def run_job(job: ContaminationJob) -> AudioSignal:
     """Execute a contamination job, returning one channel per IR.
 
-    Channels share a single noise realization offset (one room noise source)
-    unless ``per_channel_noise`` is set.  Peak normalization scales all
-    channels jointly so inter-channel level ratios survive.
+    Channels share a single noise realization offset (one room noise source),
+    each scaled to the target SNR.  Peak normalization scales all channels
+    jointly so inter-channel level ratios survive.
     """
     fs = job.clean.sample_rate
     x = job.clean.mono
@@ -183,20 +184,7 @@ def run_job(job: ContaminationJob) -> AudioSignal:
         channels[i, : y.size] = y
 
     if job.noise is not None:
-        src = job.noise.mono
-        if _rms(src) == 0.0:
-            raise ValidationError("noise signal is silent")
-        fade = int(round(NOISE_CROSSFADE * fs))
-        rng = np.random.default_rng(job.seed)
-        offset = int(rng.integers(0, src.size))
-        for i in range(channels.shape[0]):
-            if job.per_channel_noise and i > 0:
-                offset = int(rng.integers(0, src.size))
-            n = _tile_noise(src, n_out, offset, fade)
-            sig_rms = _rms(channels[i])
-            if sig_rms == 0.0:
-                raise ValidationError(f"channel {i} is silent, cannot set SNR")
-            channels[i] += noise_gain(sig_rms, _rms(n), job.target_snr_db) * n
+        _add_noise(channels, job.noise.mono, job.target_snr_db, job.seed, fs)
 
     if job.normalization == "peak":
         peak = float(np.max(np.abs(channels)))

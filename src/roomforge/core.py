@@ -189,6 +189,8 @@ class MicSpec:
 
 
 def validate_mic_array(mics: Sequence[MicSpec]) -> None:
+    if not mics:
+        raise ValidationError("microphone array is empty")
     ids = [m.id for m in mics]
     if len(set(ids)) != len(ids):
         raise ValidationError(f"duplicate mic ids in array: {ids}")

@@ -1,54 +1,23 @@
 """FFT convolution engine.
 
-Overlap-add with a block size auto-tuned to the filter length.  Output is
-full linear convolution (len(x) + len(h) - 1) and bit-reproducible: block
-partitioning and summation order depend only on the input lengths.
+Full linear convolution (len(x) + len(h) - 1) by ``scipy.signal.fftconvolve``.
+The output depends only on the inputs, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# below this output size a single FFT beats overlap-add bookkeeping
-_SINGLE_FFT_LIMIT = 1 << 18
-
-
-def _next_pow2(n: int) -> int:
-    return 1 << (int(n - 1).bit_length())
-
 
 def fft_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two 1-D arrays via FFT overlap-add."""
+    """Full linear convolution of two non-empty 1-D arrays via FFT."""
     x = np.asarray(x, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     if x.ndim != 1 or h.ndim != 1:
         raise ValueError("fft_convolve expects 1-D arrays")
     if x.size == 0 or h.size == 0:
         raise ValueError("fft_convolve expects non-empty arrays")
-    if x.size < h.size:
-        x, h = h, x
+    # deferred: importing scipy.signal takes about a second, which `import roomforge` should not pay
+    from scipy.signal import fftconvolve
 
-    n_out = x.size + h.size - 1
-    nz = np.flatnonzero(h)
-    if nz.size == 1:
-        # a single-tap filter is a scaled shift; skip the FFT entirely
-        k = int(nz[0])
-        out = np.zeros(n_out)
-        out[k : k + x.size] = h[k] * x
-        return out
-    if n_out <= _SINGLE_FFT_LIMIT:
-        nfft = _next_pow2(n_out)
-        out = np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(h, nfft), nfft)
-        return out[:n_out]
-
-    # overlap-add: block length ~8x filter length keeps the FFT efficient
-    nfft = _next_pow2(max(8 * h.size, 1 << 13))
-    block = nfft - h.size + 1
-    H = np.fft.rfft(h, nfft)
-    out = np.zeros(n_out)
-    for start in range(0, x.size, block):
-        seg = x[start : start + block]
-        y = np.fft.irfft(np.fft.rfft(seg, nfft) * H, nfft)
-        stop = min(start + seg.size + h.size - 1, n_out)
-        out[start:stop] += y[: stop - start]
-    return out
+    return fftconvolve(x, h)

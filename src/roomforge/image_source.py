@@ -190,6 +190,12 @@ def _sinc_taps(delays: np.ndarray, amps: np.ndarray, n_out: int) -> np.ndarray:
     return ir
 
 
+def direct_path_index(room: RoomSpec, source: SourceSpec, mic: MicSpec, sample_rate: int) -> int:
+    """Sample index of the direct path: source-mic distance over the speed of sound."""
+    distance = np.linalg.norm(np.asarray(mic.position, dtype=float) - np.asarray(source.position))
+    return int(round(distance / room.speed_of_sound * sample_rate))
+
+
 def synthesize_rirs(
     room: RoomSpec,
     source: SourceSpec,
@@ -296,7 +302,7 @@ def synthesize_rirs(
         ir_samples = [sosfilt(sos, ir) for ir in ir_samples]
 
     out = []
-    for mic, pos, ir in zip(mics, mic_pos, ir_samples):
+    for mic, ir in zip(mics, ir_samples):
         meta = {
             "room": {
                 "dimensions": list(room.dimensions),
@@ -320,8 +326,7 @@ def synthesize_rirs(
             "sample_rate": sample_rate,
         }
         rir = ImpulseResponse(sample_rate, ir, provenance="image-method", meta=meta)
-        direct_delay = np.linalg.norm(pos - np.asarray(source.position)) / c
-        rir.direct_path_index = int(round(direct_delay * sample_rate))
+        rir.direct_path_index = direct_path_index(room, source, mic, sample_rate)
         out.append(rir)
     return out
 

@@ -40,6 +40,7 @@ from .core import (
 from .image_source import (
     SYNTHESIS_VERSION,
     ImageSynthesisConfig,
+    direct_path_index,
     lattice_image_count,
     synthesize_rir,  # noqa: F401 - kept as a module attribute: perfbench's tracer wraps it here
     synthesize_rirs,
@@ -313,6 +314,8 @@ class IrCache:
     In-memory always; mirrored to ``ROOMFORGE_CACHE_DIR`` as .npy files when
     the env var is set, so repeated runs skip re-synthesis.  Keys include
     ``SYNTHESIS_VERSION``, so files written by an older engine are not reused.
+    A disk hit carries the samples and the geometric ``direct_path_index`` of
+    a fresh synthesis, but no synthesis ``meta``.
     """
 
     def __init__(self, directory: Optional[Union[str, Path]] = None):
@@ -341,14 +344,16 @@ class IrCache:
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def _lookup(self, key: str, fs: int) -> Optional[ImpulseResponse]:
+    def _lookup(
+        self, key: str, room: RoomSpec, source: SourceSpec, mic: MicSpec, fs: int
+    ) -> Optional[ImpulseResponse]:
         if key in self._mem:
             return self._mem[key]
         if self.directory:
             f = self.directory / f"{key}.npy"
             if f.exists():
                 ir = ImpulseResponse(fs, np.load(f), provenance="image-method")
-                ir.detect_direct_path()
+                ir.direct_path_index = direct_path_index(room, source, mic, fs)
                 self._mem[key] = ir
                 return ir
         return None
@@ -376,7 +381,7 @@ class IrCache:
     ) -> List[ImpulseResponse]:
         """IRs for ``mics``: hits from memory or disk, the misses from one batched synthesis."""
         keys = [self.key(room, source, mic, config, fs) for mic in mics]
-        irs = [self._lookup(k, fs) for k in keys]
+        irs = [self._lookup(k, room, source, mic, fs) for k, mic in zip(keys, mics)]
         missing = [i for i, ir in enumerate(irs) if ir is None]
         if missing:
             fresh = synthesize_rirs(room, source, [mics[i] for i in missing], config, sample_rate=fs)

@@ -245,6 +245,17 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_array_is_invalid(self, tmp_path, capsys):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "max_order": 2})
+        doc = json.loads(manifest.read_text())
+        doc["arrays"]["none"] = []
+        doc["sessions"][0]["array"] = "none"
+        manifest.write_text(json.dumps(doc))
+        assert run_cli("run", manifest) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "$.arrays.none" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_truncated_clean_file_is_a_job_failure(self, tmp_path, capsys):
         manifest = write_run_manifest(tmp_path, ["s01", "s02"], {"ir_length": 0.1, "max_order": 2})
         wav = tmp_path / "clean" / "s02.wav"

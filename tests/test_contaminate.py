@@ -11,6 +11,7 @@ from roomforge import (
     run_job,
     validate_clean,
 )
+from roomforge.contaminate import _tile_noise
 
 FS = 16000
 
@@ -129,6 +130,65 @@ class TestMixNoise:
         a = mix_noise(y, noise, 15.0, seed=42)
         b = mix_noise(y, noise, 15.0, seed=42)
         assert np.array_equal(a.data, b.data)
+
+
+def loop_tile_noise(noise, length, offset, fade):
+    """Reference: the crossfaded wrap written as a copy-per-wrap loop."""
+    n = noise.size
+    offset = offset % n
+    rolled = np.roll(noise, -offset)
+    if length <= n:
+        return rolled[:length].copy()
+    fade = min(fade, n // 2)
+    if fade > 0:
+        ramp = np.linspace(0.0, 1.0, fade, endpoint=False)
+        body = rolled.copy()
+        body[:fade] = ramp * body[:fade] + (1.0 - ramp) * rolled[n - fade :]
+        hop = n - fade
+    else:
+        body = rolled
+        hop = n
+    reps = int(np.ceil((length - n) / hop)) + 1
+    out = np.empty(n + (reps - 1) * hop)
+    out[:n] = rolled
+    pos = n - fade if fade > 0 else n
+    for _ in range(reps - 1):
+        out[pos : pos + n] = body if fade > 0 else rolled
+        pos += hop
+    return out[:length]
+
+
+class TestTileNoise:
+    def test_matches_loop_reference_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for _ in range(2000):
+            n = int(rng.integers(1, 200))
+            length = int(rng.integers(1, 1500))
+            offset = int(rng.integers(0, 3 * n))
+            fade = int(rng.integers(0, n + 5))  # up to past n // 2, where it is clamped
+            noise = rng.standard_normal(n)
+            assert np.array_equal(
+                _tile_noise(noise, length, offset, fade), loop_tile_noise(noise, length, offset, fade)
+            )
+
+    @pytest.mark.parametrize(
+        "n, length, fade",
+        [
+            (100, 1000, 0),  # plain repetition
+            (100, 1000, 80),  # fade > n / 2, clamped to n // 2
+            (100, 1000, 50),
+            (100, 100, 10),  # length == n: a crop, no wrap
+            (100, 37, 10),  # length < n
+            (1, 20, 5),
+            (160, 16000, 160),
+        ],
+    )
+    def test_edge_cases(self, n, length, fade):
+        noise = np.random.default_rng(n + length).standard_normal(n)
+        for offset in (0, 1, n - 1, n + 3):
+            got = _tile_noise(noise, length, offset, fade)
+            assert got.shape == (length,)
+            assert np.array_equal(got, loop_tile_noise(noise, length, offset, fade))
 
 
 class TestValidateClean:
@@ -259,3 +319,24 @@ class TestRunJob:
     def test_rate_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             ContaminationJob(clean=self._speech(), irs=[delta_ir(fs=48000)])
+
+    def test_mono_job_equals_convolve_then_mix_noise(self):
+        # convolve + mix_noise and run_job share one convolution and one noise path
+        rng = np.random.default_rng(18)
+        x = self._speech(seconds=1.5)
+        h = self._irs(1)[0]
+        for seconds in (0.3, 3.0):  # noise shorter (tiled) and longer (cropped) than the output
+            noise = AudioSignal(FS, rng.standard_normal(int(seconds * FS)))
+            mixed = mix_noise(convolve(x, h), noise, 7.5, seed=31)
+            job = run_job(ContaminationJob(clean=x, irs=[h], noise=noise, target_snr_db=7.5, seed=31))
+            assert np.array_equal(mixed.mono, job.data[0])
+
+    def test_silent_channel_rejected(self):
+        job = ContaminationJob(
+            clean=AudioSignal(FS, np.zeros(FS)),
+            irs=[delta_ir()],
+            noise=AudioSignal(FS, np.ones(100)),
+            target_snr_db=10.0,
+        )
+        with pytest.raises(ValidationError, match="channel 0 is silent"):
+            run_job(job)

@@ -132,6 +132,10 @@ class TestMicArray:
         with pytest.raises(ValidationError):
             validate_mic_array(mics)
 
+    def test_empty_array_rejected(self):
+        with pytest.raises(ValidationError, match="empty"):
+            validate_mic_array([])
+
     def test_out_of_room_rejected(self):
         room = RoomSpec((5, 4, 3), reflectivity=(0.9,))
         with pytest.raises(ValidationError):

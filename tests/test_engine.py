@@ -25,7 +25,7 @@ def test_matches_nested_loop_oracle():
 
 
 def test_overlap_add_path_matches_direct():
-    # long enough to force the block-partitioned path
+    # a long signal against a long filter: a 400k-point transform
     rng = np.random.default_rng(1)
     x = rng.standard_normal(400_000)
     h = rng.standard_normal(3000)

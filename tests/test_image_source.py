@@ -391,7 +391,8 @@ class TestEngineAgainstReference:
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    code = "import sys, roomforge; print('scipy.signal' in sys.modules)"
+    # scipy.signal costs about a second to import; the package and the CLI defer it
+    code = "import sys, roomforge, roomforge.cli; print('scipy.signal' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "False"

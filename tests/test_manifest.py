@@ -79,6 +79,13 @@ class TestParseManifest:
             parse_manifest(json.dumps(doc), base_dir=tmp_path)
         assert any("m0" in msg for _, msg in exc_info.value.errors)
 
+    def test_empty_array_reported(self, tmp_path):
+        doc = base_doc(tmp_path)
+        doc["arrays"]["none"] = []
+        with pytest.raises(ManifestError) as exc_info:
+            parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert exc_info.value.errors == [("$.arrays.none", "microphone array is empty")]
+
     def test_all_errors_reported_at_once(self, tmp_path):
         doc = base_doc(tmp_path)
         doc["sample_rate"] = 44100
@@ -263,6 +270,21 @@ class TestIrCache:
         assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(
             f"{IrCache.key(room, src, mic, cfg, FS)}.npy" for mic in mics
         )
+
+    def test_disk_hit_keeps_geometric_direct_path(self, tmp_path):
+        from roomforge import MicSpec, RoomSpec, SourceSpec
+        from roomforge.image_source import ImageSynthesisConfig
+
+        # a cardioid facing away from the mic: the strongest tap is a reflection, not the direct path
+        room = RoomSpec(dimensions=(5.0, 4.0, 3.0), reflectivity=(0.9,))
+        src = SourceSpec(position=(3.0, 2.0, 1.5), azimuth=0.0, directivity="cardioid")
+        mic = MicSpec(id="a", position=(1.0, 2.0, 1.5))
+        cfg = ImageSynthesisConfig(ir_length=0.1)
+        (fresh,) = IrCache(tmp_path / "cache").get_or_synthesize(room, src, [mic], cfg, FS)
+        (cached,) = IrCache(tmp_path / "cache").get_or_synthesize(room, src, [mic], cfg, FS)
+        assert not cached.meta  # served from disk
+        assert np.array_equal(cached.samples, fresh.samples)
+        assert fresh.direct_path_index == cached.direct_path_index == 93
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         from roomforge import MicSpec, RoomSpec, SourceSpec
