@@ -42,6 +42,8 @@ def gcc_phat(
         raise ValidationError("sample-rate mismatch between channels")
     if interpolation not in ("none", "parabolic"):
         raise ValidationError(f"unknown interpolation mode {interpolation!r}")
+    if not 0.0 <= max_delay < np.inf:
+        raise ValidationError(f"max_delay must be finite and non-negative, got {max_delay}")
     fs = a.sample_rate
     xa = a.mono
     xb = b.mono
@@ -62,7 +64,7 @@ def gcc_phat(
     white[active] = spec[active] / mag[active]
     cc = np.fft.irfft(white, nfft)
 
-    lags = np.concatenate([np.arange(-max_lag, 0), np.arange(0, max_lag + 1)])
+    lags = np.arange(-max_lag, max_lag + 1)
     values = np.concatenate([cc[nfft - max_lag :], cc[: max_lag + 1]])
     peak_pos = int(np.argmax(values))
     lag = int(lags[peak_pos])
@@ -70,17 +72,14 @@ def gcc_phat(
 
     delay_samples = float(lag)
     if interpolation == "parabolic":
-        # the whitened correlation peak is sinc-shaped, which biases a
-        # three-point parabola; evaluate the spectrum on a fine lag grid
-        # around the integer peak and fit the parabola there instead
+        # the whitened correlation peak is sinc-shaped, which biases a three-point
+        # parabola; a zoom FFT of the conjugated half spectrum (the inverse transform's
+        # sign, 1/nfft left out) gives it on a fine lag grid, where the parabola is fit
+        from scipy.signal import zoom_fft  # deferred: scipy.signal takes a second to import
         grid = np.linspace(lag - 1.0, lag + 1.0, 129)
-        k = np.arange(white.size)
         weights = np.full(white.size, 2.0)
-        weights[0] = 1.0
-        if nfft % 2 == 0:
-            weights[-1] = 1.0
-        phases = np.exp(2j * np.pi * np.outer(grid, k) / nfft)
-        fine = (phases * (weights * white)).sum(axis=1).real
+        weights[[0, -1]] = 1.0  # DC and Nyquist (nfft is a power of two) appear once
+        fine = zoom_fft(np.conj(weights * white), grid[[0, -1]], grid.size, fs=nfft, endpoint=True).real
         j = int(np.argmax(fine))
         delay_samples = float(grid[j])
         if 0 < j < fine.size - 1:

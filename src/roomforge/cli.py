@@ -188,7 +188,14 @@ def _cmd_sweep(args) -> int:
 def _cmd_beamform(args) -> int:
     channels = read_wav(args.input)
     if args.delays is not None:
-        delays = json.loads(args.delays.read_text())
+        try:
+            delays = json.loads(args.delays.read_text())
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise ValidationError(f"{args.delays}: not a JSON file ({exc})") from None
+        if not isinstance(delays, list) or not all(
+            type(d) in (int, float) and np.isfinite(d) for d in delays
+        ):
+            raise ValidationError(f"{args.delays}: expected a JSON list of finite delays in seconds")
         out = delay_and_sum(channels, delays)
     else:
         result = steer_and_sum(
@@ -235,8 +242,16 @@ def _cmd_select(args) -> int:
         for row in reader:
             if not row or row[0].strip().lower() == "utterance_id":
                 continue
-            utt, ch, score = row[0].strip(), row[1].strip(), float(row[2])
-            tables.setdefault(utt, {})[ch] = score
+            where = f"{args.scores}, line {reader.line_num}"
+            if len(row) < 3:
+                raise ValidationError(f"{where}: expected utterance_id,channel_id,score")
+            try:
+                score = float(row[2])
+            except ValueError:
+                score = np.nan
+            if not np.isfinite(score):
+                raise ValidationError(f"{where}: score {row[2]!r} is not a finite number")
+            tables.setdefault(row[0].strip(), {})[row[1].strip()] = score
     lines = [("utterance_id", "channel_id", "score")]
     for utt in sorted(tables):
         best = oracle_select(tables[utt])

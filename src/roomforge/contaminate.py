@@ -113,12 +113,7 @@ def validate_clean(x: AudioSignal, min_snr_db: float = 50.0) -> CleanReport:
     if sig.size == 0 or _rms(sig) == 0.0:
         return CleanReport(snr_db=None, clipping=clipped, dc_offset=dc, passed=False)
 
-    frame = max(int(round(0.025 * x.sample_rate)), 1)
-    hop = max(int(round(0.010 * x.sample_rate)), 1)
-    n_frames = max((sig.size - frame) // hop + 1, 1)
-    energies = np.array(
-        [np.mean(sig[i * hop : i * hop + frame] ** 2) for i in range(n_frames)]
-    )
+    energies = _frame_energies(sig, x.sample_rate)
     energies = energies[energies > 0]
     if energies.size == 0:
         return CleanReport(snr_db=None, clipping=clipped, dc_offset=dc, passed=False)
@@ -132,6 +127,14 @@ def validate_clean(x: AudioSignal, min_snr_db: float = 50.0) -> CleanReport:
         snr = float(10.0 * np.log10(np.mean(active) / floor))
     passed = snr is not None and snr >= min_snr_db and not clipped
     return CleanReport(snr_db=snr, clipping=clipped, dc_offset=dc, passed=passed)
+
+
+def _frame_energies(sig: np.ndarray, sample_rate: int) -> np.ndarray:
+    """Mean power of 25 ms frames at a 10 ms hop; a signal shorter than a frame is one frame."""
+    frame = max(int(round(0.025 * sample_rate)), 1)
+    hop = max(int(round(0.010 * sample_rate)), 1)
+    frames = np.lib.stride_tricks.sliding_window_view(sig, min(frame, sig.size))[::hop]
+    return np.mean(frames**2, axis=1)
 
 
 def _has_clipping(sig: np.ndarray) -> bool:

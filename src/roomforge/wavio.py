@@ -60,6 +60,8 @@ def read_wav(path: Union[str, Path]) -> AudioSignal:
         samples = ints.astype(np.float64) / 2**23
     elif (audio_format, bits) == (3, 32):
         samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        if not np.isfinite(samples).all():
+            raise ValidationError(f"{path}: float32 data holds NaN or infinite samples")
     else:
         raise ValidationError(
             f"{path}: unsupported WAV format (format={audio_format}, bits={bits})"
@@ -76,6 +78,8 @@ def write_wav(path: Union[str, Path], signal: AudioSignal, fmt: str = "float32")
     if fmt not in _FORMATS:
         raise ValidationError(f"unknown WAV format {fmt!r}, expected one of {sorted(_FORMATS)}")
     audio_format, bits = _FORMATS[fmt]
+    if not np.isfinite(signal.data).all():
+        raise ValidationError(f"{path}: cannot write NaN or infinite samples")
     interleaved = signal.data.T  # (frames, channels)
     n_channels = signal.num_channels
     if fmt == "float32":

@@ -1,6 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gcc_phat_reference import reference_parabolic_delay
 from roomforge import (
     AudioSignal,
     ValidationError,
@@ -94,6 +100,70 @@ class TestGccPhat:
         x = AudioSignal(FS, white(256, 11))
         with pytest.raises(ValidationError):
             gcc_phat(x, x, interpolation="cubic")
+
+    @pytest.mark.parametrize("max_delay", [-0.001, -1e-9, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_max_delay_rejected(self, max_delay):
+        x = AudioSignal(FS, white(256, 12))
+        with pytest.raises(ValidationError, match="max_delay"):
+            gcc_phat(x, x, max_delay=max_delay)
+
+    @pytest.mark.parametrize("interpolation", ["none", "parabolic"])
+    def test_zero_max_delay_searches_lag_zero_only(self, interpolation):
+        base = white(FS, 13)
+        est = gcc_phat(
+            AudioSignal(FS, base), AudioSignal(FS, np.roll(base, 5)),
+            max_delay=0.0, interpolation=interpolation,
+        )
+        assert abs(est.delay * FS) <= 1.0
+
+
+@st.composite
+def delayed_pair(draw):
+    """Two noisy copies of white noise, the second delayed by a fractional lag."""
+    n = draw(st.integers(64, 6000))
+    max_lag = draw(st.integers(1, 40))
+    bound = max_lag + 0.5
+    delay = draw(
+        st.one_of(
+            st.floats(-bound, bound),
+            st.sampled_from([-1.0, 1.0]).map(lambda s: s * max_lag)
+            .flatmap(lambda edge: st.floats(edge - 0.5, edge + 0.5)),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal(n)
+    shifted = _fractional_shift(base, abs(delay), pad=48)[:n]
+    a, b = (base, shifted) if delay >= 0 else (shifted, base)
+    b = b[: n - draw(st.integers(0, min(50, n - 1)))]
+    noise = draw(st.floats(0.0, 2.0))
+    a = a + noise * rng.standard_normal(a.size)
+    b = b + noise * rng.standard_normal(b.size)
+    return a, b, max_lag
+
+
+class TestParabolicAgainstOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(delayed_pair())
+    def test_matches_outer_product_grid(self, case):
+        a, b, max_lag = case
+        est = gcc_phat(
+            AudioSignal(FS, a), AudioSignal(FS, b), max_delay=max_lag / FS, interpolation="parabolic"
+        )
+        assert est.delay * FS == pytest.approx(reference_parabolic_delay(a, b, max_lag), abs=1e-9)
+
+    def test_peak_memory_of_one_call(self):
+        # 2 s at 16 kHz: nfft 65536; a (129, 32769) complex DFT matrix alone is 68 MB
+        base = white(2 * FS, 14)
+        a = AudioSignal(FS, base)
+        b = AudioSignal(FS, _fractional_shift(base, 3.3, pad=8)[: base.size])
+        gcc_phat(a, b, interpolation="parabolic")  # loads scipy.signal outside the trace
+        tracemalloc.start()
+        try:
+            gcc_phat(a, b, interpolation="parabolic")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestDelayAndSum:

@@ -122,6 +122,35 @@ class TestBeamformCommand:
         code = run_cli("beamform", tmp_path / "nope.wav", "-o", tmp_path / "b.wav")
         assert code == EXIT_INVALID
 
+    def test_negative_max_delay_is_invalid(self, tmp_path, capsys):
+        path, _ = self._multichannel(tmp_path)
+        code = run_cli("beamform", path, "-o", tmp_path / "b.wav", "--max-delay", "-0.001")
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "max_delay" in err and "Traceback" not in err
+        assert not (tmp_path / "b.wav").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[0.0, 0.00025,", "not a JSON file"),
+            ('["a", 0, 0]', "list of finite delays"),
+            ('{"m0": 0.0}', "list of finite delays"),
+            ("0.0", "list of finite delays"),
+            ("[0.0, NaN, 0.0]", "list of finite delays"),
+            ("[0.0, Infinity, 0.0]", "list of finite delays"),
+            ("[0.0, true, 0.0]", "list of finite delays"),
+        ],
+    )
+    def test_malformed_delays_file_is_invalid(self, tmp_path, capsys, text, message):
+        path, _ = self._multichannel(tmp_path)
+        delays = tmp_path / "delays.json"
+        delays.write_text(text)
+        code = run_cli("beamform", path, "--delays", delays, "-o", tmp_path / "b.wav")
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "delays.json" in err and message in err and "Traceback" not in err
+
 
 class TestMetricsCommand:
     def test_report_and_decay_csv(self, tmp_path):
@@ -156,6 +185,21 @@ class TestSelectCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[1].startswith("u1,ch3,")
         assert lines[2].startswith("u2,ch1,")
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("u1,ch1", "line 3: expected utterance_id,channel_id,score"),
+            ("u1,ch1,abc", "line 3: score 'abc' is not a finite number"),
+            ("u1,ch1,nan", "line 3: score 'nan' is not a finite number"),
+        ],
+    )
+    def test_malformed_row_is_invalid(self, tmp_path, capsys, bad_row, message):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"utterance_id,channel_id,score\nu1,ch2,10.7\n{bad_row}\nu2,ch1,5.0\n")
+        assert run_cli("select", scores) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"scores.csv, {message}" in err and "Traceback" not in err
 
 
 def write_run_manifest(tmp_path, sentences, synthesis):
@@ -264,3 +308,20 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "FAILED sessA/s02" in err and "s02.wav" in err and "truncated" in err
         assert (tmp_path / "out" / "sessA" / "s01_m0.wav").exists()
+
+    def test_non_finite_clean_file_is_a_job_failure(self, tmp_path):
+        manifest = write_run_manifest(tmp_path, ["s01", "s02"], {"ir_length": 0.1, "max_order": 2})
+        wav = tmp_path / "clean" / "s02.wav"
+        speech = 0.2 * np.random.default_rng(75).standard_normal(FS // 2)
+        speech[100] = np.nan
+        # the codec refuses to write NaN, so patch it into a valid float32 file
+        write_wav(wav, AudioSignal(FS, np.nan_to_num(speech)), fmt="float32")
+        raw = bytearray(wav.read_bytes())
+        raw[44 + 4 * 100 : 44 + 4 * 101] = np.float32(np.nan).tobytes()
+        wav.write_bytes(bytes(raw))
+        assert run_cli("run", manifest) == EXIT_PARTIAL
+        index = json.loads((tmp_path / "out" / "corpus.json").read_text())
+        assert [f["job"] for f in index["failures"]] == ["sessA/s02"]
+        assert "s02.wav" in index["failures"][0]["error"]
+        assert "NaN or infinite" in index["failures"][0]["error"]
+        assert not (tmp_path / "out" / "sessA" / "s02_m0.wav").exists()

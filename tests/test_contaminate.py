@@ -11,7 +11,7 @@ from roomforge import (
     run_job,
     validate_clean,
 )
-from roomforge.contaminate import _tile_noise
+from roomforge.contaminate import _frame_energies, _tile_noise
 
 FS = 16000
 
@@ -191,7 +191,26 @@ class TestTileNoise:
             assert np.array_equal(got, loop_tile_noise(noise, length, offset, fade))
 
 
+def loop_frame_energies(sig, sample_rate):
+    """Reference: validate_clean's frame energies, one slice per frame."""
+    frame = max(int(round(0.025 * sample_rate)), 1)
+    hop = max(int(round(0.010 * sample_rate)), 1)
+    n_frames = max((sig.size - frame) // hop + 1, 1)
+    return np.array([np.mean(sig[i * hop : i * hop + frame] ** 2) for i in range(n_frames)])
+
+
 class TestValidateClean:
+    def test_frame_energies_match_loop_reference_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        cases = [(16000, 1), (16000, 399), (16000, 400), (16000, 401), (8000, 37), (48000, 5 * 48000)]
+        cases += [
+            (int(rng.choice([8000, 16000, 22050, 44100, 48000])), int(rng.integers(1, 3 * 48000)))
+            for _ in range(300)
+        ]
+        for fs, n in cases:
+            sig = 0.1 * rng.standard_normal(n)
+            assert np.array_equal(_frame_energies(sig, fs), loop_frame_energies(sig, fs))
+
     def test_gated_tone_over_noise_floor(self):
         # tone at -6 dBFS active 70% of the time, floor at -66 dBFS: 60 dB apart
         rng = np.random.default_rng(9)

@@ -78,3 +78,23 @@ def test_short_fmt_chunk_rejected(tmp_path):
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
     with pytest.raises(ValidationError, match="short.wav.*fmt chunk"):
         read_wav(path)
+
+
+@pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "float32"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_samples_not_written(tmp_path, fmt, bad):
+    path = tmp_path / "bad.wav"
+    with pytest.raises(ValidationError, match="bad.wav.*NaN or infinite"):
+        write_wav(path, AudioSignal(16000, np.array([[0.1, 0.2], [0.3, bad]])), fmt=fmt)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_float32_rejected_on_read(tmp_path, bad):
+    path = tmp_path / "nan.wav"
+    write_wav(path, AudioSignal(16000, np.array([0.1, 0.2, 0.3])), fmt="float32")
+    raw = bytearray(path.read_bytes())
+    raw[-4:] = np.float32(bad).tobytes()  # the last sample
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValidationError, match="nan.wav.*NaN or infinite"):
+        read_wav(path)
