@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -236,22 +237,27 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_select(args) -> int:
+    try:
+        text = args.scores.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{args.scores}: not UTF-8 text ({exc})") from None
+    if "\0" in text:  # csv rejects NUL bytes on Python 3.10 and keeps them on 3.11+
+        raise ValidationError(f"{args.scores}: not a text file (holds NUL bytes)")
     tables = {}
-    with open(args.scores, newline="") as f:
-        reader = csv.reader(f)
-        for row in reader:
-            if not row or row[0].strip().lower() == "utterance_id":
-                continue
-            where = f"{args.scores}, line {reader.line_num}"
-            if len(row) < 3:
-                raise ValidationError(f"{where}: expected utterance_id,channel_id,score")
-            try:
-                score = float(row[2])
-            except ValueError:
-                score = np.nan
-            if not np.isfinite(score):
-                raise ValidationError(f"{where}: score {row[2]!r} is not a finite number")
-            tables.setdefault(row[0].strip(), {})[row[1].strip()] = score
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for row in reader:
+        if not row or row[0].strip().lower() == "utterance_id":
+            continue
+        where = f"{args.scores}, line {reader.line_num}"
+        if len(row) < 3:
+            raise ValidationError(f"{where}: expected utterance_id,channel_id,score")
+        try:
+            score = float(row[2])
+        except ValueError:
+            score = np.nan
+        if not np.isfinite(score):
+            raise ValidationError(f"{where}: score {row[2]!r} is not a finite number")
+        tables.setdefault(row[0].strip(), {})[row[1].strip()] = score
     lines = [("utterance_id", "channel_id", "score")]
     for utt in sorted(tables):
         best = oracle_select(tables[utt])

@@ -14,7 +14,7 @@ from typing import List, Optional
 import numpy as np
 
 from .core import AudioSignal, ImpulseResponse, ValidationError
-from .engine import fft_convolve
+from .engine import fft_convolve, fft_convolve_many
 
 NOISE_CROSSFADE = 0.010  # seconds of crossfade at noise wrap seams
 CLIP_RUN_LENGTH = 3
@@ -174,16 +174,17 @@ class ContaminationJob:
 def run_job(job: ContaminationJob) -> AudioSignal:
     """Execute a contamination job, returning one channel per IR.
 
-    Channels share a single noise realization offset (one room noise source),
-    each scaled to the target SNR.  Peak normalization scales all channels
-    jointly so inter-channel level ratios survive.
+    The clean signal is transformed once per job (once per distinct FFT
+    length) by ``fft_convolve_many``, not once per IR.  Channels share a
+    single noise realization offset (one room noise source), each scaled to
+    the target SNR.  Peak normalization scales all channels jointly so
+    inter-channel level ratios survive.
     """
     fs = job.clean.sample_rate
     x = job.clean.mono
     n_out = x.size + max(h.num_samples for h in job.irs) - 1
     channels = np.zeros((len(job.irs), n_out))
-    for i, h in enumerate(job.irs):
-        y = fft_convolve(x, h.samples)
+    for i, y in enumerate(fft_convolve_many(x, [h.samples for h in job.irs])):
         channels[i, : y.size] = y
 
     if job.noise is not None:

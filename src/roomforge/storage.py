@@ -39,7 +39,12 @@ def load_ir(path: Union[str, Path]) -> ImpulseResponse:
     ir = ImpulseResponse(signal.sample_rate, signal.mono, provenance="measured")
     sc = sidecar_path(path)
     if sc.exists():
-        record = json.loads(sc.read_text())
+        try:
+            record = json.loads(sc.read_text())
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ValidationError(f"{sc}: not a JSON sidecar ({exc})") from None
+        if not isinstance(record, dict):
+            raise ValidationError(f"{sc}: sidecar must hold a JSON object")
         ir.provenance = record.get("provenance", ir.provenance)
         ir.direct_path_index = record.get("direct_path_index")
         ir.meta = record.get("meta", {})

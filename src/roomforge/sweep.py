@@ -10,6 +10,7 @@ harmonic distortion folds to negative lag where it can be discarded.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from .core import AudioSignal, ImpulseResponse, ValidationError
 from .engine import fft_convolve
 
 DEFAULT_PRE_PEAK_GUARD = 0.005  # seconds retained before the direct-path peak
-PEAK_OVER_MEDIAN_DB = 20.0  # minimum peak prominence for "sweep found"
+PEAK_OVER_FLOOR_DB = 20.0  # minimum peak prominence for "sweep found"
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,13 @@ def generate_ess(spec: SweepSpec, sample_rate: int) -> AudioSignal:
     return AudioSignal(sample_rate, x)
 
 
+@functools.lru_cache(maxsize=2)
 def inverse_filter(spec: SweepSpec, sample_rate: int) -> AudioSignal:
     """Inverse filter: time-reversed sweep with +6 dB/octave compensation.
 
-    Normalized so that sweep * inverse has unit peak.
+    Normalized so that sweep * inverse has unit peak.  Built once per
+    ``(spec, sample_rate)``: the last two are kept (a 60 s / 48 kHz entry is
+    23 MB) and shared by every caller, so the array is read-only.
     """
     sweep = generate_ess(spec, sample_rate).mono
     n = sweep.size
@@ -81,29 +85,24 @@ def inverse_filter(spec: SweepSpec, sample_rate: int) -> AudioSignal:
     env = np.exp(-t / spec.rate_constant)
     inv = sweep[::-1] * env
     peak = float(np.max(np.abs(fft_convolve(sweep, inv))))
-    return AudioSignal(sample_rate, inv / peak)
+    out = AudioSignal(sample_rate, inv / peak)
+    out.data.flags.writeable = False
+    return out
 
 
-def _peak_prominence_db(raw: np.ndarray, fs: int, block_seconds: float = 0.1) -> float:
-    """Peak-to-floor statistic robust to the inverse filter's envelope.
+def _peak_prominence_db(peak: float, acausal: np.ndarray) -> float:
+    """Peak over the rms of the acausal region before it, in dB.
 
-    The deconvolution of non-sweep input is strongly nonstationary (the
-    inverse filter carries an exponential envelope), so a global median
-    underestimates the local noise floor.  Each block is equalized to unit
-    rms first; a genuine IR then stands out as a sharp local peak.
+    Lags before the direct path (less the pre-peak guard) hold only noise
+    and harmonic-distortion products (Farina, AES 2000), never the room's
+    reverberant tail, so their rms is the floor a genuine IR stands out from.
     """
-    block = max(int(round(block_seconds * fs)), 1)
-    n_blocks = int(np.ceil(raw.size / block))
-    equalized = np.empty(raw.size)
-    for i in range(n_blocks):
-        seg = raw[i * block : (i + 1) * block]
-        rms = np.sqrt(np.mean(seg**2))
-        equalized[i * block : i * block + seg.size] = seg / rms if rms > 0 else 0.0
-    mags = np.abs(equalized)
-    floor = float(np.median(mags))
+    if acausal.size == 0:
+        raise ValidationError("sweep not found: no samples before the peak to measure the floor")
+    floor = float(np.sqrt(np.mean(acausal**2)))
     if floor == 0.0:
         return np.inf
-    return float(20.0 * np.log10(np.max(mags) / floor))
+    return float(20.0 * np.log10(peak / floor))
 
 
 def deconvolve_ir(
@@ -117,7 +116,9 @@ def deconvolve_ir(
     Convolves the recording with the inverse filter, locates the direct-path
     peak, and keeps the causal segment (plus a short pre-peak guard) out to
     ``ir_length`` seconds.  Distortion products land at negative lag and are
-    dropped.  The result is peak-normalized; the scale is stored in ``meta``.
+    dropped.  The sweep counts as found when the peak stands
+    ``PEAK_OVER_FLOOR_DB`` above the rms of everything before the guard.
+    The result is peak-normalized; the scale is stored in ``meta``.
     """
     fs = recording.sample_rate
     spec.validate_rate(fs)
@@ -132,11 +133,11 @@ def deconvolve_ir(
     peak = float(np.abs(raw[peak_idx]))
     if peak == 0.0:
         raise ValidationError("sweep not found: silent deconvolution result")
-    if _peak_prominence_db(raw, fs) < PEAK_OVER_MEDIAN_DB:
-        raise ValidationError("sweep not found: no peak above the noise floor")
-
     guard = int(round(pre_peak_guard * fs))
     start = max(peak_idx - guard, 0)
+    if _peak_prominence_db(peak, raw[:start]) < PEAK_OVER_FLOOR_DB:
+        raise ValidationError("sweep not found: no peak above the noise floor")
+
     n_out = int(round(ir_length * fs))
     segment = raw[start : start + n_out]
     if segment.size < n_out:

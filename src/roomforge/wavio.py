@@ -16,6 +16,7 @@ import numpy as np
 from .core import AudioSignal, ValidationError
 
 _FORMATS = {"pcm16": (1, 16), "pcm24": (1, 24), "float32": (3, 32)}
+_RIFF_MAX = 2**32 - 1  # the RIFF and data chunk sizes are unsigned 32-bit
 
 
 def read_wav(path: Union[str, Path]) -> AudioSignal:
@@ -78,6 +79,11 @@ def write_wav(path: Union[str, Path], signal: AudioSignal, fmt: str = "float32")
     if fmt not in _FORMATS:
         raise ValidationError(f"unknown WAV format {fmt!r}, expected one of {sorted(_FORMATS)}")
     audio_format, bits = _FORMATS[fmt]
+    payload_size = signal.data.size * (bits // 8)  # from the shape: before any per-sample work
+    if 36 + payload_size > _RIFF_MAX:
+        raise ValidationError(
+            f"{path}: {payload_size} bytes of {fmt} samples exceed the 4 GiB RIFF size limit"
+        )
     if not np.isfinite(signal.data).all():
         raise ValidationError(f"{path}: cannot write NaN or infinite samples")
     interleaved = signal.data.T  # (frames, channels)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from roomforge import AudioSignal, SweepSpec, generate_ess
+from roomforge import AudioSignal, SweepSpec, generate_ess, inverse_filter
 from roomforge.cli import EXIT_INVALID, EXIT_OK, EXIT_PARTIAL, main
 from roomforge.engine import fft_convolve
 from roomforge.storage import load_ir
@@ -79,6 +79,16 @@ class TestSweepCommands:
         assert ir.provenance == "measured"
         g = ir.direct_path_index
         assert abs(ir.samples[g + 200] / ir.samples[g]) == pytest.approx(0.4, abs=0.05)
+
+    def test_invert_writes_the_uncached_filter(self, tmp_path):
+        # the second run is served by the inverse-filter cache and writes the same bytes
+        args = ["--f-start", "50", "--f-end", "7000", "--duration", "1.5", "--fs", str(FS)]
+        first, second, reference = (tmp_path / f"{n}.wav" for n in ("first", "second", "ref"))
+        assert run_cli("sweep", "invert", *args, "-o", first) == EXIT_OK
+        assert run_cli("sweep", "invert", *args, "-o", second) == EXIT_OK
+        spec = SweepSpec(50.0, 7000.0, 1.5, amplitude=0.9, fade=0.05)
+        write_wav(reference, inverse_filter.__wrapped__(spec, FS), fmt="float32")
+        assert first.read_bytes() == second.read_bytes() == reference.read_bytes()
 
     def test_deconv_of_noise_is_invalid(self, tmp_path):
         rng = np.random.default_rng(70)
@@ -172,6 +182,15 @@ class TestMetricsCommand:
         assert len(lines) == t.size + 1
 
 
+    def test_broken_sidecar_is_invalid(self, tmp_path, capsys):
+        ir_path = tmp_path / "h.wav"
+        write_wav(ir_path, AudioSignal(FS, np.exp(-np.arange(FS // 2) / 800.0)), fmt="float32")
+        (tmp_path / "h.json").write_text("{broken")
+        assert run_cli("metrics", ir_path) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "h.json" in err and "Traceback" not in err
+
+
 class TestSelectCommand:
     def test_per_utterance_minimum(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
@@ -200,6 +219,20 @@ class TestSelectCommand:
         assert run_cli("select", scores) == EXIT_INVALID
         err = capsys.readouterr().err
         assert f"scores.csv, {message}" in err and "Traceback" not in err
+
+
+    def test_file_that_is_not_utf8_is_invalid(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(b"\xff\xfe\x00u1,ch1,1.0\n")
+        assert run_cli("select", scores) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "scores.csv" in err and "Traceback" not in err
+
+    def test_nul_byte_is_invalid(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(b"u1,ch\x001,1.0\n")
+        assert run_cli("select", scores) == EXIT_INVALID
+        assert "scores.csv" in capsys.readouterr().err
 
 
 def write_run_manifest(tmp_path, sentences, synthesis):
@@ -325,3 +358,14 @@ class TestRunCommand:
         assert "s02.wav" in index["failures"][0]["error"]
         assert "NaN or infinite" in index["failures"][0]["error"]
         assert not (tmp_path / "out" / "sessA" / "s02_m0.wav").exists()
+
+    def test_loaded_ir_with_broken_sidecar_is_invalid(self, tmp_path, capsys):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "max_order": 2})
+        write_wav(tmp_path / "m0.wav", AudioSignal(FS, np.exp(-np.arange(800) / 80.0)), fmt="float32")
+        (tmp_path / "m0.json").write_text("{broken")
+        doc = json.loads(manifest.read_text())
+        doc["sessions"][0]["ir"] = {"mode": "load", "files": {"m0": "m0.wav"}}
+        manifest.write_text(json.dumps(doc))
+        assert run_cli("run", manifest) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "m0.json" in err and "Traceback" not in err

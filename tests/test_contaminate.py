@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from roomforge import (
     AudioSignal,
@@ -11,7 +12,7 @@ from roomforge import (
     run_job,
     validate_clean,
 )
-from roomforge.contaminate import _frame_energies, _tile_noise
+from roomforge.contaminate import _add_noise, _frame_energies, _tile_noise
 
 FS = 16000
 
@@ -349,6 +350,20 @@ class TestRunJob:
             mixed = mix_noise(convolve(x, h), noise, 7.5, seed=31)
             job = run_job(ContaminationJob(clean=x, irs=[h], noise=noise, target_snr_db=7.5, seed=31))
             assert np.array_equal(mixed.mono, job.data[0])
+
+    def test_multichannel_job_equals_fftconvolve_then_add_noise(self):
+        # one transform of the clean signal per job gives the per-IR fftconvolve bytes
+        rng = np.random.default_rng(19)
+        x = self._speech(seconds=1.3)
+        irs = self._irs(5) + [delta_ir(delay=900), delta_ir(), ImpulseResponse(FS, rng.standard_normal(2500))]
+        noise = AudioSignal(FS, rng.standard_normal(FS))
+        expected = np.zeros((len(irs), x.num_samples + 2500 - 1))
+        for i, h in enumerate(irs):
+            y = fftconvolve(x.mono, h.samples)
+            expected[i, : y.size] = y
+        _add_noise(expected, noise.mono, 12.0, 33, FS)
+        job = ContaminationJob(clean=x, irs=irs, noise=noise, target_snr_db=12.0, seed=33)
+        assert run_job(job).data.tobytes() == expected.tobytes()
 
     def test_silent_channel_rejected(self):
         job = ContaminationJob(

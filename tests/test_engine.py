@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
-from roomforge.engine import fft_convolve
+from roomforge.engine import fft_convolve, fft_convolve_many
 
 
 def nested_loop_convolve(x, h):
@@ -58,3 +61,46 @@ def test_bit_reproducible():
 def test_empty_rejected():
     with pytest.raises(ValueError):
         fft_convolve(np.array([]), np.ones(4))
+
+
+lengths = st.integers(min_value=1, max_value=300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nx=lengths,
+    nhs=st.lists(lengths, min_size=1, max_size=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_many_equals_fftconvolve_bytes(nx, nhs, seed):
+    # mixed IR lengths give several FFT lengths per call; 1 covers the one-sample operands
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(nx)
+    hs = [rng.standard_normal(n) for n in nhs]
+    outputs = list(fft_convolve_many(x, hs))
+    assert len(outputs) == len(hs)
+    for h, y in zip(hs, outputs):
+        expected = fftconvolve(x, h)
+        assert y.dtype == expected.dtype and y.shape == expected.shape
+        assert y.tobytes() == expected.tobytes()
+
+
+def test_signal_transformed_once_per_fft_length(monkeypatch):
+    import scipy.fft
+
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(5000)
+    hs = [rng.standard_normal(700) for _ in range(6)] + [rng.standard_normal(3000)]
+    transformed = []
+    rfft = scipy.fft.rfft
+
+    def counting_rfft(a, n=None, *args, **kwargs):
+        transformed.append((a.size, n))
+        return rfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "rfft", counting_rfft)
+    for _ in fft_convolve_many(x, hs):
+        pass
+    # two FFT lengths: x twice, each IR once
+    assert sum(size == x.size for size, _ in transformed) == 2
+    assert len(transformed) == 2 + len(hs)

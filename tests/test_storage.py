@@ -73,3 +73,13 @@ def test_save_is_deterministic(tmp_path):
     save_ir(b, ir)
     assert a.read_bytes() == b.read_bytes()
     assert sidecar_path(a).read_bytes() == sidecar_path(b).read_bytes()
+
+
+@pytest.mark.parametrize("text", ["{broken", "[1, 2]", b"\xff\xfe\x00"])
+def test_broken_sidecar_names_the_sidecar(tmp_path, text):
+    path = tmp_path / "h.wav"
+    save_ir(path, make_ir())
+    sc = sidecar_path(path)
+    sc.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(ValidationError, match="h.json"):
+        load_ir(path)

@@ -3,11 +3,16 @@ import pytest
 
 from roomforge import (
     AudioSignal,
+    ImageSynthesisConfig,
+    MicSpec,
+    RoomSpec,
+    SourceSpec,
     SweepSpec,
     ValidationError,
     deconvolve_ir,
     generate_ess,
     inverse_filter,
+    synthesize_rir,
 )
 from roomforge.engine import fft_convolve
 
@@ -109,6 +114,25 @@ class TestInverseFilter:
         energy = np.sum(inv**2)
         assert np.isfinite(energy) and energy > 0
 
+    def test_cached_per_spec_and_rate(self):
+        spec = SweepSpec(50, 18000, 1.5)
+        first = inverse_filter(spec, FS)
+        assert inverse_filter(SweepSpec(50, 18000, 1.5), FS) is first
+        assert inverse_filter(spec, 44100) is not first
+        assert first.data.tobytes() == inverse_filter.__wrapped__(spec, FS).data.tobytes()
+
+    def test_cached_array_is_read_only(self):
+        inv = inverse_filter(SweepSpec(50, 18000, 1.5), FS)
+        assert not inv.data.flags.writeable
+        with pytest.raises(ValueError):
+            inv.mono[0] = 0.0
+
+    def test_cache_holds_at_most_two_entries(self):
+        for duration in (0.5, 0.6, 0.7):
+            inverse_filter(SweepSpec(50, 18000, duration), FS)
+        info = inverse_filter.cache_info()
+        assert info.maxsize == 2 and info.currsize == 2
+
 
 class TestDeconvolveIr:
     SPEC = SweepSpec(20, 20000, 5.0, amplitude=0.8, fade=0.01)
@@ -202,6 +226,34 @@ class TestDeconvolveIr:
         with pytest.raises(ValidationError, match="sweep not found"):
             deconvolve_ir(noise, self.SPEC, ir_length=0.5)
 
+    def test_peak_at_the_start_rejected(self):
+        # a click deconvolves to the inverse filter itself, whose peak lies inside the guard
+        click = np.zeros(6 * FS)
+        click[0] = 1.0
+        with pytest.raises(ValidationError, match="sweep not found: no samples before the peak"):
+            deconvolve_ir(AudioSignal(FS, click), self.SPEC, ir_length=0.5, pre_peak_guard=0.5)
+
     def test_short_recording_rejected(self):
         with pytest.raises(ValidationError):
             deconvolve_ir(AudioSignal(FS, np.ones(100)), self.SPEC, ir_length=0.5)
+
+
+class TestGateOnImageMethodIrs:
+    """The sweep gate accepts reverberant rooms: the tail is no part of its floor."""
+
+    FS = 16000
+    SPEC = SweepSpec(50, 7000, 5.0)
+
+    @pytest.mark.parametrize("t60", [0.3, 0.5, 0.8, 1.2])
+    def test_accepted_noiseless_and_noisy(self, t60):
+        # cardioid talker facing away from the mic, so the direct path is weak
+        room = RoomSpec((5.0, 4.0, 3.0), target_t60=t60)
+        source = SourceSpec((3.0, 2.0, 1.5), azimuth=0.0, directivity="cardioid")
+        h = synthesize_rir(room, source, MicSpec("m", (1.0, 2.0, 1.5)),
+                           ImageSynthesisConfig(ir_length=1.0), self.FS)
+        recording = fft_convolve(generate_ess(self.SPEC, self.FS).mono, h.samples)
+        noise = np.random.default_rng(int(t60 * 10)).standard_normal(recording.size)
+        noisy = recording + noise * np.sqrt(np.mean(recording**2)) / 10.0  # 20 dB SNR
+        for samples in (recording, noisy):
+            ir = deconvolve_ir(AudioSignal(self.FS, samples), self.SPEC, ir_length=1.0)
+            assert ir.num_samples == self.FS

@@ -98,3 +98,14 @@ def test_non_finite_float32_rejected_on_read(tmp_path, bad):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValidationError, match="nan.wav.*NaN or infinite"):
         read_wav(path)
+
+
+@pytest.mark.parametrize("fmt,frames", [("pcm16", 2**31), ("pcm24", 2**30 + 2**29), ("float32", 2**30)])
+def test_riff_size_over_4_gib_rejected_before_any_sample_work(tmp_path, fmt, frames):
+    # a zero-stride view: the shape says 4 GiB of payload, nothing is allocated
+    huge = AudioSignal(16000, np.broadcast_to(np.zeros(1), (1, frames)))
+    path = tmp_path / "huge.wav"
+    with pytest.raises(ValidationError, match="huge.wav.*4 GiB"):
+        write_wav(path, huge, fmt=fmt)
+    assert not path.exists()
+
