@@ -220,7 +220,6 @@ class TestSelectCommand:
         err = capsys.readouterr().err
         assert f"scores.csv, {message}" in err and "Traceback" not in err
 
-
     def test_file_that_is_not_utf8_is_invalid(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_bytes(b"\xff\xfe\x00u1,ch1,1.0\n")
@@ -361,7 +360,8 @@ class TestRunCommand:
 
     def test_loaded_ir_with_broken_sidecar_is_invalid(self, tmp_path, capsys):
         manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "max_order": 2})
-        write_wav(tmp_path / "m0.wav", AudioSignal(FS, np.exp(-np.arange(800) / 80.0)), fmt="float32")
+        h = AudioSignal(FS, np.exp(-np.arange(800) / 80.0))
+        write_wav(tmp_path / "m0.wav", h, fmt="float32")
         (tmp_path / "m0.json").write_text("{broken")
         doc = json.loads(manifest.read_text())
         doc["sessions"][0]["ir"] = {"mode": "load", "files": {"m0": "m0.wav"}}

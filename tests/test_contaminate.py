@@ -355,7 +355,8 @@ class TestRunJob:
         # one transform of the clean signal per job gives the per-IR fftconvolve bytes
         rng = np.random.default_rng(19)
         x = self._speech(seconds=1.3)
-        irs = self._irs(5) + [delta_ir(delay=900), delta_ir(), ImpulseResponse(FS, rng.standard_normal(2500))]
+        irs = self._irs(5) + [delta_ir(delay=900), delta_ir()]
+        irs.append(ImpulseResponse(FS, rng.standard_normal(2500)))
         noise = AudioSignal(FS, rng.standard_normal(FS))
         expected = np.zeros((len(irs), x.num_samples + 2500 - 1))
         for i, h in enumerate(irs):

@@ -100,7 +100,9 @@ def test_non_finite_float32_rejected_on_read(tmp_path, bad):
         read_wav(path)
 
 
-@pytest.mark.parametrize("fmt,frames", [("pcm16", 2**31), ("pcm24", 2**30 + 2**29), ("float32", 2**30)])
+@pytest.mark.parametrize(
+    "fmt,frames", [("pcm16", 2**31), ("pcm24", 2**30 + 2**29), ("float32", 2**30)]
+)
 def test_riff_size_over_4_gib_rejected_before_any_sample_work(tmp_path, fmt, frames):
     # a zero-stride view: the shape says 4 GiB of payload, nothing is allocated
     huge = AudioSignal(16000, np.broadcast_to(np.zeros(1), (1, frames)))
