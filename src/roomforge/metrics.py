@@ -46,16 +46,15 @@ def schroeder_curve(ir: ImpulseResponse) -> DecayCurve:
     return DecayCurve(times=times, level_db=level)
 
 
-def estimate_t60(ir: ImpulseResponse, method: str = "T20") -> float:
-    """Reverberation time from a line fit on the Schroeder curve.
-
-    The sample holding the direct-path arrival is excluded from the fit so
-    sparse early reflections do not bias the slope.
-    """
+def _fit_range(method: str):
     if method not in _FIT_RANGES:
         raise ValidationError(f"unknown T60 method {method!r}, expected T20 or T30")
-    hi, lo = _FIT_RANGES[method]
-    curve = schroeder_curve(ir)
+    return _FIT_RANGES[method]
+
+
+def _fit_t60(curve: DecayCurve, ir: ImpulseResponse, method: str) -> float:
+    """T60 from a line fit on ``curve``, the Schroeder curve of ``ir``."""
+    hi, lo = _fit_range(method)
     # the backward integral of any finite IR plunges in its final samples
     # (truncation artifact), so the fit must finish inside the first 90%
     usable = curve.level_db[: max(int(0.9 * curve.level_db.size), 2)]
@@ -83,6 +82,16 @@ def estimate_t60(ir: ImpulseResponse, method: str = "T20") -> float:
     if slope >= 0:
         raise ValidationError("non-decaying curve, cannot estimate T60")
     return float(-60.0 / slope)
+
+
+def estimate_t60(ir: ImpulseResponse, method: str = "T20") -> float:
+    """Reverberation time from a line fit on the Schroeder curve.
+
+    The sample holding the direct-path arrival is excluded from the fit so
+    sparse early reflections do not bias the slope.
+    """
+    _fit_range(method)  # an unknown method is reported before a silent IR
+    return _fit_t60(schroeder_curve(ir), ir, method)
 
 
 def direct_to_reverberant_db(
@@ -127,14 +136,16 @@ def compare_irs(a: ImpulseResponse, b: ImpulseResponse, t60_method: str = "T20")
     db_ = b.direct_path_index if b.direct_path_index is not None else b.detect_direct_path()
     offset = db_ - da
 
+    drr_delta = direct_to_reverberant_db(b) - direct_to_reverberant_db(a)
+    curve_a = schroeder_curve(a)
+    curve_b = schroeder_curve(b)
     try:
-        t60_delta = estimate_t60(b, t60_method) - estimate_t60(a, t60_method)
+        t60_delta = _fit_t60(curve_b, b, t60_method) - _fit_t60(curve_a, a, t60_method)
     except ValidationError:
         t60_delta = None
-    drr_delta = direct_to_reverberant_db(b) - direct_to_reverberant_db(a)
 
-    ca = schroeder_curve(a).level_db[da:]
-    cb = schroeder_curve(b).level_db[db_:]
+    ca = curve_a.level_db[da:]
+    cb = curve_b.level_db[db_:]
     n = min(ca.size, cb.size)
     decay_rms = float(np.sqrt(np.mean((ca[:n] - cb[:n]) ** 2))) if n else 0.0
 

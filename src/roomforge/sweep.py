@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AudioSignal, ImpulseResponse, ValidationError
-from .engine import fft_convolve
+from .engine import fft_convolve, fft_length, spectra_product
 
 DEFAULT_PRE_PEAK_GUARD = 0.005  # seconds retained before the direct-path peak
 PEAK_OVER_FLOOR_DB = 20.0  # minimum peak prominence for "sweep found"
@@ -77,7 +77,8 @@ def inverse_filter(spec: SweepSpec, sample_rate: int) -> AudioSignal:
 
     Normalized so that sweep * inverse has unit peak.  Built once per
     ``(spec, sample_rate)``: the last two are kept (a 60 s / 48 kHz entry is
-    23 MB) and shared by every caller, so the array is read-only.
+    23 MB) and shared by every caller, so the array is read-only.  Its
+    spectrum is cached too, per FFT length (see ``deconvolve_ir``).
     """
     sweep = generate_ess(spec, sample_rate).mono
     n = sweep.size
@@ -88,6 +89,16 @@ def inverse_filter(spec: SweepSpec, sample_rate: int) -> AudioSignal:
     out = AudioSignal(sample_rate, inv / peak)
     out.data.flags.writeable = False
     return out
+
+
+@functools.lru_cache(maxsize=2)
+def _inverse_spectrum(spec: SweepSpec, sample_rate: int, nfft: int) -> np.ndarray:
+    """``rfft`` of the inverse filter at ``nfft`` points, shared and read-only."""
+    from scipy import fft as sp_fft
+
+    spectrum = sp_fft.rfft(inverse_filter(spec, sample_rate).mono, nfft)
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def _peak_prominence_db(peak: float, acausal: np.ndarray) -> float:
@@ -119,6 +130,13 @@ def deconvolve_ir(
     dropped.  The sweep counts as found when the peak stands
     ``PEAK_OVER_FLOOR_DB`` above the rms of everything before the guard.
     The result is peak-normalized; the scale is stored in ``meta``.
+
+    The convolution is one ``rfft`` of the recording times the inverse
+    filter's spectrum, which is cached per ``(spec, sample_rate, nfft)``, one
+    FFT length per recording length.  The last two spectra are kept, each
+    ``(nfft // 2 + 1) * 16`` bytes (46 MB for a 60 s / 48 kHz sweep in a
+    recording of its own length, 47 MB with a 2 s tail).  The samples equal
+    ``fftconvolve(recording, inverse)`` bit for bit.
     """
     fs = recording.sample_rate
     spec.validate_rate(fs)
@@ -126,8 +144,13 @@ def deconvolve_ir(
     if recording.num_samples < sweep_len:
         raise ValidationError("recording shorter than the excitation sweep")
 
-    inv = inverse_filter(spec, fs).mono
-    raw = fft_convolve(recording.mono, inv)
+    from scipy import fft as sp_fft
+
+    n = recording.num_samples + sweep_len - 1
+    nfft = fft_length(n)
+    inverse = _inverse_spectrum(spec, fs, nfft)
+    spectrum = sp_fft.rfft(recording.mono, nfft)
+    raw = spectra_product(spectrum, inverse, nfft, n, out=spectrum)
 
     peak_idx = int(np.argmax(np.abs(raw)))
     peak = float(np.abs(raw[peak_idx]))

@@ -191,3 +191,27 @@ class TestCompareIrs:
     def test_rate_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             compare_irs(synthetic_decay(0.3), synthetic_decay(0.3, fs=48000))
+
+    def test_one_schroeder_curve_per_ir(self, monkeypatch):
+        import roomforge.metrics as metrics
+
+        a = synthetic_decay(0.3, seconds=1.2, seed=25)
+        tail = synthetic_decay(0.6, seed=26).samples
+        b = ImpulseResponse(FS, np.concatenate([np.zeros(30), tail]))
+        # the figures as estimate_t60, direct_to_reverberant_db and schroeder_curve give them
+        t60_delta = estimate_t60(b) - estimate_t60(a)
+        drr_delta = direct_to_reverberant_db(b) - direct_to_reverberant_db(a)
+        ca = schroeder_curve(a).level_db[a.direct_path_index:]
+        cb = schroeder_curve(b).level_db[b.detect_direct_path():]
+        n = min(ca.size, cb.size)
+        decay_rms = float(np.sqrt(np.mean((ca[:n] - cb[:n]) ** 2)))
+
+        curves = []
+        original = metrics.schroeder_curve
+        monkeypatch.setattr(metrics, "schroeder_curve",
+                            lambda ir: curves.append(ir) or original(ir))
+        cmp = compare_irs(a, b)
+        assert len(curves) == 2 and curves[0] is a and curves[1] is b
+        figures = (cmp.t60_delta, cmp.drr_delta, cmp.decay_rms_db)
+        assert figures == (t60_delta, drr_delta, decay_rms)
+        assert cmp.direct_offset_samples == b.direct_path_index - a.direct_path_index

@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.signal
 
 from roomforge import (
     AudioSignal,
     ImageSynthesisConfig,
+    ImpulseResponse,
     MicSpec,
     RoomSpec,
     SourceSpec,
     SweepSpec,
     ValidationError,
+    compare_irs,
     deconvolve_ir,
+    estimate_t60,
     generate_ess,
     inverse_filter,
     synthesize_rir,
 )
-from roomforge.engine import fft_convolve
+from roomforge.engine import fft_convolve, fft_length
+from roomforge.sweep import DEFAULT_PRE_PEAK_GUARD, _inverse_spectrum
 
 FS = 48000
 
@@ -257,3 +263,135 @@ class TestGateOnImageMethodIrs:
         for samples in (recording, noisy):
             ir = deconvolve_ir(AudioSignal(self.FS, samples), self.SPEC, ir_length=1.0)
             assert ir.num_samples == self.FS
+
+
+def fftconvolve_deconvolve(recording, spec, ir_length):
+    """The deconvolution as one ``fftconvolve`` with the inverse filter: the oracle."""
+    fs = recording.sample_rate
+    raw = scipy.signal.fftconvolve(recording.mono, inverse_filter(spec, fs).mono)
+    peak_idx = int(np.argmax(np.abs(raw)))
+    peak = float(np.abs(raw[peak_idx]))
+    start = max(peak_idx - int(round(DEFAULT_PRE_PEAK_GUARD * fs)), 0)
+    n_out = int(round(ir_length * fs))
+    segment = raw[start : start + n_out]
+    segment = np.pad(segment, (0, n_out - segment.size))
+    return segment * (1.0 / peak), peak_idx - start, 1.0 / peak
+
+
+class TestDeconvolveAgainstFftconvolve:
+    FS = 16000
+    SPECS = (SweepSpec(50, 7000, 1.0), SweepSpec(30, 7500, 0.8, amplitude=0.5, fade=0.05))
+    EXTRA = (0, 1, 713, 4000, 9001)  # recording samples past the sweep
+
+    def _recording(self, spec, extra, seed):
+        rng = np.random.default_rng(seed)
+        h = np.zeros(2000)
+        h[rng.integers(0, h.size, 40)] = 0.2 * rng.standard_normal(40)
+        h[150] = 1.0
+        sweep = generate_ess(spec, self.FS).mono
+        rec = fft_convolve(sweep, h)[: sweep.size + extra]
+        rec = np.pad(rec, (0, sweep.size + extra - rec.size))
+        return AudioSignal(self.FS, rec + 1e-3 * rng.standard_normal(rec.size))
+
+    def test_recording_lengths_span_several_fft_lengths(self):
+        for spec in self.SPECS:
+            sweep_len = generate_ess(spec, self.FS).num_samples
+            nffts = {fft_length(2 * sweep_len + extra - 1) for extra in self.EXTRA}
+            assert len(nffts) >= 2
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["no-fade", "fade"])
+    def test_bit_identical(self, spec):
+        for seed, extra in enumerate(self.EXTRA):
+            recording = self._recording(spec, extra, seed)
+            ir = deconvolve_ir(recording, spec, ir_length=0.3)
+            samples, direct, scale = fftconvolve_deconvolve(recording, spec, 0.3)
+            assert np.array_equal(ir.samples, samples)
+            assert ir.direct_path_index == direct
+            assert ir.meta == {
+                "normalization_scale": scale,
+                "pre_peak_guard": DEFAULT_PRE_PEAK_GUARD,
+                "sweep": {"f_start": spec.f_start, "f_end": spec.f_end,
+                          "duration": spec.duration, "amplitude": spec.amplitude,
+                          "fade": spec.fade},
+            }
+
+
+class TestInverseSpectrumCache:
+    FS = 16000
+    SPEC = SweepSpec(50, 7000, 1.0)
+
+    def _recording(self, extra):
+        sweep = generate_ess(self.SPEC, self.FS).mono
+        return AudioSignal(self.FS, np.pad(sweep, (0, extra)))
+
+    def test_spectrum_is_read_only(self):
+        spectrum = _inverse_spectrum(self.SPEC, self.FS, fft_length(40000))
+        assert not spectrum.flags.writeable
+        with pytest.raises(ValueError):
+            spectrum[0] = 0.0
+
+    def test_cache_holds_at_most_two_entries(self):
+        recordings = [self._recording(extra) for extra in (0, 4000, 9001)]
+        sweep_len = recordings[0].num_samples
+        assert len({fft_length(r.num_samples + sweep_len - 1) for r in recordings}) == 3
+        for recording in recordings:
+            deconvolve_ir(recording, self.SPEC, ir_length=0.1)
+        info = _inverse_spectrum.cache_info()
+        assert info.maxsize == 2 and info.currsize == 2
+
+    def test_inverse_filter_transformed_once_per_fft_length(self, monkeypatch):
+        _inverse_spectrum.cache_clear()
+        inverse = inverse_filter(self.SPEC, self.FS).data
+        calls = []
+        rfft = scipy.fft.rfft
+
+        def counting_rfft(a, n=None, *args, **kwargs):
+            calls.append(np.shares_memory(a, inverse))
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "rfft", counting_rfft)
+        first, second = self._recording(0), self._recording(9001)
+        sweep_len = first.num_samples
+        assert fft_length(2 * sweep_len - 1) != fft_length(second.num_samples + sweep_len - 1)
+        deconvolve_ir(first, self.SPEC, ir_length=0.1)
+        assert calls == [True, False]
+        deconvolve_ir(first, self.SPEC, ir_length=0.1)
+        assert calls == [True, False, False]  # only the recording is transformed
+        deconvolve_ir(second, self.SPEC, ir_length=0.1)
+        assert calls == [True, False, False, True, False]
+
+
+class TestEssRoundTrip:
+    """Measuring an image-method room by sweep recovers its T60 and DRR.
+
+    The source is omnidirectional, so the deconvolution peak is the direct
+    path.  Walls reflect with alternating sign (pressure convention): an
+    all-positive image-method IR holds much of its tail energy near DC,
+    below the band any sweep measures.
+    """
+
+    FS = 16000
+    SPEC = SweepSpec(20, 7900, 5.0)
+
+    @pytest.mark.parametrize("t60", [0.3, 0.5, 0.8])
+    def test_measured_matches_synthesized(self, t60):
+        room = RoomSpec((5.0, 4.0, 3.0), target_t60=t60)
+        config = ImageSynthesisConfig(ir_length=1.0, negative_reflection=True)
+        h = synthesize_rir(room, SourceSpec((3.0, 2.0, 1.5)), MicSpec("m", (1.0, 2.5, 1.2)),
+                           config, self.FS)
+        clean = fft_convolve(generate_ess(self.SPEC, self.FS).mono, h.samples)
+        noise = np.random.default_rng(int(t60 * 10)).standard_normal(clean.size)
+        recording = clean + noise * np.sqrt(np.mean(clean**2)) / 10 ** (30 / 20)  # 30 dB SNR
+        measured = deconvolve_ir(AudioSignal(self.FS, recording), self.SPEC, ir_length=1.0)
+
+        # onto the synthesized IR's time axis: the measured direct path sits at
+        # the guard, the synthesized one at its geometric index
+        shift = h.direct_path_index - measured.direct_path_index
+        assert shift >= 0
+        aligned = ImpulseResponse(
+            self.FS, np.pad(measured.samples, (shift, 0))[: measured.num_samples])
+        # the aligned IR's direct path is found again, as its largest sample
+        result = compare_irs(h, aligned)
+        assert result.direct_offset_samples == 0
+        assert abs(result.t60_delta) <= 0.05 * estimate_t60(h)
+        assert abs(result.drr_delta) <= 0.1
