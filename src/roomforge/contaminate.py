@@ -59,16 +59,20 @@ def noise_gain(signal_rms: float, noise_rms: float, target_snr_db: float) -> flo
     return signal_rms / (noise_rms * 10.0 ** (target_snr_db / 20.0))
 
 
-def _add_noise(channels: np.ndarray, noise: np.ndarray, target_snr_db: float, seed: int, fs: int) -> None:
+def _add_noise(channels: np.ndarray, noise: AudioSignal, target_snr_db: float, seed: int, fs: int) -> None:
     """Add one noise realization to each row of ``channels`` in place, every row at the target SNR.
 
-    The start offset into ``noise`` is drawn from ``seed``; all rows share it
-    (one room noise source) and differ only in gain.
+    ``noise`` must be mono at ``fs``, the rate of ``channels``.  The start
+    offset into it is drawn from ``seed``; all rows share it (one room noise
+    source) and differ only in gain.
     """
-    if _rms(noise) == 0.0:
+    if noise.sample_rate != fs:
+        raise ValidationError("sample-rate mismatch between signal and noise")
+    samples = noise.mono
+    if _rms(samples) == 0.0:
         raise ValidationError("noise signal is silent")
-    offset = int(np.random.default_rng(seed).integers(0, noise.size))
-    n = _tile_noise(noise, channels.shape[1], offset, int(round(NOISE_CROSSFADE * fs)))
+    offset = int(np.random.default_rng(seed).integers(0, samples.size))
+    n = _tile_noise(samples, channels.shape[1], offset, int(round(NOISE_CROSSFADE * fs)))
     n_rms = _rms(n)
     for i, row in enumerate(channels):
         sig_rms = _rms(row)
@@ -84,10 +88,8 @@ def mix_noise(
     seed: int,
 ) -> AudioSignal:
     """Add background noise to ``y`` at the requested SNR (full-signal rms ratio)."""
-    if y.sample_rate != noise.sample_rate:
-        raise ValidationError("sample-rate mismatch between signal and noise")
     out = y.mono[np.newaxis].copy()
-    _add_noise(out, noise.mono, target_snr_db, seed, y.sample_rate)
+    _add_noise(out, noise, target_snr_db, seed, y.sample_rate)
     return AudioSignal(y.sample_rate, out)
 
 
@@ -188,7 +190,7 @@ def run_job(job: ContaminationJob) -> AudioSignal:
         channels[i, : y.size] = y
 
     if job.noise is not None:
-        _add_noise(channels, job.noise.mono, job.target_snr_db, job.seed, fs)
+        _add_noise(channels, job.noise, job.target_snr_db, job.seed, fs)
 
     if job.normalization == "peak":
         peak = float(np.max(np.abs(channels)))

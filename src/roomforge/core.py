@@ -249,8 +249,9 @@ class AudioSignal:
 class ImpulseResponse:
     """Sampled room impulse response with provenance.
 
-    ``provenance`` is "measured" or "image-method"; ``direct_path_index``
-    is filled in once the direct arrival has been located.
+    ``provenance`` is "measured" or "image-method".  ``direct_path_index``, the
+    direct arrival's sample, is the producer's value or else the envelope
+    maximum; it is always an int in ``[0, num_samples)``.
     """
 
     sample_rate: int
@@ -271,6 +272,12 @@ class ImpulseResponse:
         if self.provenance not in ("measured", "image-method"):
             raise ValidationError(f"unknown IR provenance {self.provenance!r}")
         self.samples = arr
+        idx = self.direct_path_index
+        if idx is None:
+            idx = np.argmax(np.abs(arr))
+        elif isinstance(idx, bool) or not isinstance(idx, (int, np.integer)) or not 0 <= idx < arr.size:
+            raise ValidationError(f"direct_path_index must be an integer in [0, {arr.size}), got {idx!r}")
+        self.direct_path_index = int(idx)
 
     @property
     def num_samples(self) -> int:
@@ -279,9 +286,3 @@ class ImpulseResponse:
     @property
     def energy(self) -> float:
         return float(np.sum(self.samples**2))
-
-    def detect_direct_path(self) -> int:
-        """Locate the direct arrival as the envelope maximum; caches the index."""
-        idx = int(np.argmax(np.abs(self.samples)))
-        self.direct_path_index = idx
-        return idx

@@ -325,9 +325,8 @@ def synthesize_rirs(
             },
             "sample_rate": sample_rate,
         }
-        rir = ImpulseResponse(sample_rate, ir, provenance="image-method", meta=meta)
-        rir.direct_path_index = direct_path_index(room, source, mic, sample_rate)
-        out.append(rir)
+        direct = direct_path_index(room, source, mic, sample_rate)
+        out.append(ImpulseResponse(sample_rate, ir, "image-method", direct, meta))
     return out
 
 

@@ -314,8 +314,8 @@ class IrCache:
     In-memory always; mirrored to ``ROOMFORGE_CACHE_DIR`` as .npy files when
     the env var is set, so repeated runs skip re-synthesis.  Keys include
     ``SYNTHESIS_VERSION``, so files written by an older engine are not reused.
-    A disk hit carries the samples and the geometric ``direct_path_index`` of
-    a fresh synthesis, but no synthesis ``meta``.
+    A disk hit is built with the samples and the geometric ``direct_path_index``
+    of a fresh synthesis, but no synthesis ``meta``.
     """
 
     def __init__(self, directory: Optional[Union[str, Path]] = None):
@@ -352,8 +352,7 @@ class IrCache:
         if self.directory:
             f = self.directory / f"{key}.npy"
             if f.exists():
-                ir = ImpulseResponse(fs, np.load(f), provenance="image-method")
-                ir.direct_path_index = direct_path_index(room, source, mic, fs)
+                ir = ImpulseResponse(fs, np.load(f), "image-method", direct_path_index(room, source, mic, fs))
                 self._mem[key] = ir
                 return ir
         return None

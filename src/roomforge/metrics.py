@@ -66,10 +66,7 @@ def _fit_t60(curve: DecayCurve, ir: ImpulseResponse, method: str) -> float:
             f"needs {required:.1f} dB"
         )
 
-    direct = ir.direct_path_index
-    if direct is None:
-        direct = int(np.argmax(np.abs(ir.samples)))
-    start_floor = direct + 1
+    start_floor = ir.direct_path_index + 1
 
     idx_hi = int(np.argmax(curve.level_db <= hi))
     idx_lo = int(np.argmax(curve.level_db <= lo))
@@ -99,8 +96,6 @@ def direct_to_reverberant_db(
 ) -> float:
     """Energy ratio (dB) between a window around the direct path and the rest."""
     direct = ir.direct_path_index
-    if direct is None:
-        direct = ir.detect_direct_path()
     half = int(round(direct_window_ms * 1e-3 * ir.sample_rate))
     lo = max(direct - half, 0)
     hi = min(direct + half + 1, ir.num_samples)
@@ -132,8 +127,8 @@ def compare_irs(a: ImpulseResponse, b: ImpulseResponse, t60_method: str = "T20")
     """
     if a.sample_rate != b.sample_rate:
         raise ValidationError("sample-rate mismatch between impulse responses")
-    da = a.direct_path_index if a.direct_path_index is not None else a.detect_direct_path()
-    db_ = b.direct_path_index if b.direct_path_index is not None else b.detect_direct_path()
+    _fit_range(t60_method)  # so that a None T60 delta means only a decay too short to fit
+    da, db_ = a.direct_path_index, b.direct_path_index
     offset = db_ - da
 
     drr_delta = direct_to_reverberant_db(b) - direct_to_reverberant_db(a)

@@ -32,11 +32,11 @@ def save_ir(path: Union[str, Path], ir: ImpulseResponse) -> None:
 
 
 def load_ir(path: Union[str, Path]) -> ImpulseResponse:
-    """Load an IR WAV, merging the sidecar metadata when present."""
+    """Load an IR WAV, built with the sidecar's fields when there is one."""
     signal = read_wav(path)
     if signal.num_channels != 1:
         raise ValidationError(f"{path}: impulse responses must be mono")
-    ir = ImpulseResponse(signal.sample_rate, signal.mono, provenance="measured")
+    record = {}
     sc = sidecar_path(path)
     if sc.exists():
         try:
@@ -45,9 +45,11 @@ def load_ir(path: Union[str, Path]) -> ImpulseResponse:
             raise ValidationError(f"{sc}: not a JSON sidecar ({exc})") from None
         if not isinstance(record, dict):
             raise ValidationError(f"{sc}: sidecar must hold a JSON object")
-        ir.provenance = record.get("provenance", ir.provenance)
-        ir.direct_path_index = record.get("direct_path_index")
-        ir.meta = record.get("meta", {})
         if record.get("sample_rate") not in (None, signal.sample_rate):
             raise ValidationError(f"{path}: sidecar sample rate disagrees with the WAV")
-    return ir
+    try:
+        return ImpulseResponse(signal.sample_rate, signal.mono, record.get("provenance", "measured"),
+                               record.get("direct_path_index"), record.get("meta", {}))
+    except ValidationError as exc:
+        where = f"{path} with sidecar {sc}" if sc.exists() else path
+        raise ValidationError(f"{where}: {exc}") from None

@@ -43,11 +43,18 @@ class SweepSpec:
         if self.fade < 0 or 2 * self.fade > self.duration:
             raise ValidationError("fade must be >= 0 and fit twice into the duration")
 
-    def validate_rate(self, sample_rate: int) -> None:
+    def validate_rate(self, sample_rate: int) -> int:
+        """Check the sweep against ``sample_rate``; return its length in samples."""
         if self.f_end >= sample_rate / 2:
             raise ValidationError(
                 f"f_end {self.f_end} Hz reaches Nyquist for sample rate {sample_rate}"
             )
+        n = int(round(self.duration * sample_rate))
+        if n < 2:
+            raise ValidationError(
+                f"a {self.duration} s sweep is {n} sample(s) at {sample_rate} Hz, fewer than 2"
+            )
+        return n
 
     @property
     def rate_constant(self) -> float:
@@ -56,9 +63,8 @@ class SweepSpec:
 
 
 def generate_ess(spec: SweepSpec, sample_rate: int) -> AudioSignal:
-    """Generate the exponential sine sweep for ``spec``."""
-    spec.validate_rate(sample_rate)
-    n = int(round(spec.duration * sample_rate))
+    """Generate the exponential sine sweep for ``spec``; a silent one is rejected."""
+    n = spec.validate_rate(sample_rate)
     t = np.arange(n) / sample_rate
     L = spec.rate_constant
     k = 2.0 * np.pi * spec.f_start * L
@@ -68,6 +74,8 @@ def generate_ess(spec: SweepSpec, sample_rate: int) -> AudioSignal:
         ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(nf) / nf))
         x[:nf] *= ramp
         x[-nf:] *= ramp[::-1]
+    if not np.any(x):
+        raise ValidationError(f"the sweep's {n} samples at {sample_rate} Hz are all 0 after the fade")
     return AudioSignal(sample_rate, x)
 
 
@@ -139,8 +147,7 @@ def deconvolve_ir(
     ``fftconvolve(recording, inverse)`` bit for bit.
     """
     fs = recording.sample_rate
-    spec.validate_rate(fs)
-    sweep_len = int(round(spec.duration * fs))
+    sweep_len = spec.validate_rate(fs)
     if recording.num_samples < sweep_len:
         raise ValidationError("recording shorter than the excitation sweep")
 
@@ -167,10 +174,11 @@ def deconvolve_ir(
         segment = np.pad(segment, (0, n_out - segment.size))
 
     scale = 1.0 / peak
-    ir = ImpulseResponse(
+    return ImpulseResponse(
         fs,
         segment * scale,
         provenance="measured",
+        direct_path_index=peak_idx - start,
         meta={
             "normalization_scale": scale,
             "pre_peak_guard": pre_peak_guard,
@@ -183,5 +191,3 @@ def deconvolve_ir(
             },
         },
     )
-    ir.direct_path_index = peak_idx - start
-    return ir

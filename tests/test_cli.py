@@ -90,6 +90,24 @@ class TestSweepCommands:
         write_wav(reference, inverse_filter.__wrapped__(spec, FS), fmt="float32")
         assert first.read_bytes() == second.read_bytes() == reference.read_bytes()
 
+    # 0 samples; 1 sample, sin(0) = 0; 2 samples, both faded to 0
+    @pytest.mark.parametrize(
+        "duration, fade", [("0.00001", "0"), ("0.00005", "0"), ("0.000125", "0.0000625")]
+    )
+    @pytest.mark.parametrize("command", ["gen", "invert", "deconv"])
+    def test_sweep_too_short_to_measure_with_is_invalid(self, tmp_path, capsys, command, duration, fade):
+        args = ["--f-start", "50", "--f-end", "7000", "--duration", duration, "--fade", fade]
+        if command == "deconv":
+            rec = tmp_path / "rec.wav"
+            write_wav(rec, AudioSignal(FS, np.random.default_rng(73).standard_normal(FS)), fmt="float32")
+            args += [rec]
+        else:
+            args += ["--fs", str(FS)]
+        out = tmp_path / "out.wav"
+        assert run_cli("sweep", command, *args, "-o", out) == EXIT_INVALID
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deconv_of_noise_is_invalid(self, tmp_path):
         rng = np.random.default_rng(70)
         rec = tmp_path / "noise.wav"
@@ -189,6 +207,26 @@ class TestMetricsCommand:
         assert run_cli("metrics", ir_path) == EXIT_INVALID
         err = capsys.readouterr().err
         assert "h.json" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("index", ["7", 3.5, True, -1, FS // 2, 10**9])
+    def test_bad_sidecar_index_is_invalid(self, tmp_path, capsys, index):
+        ir_path = tmp_path / "h.wav"
+        write_wav(ir_path, AudioSignal(FS, np.exp(-np.arange(FS // 2) / 800.0)), fmt="float32")
+        (tmp_path / "h.json").write_text(json.dumps({"direct_path_index": index}))
+        assert run_cli("metrics", ir_path) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "h.json" in err and "direct_path_index" in err
+
+    def test_report_names_the_geometric_direct_path(self, tmp_path):
+        # 3.0 m from source to mic is 419.6 samples at 48 kHz
+        rir, report = tmp_path / "rir.wav", tmp_path / "report.json"
+        assert run_cli(
+            "rir", "--room", "5,4,3", "--t60", "0.5", "--source", "1.2,1.7,1.4",
+            "--mic", "3.9,2.8,2.1", "--ir-length", "0.5", "--fs", "48000", "-o", rir,
+        ) == EXIT_OK
+        assert run_cli("metrics", rir, "-o", report) == EXIT_OK
+        distance = np.linalg.norm(np.subtract((3.9, 2.8, 2.1), (1.2, 1.7, 1.4)))
+        assert json.loads(report.read_text())["direct_path_index"] == round(distance / 343.0 * 48000)
 
 
 class TestSelectCommand:

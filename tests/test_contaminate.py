@@ -340,6 +340,12 @@ class TestRunJob:
         with pytest.raises(ValidationError):
             ContaminationJob(clean=self._speech(), irs=[delta_ir(fs=48000)])
 
+    def test_noise_at_another_rate_rejected(self):
+        noise = AudioSignal(48000, np.random.default_rng(20).standard_normal(48000))
+        job = ContaminationJob(clean=self._speech(), irs=[delta_ir()], noise=noise, target_snr_db=10.0)
+        with pytest.raises(ValidationError, match="sample-rate mismatch between signal and noise"):
+            run_job(job)
+
     def test_mono_job_equals_convolve_then_mix_noise(self):
         # convolve + mix_noise and run_job share one convolution and one noise path
         rng = np.random.default_rng(18)
@@ -362,7 +368,7 @@ class TestRunJob:
         for i, h in enumerate(irs):
             y = fftconvolve(x.mono, h.samples)
             expected[i, : y.size] = y
-        _add_noise(expected, noise.mono, 12.0, 33, FS)
+        _add_noise(expected, noise, 12.0, 33, FS)
         job = ContaminationJob(clean=x, irs=irs, noise=noise, target_snr_db=12.0, seed=33)
         assert run_job(job).data.tobytes() == expected.tobytes()
 

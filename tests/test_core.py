@@ -176,5 +176,15 @@ class TestImpulseResponse:
         h[37] = -0.8
         h[50] = 0.2
         ir = ImpulseResponse(16000, h)
-        assert ir.detect_direct_path() == 37
+        assert type(ir.direct_path_index) is int
         assert ir.direct_path_index == 37
+
+    def test_producer_index_is_kept(self):
+        ir = ImpulseResponse(16000, np.ones(100), direct_path_index=np.int64(99))
+        assert type(ir.direct_path_index) is int
+        assert ir.direct_path_index == 99
+
+    @pytest.mark.parametrize("index", ["7", 3.5, True, np.bool_(True), -1, 100, 10**9])
+    def test_bad_direct_path_index_rejected(self, index):
+        with pytest.raises(ValidationError, match="direct_path_index"):
+            ImpulseResponse(16000, np.ones(100), direct_path_index=index)

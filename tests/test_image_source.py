@@ -23,7 +23,7 @@ from roomforge import (
     reflectivity_from_t60,
     synthesize_rir,
 )
-from roomforge.image_source import lattice_image_count, synthesize_rirs
+from roomforge.image_source import direct_path_index, lattice_image_count, synthesize_rirs
 
 C = 343.0
 
@@ -230,6 +230,15 @@ class TestEnergyAndModes:
         assert ir[125] == 1.0 / (4 * np.pi * 2.5)
         assert np.max(np.abs(np.delete(ir, 125))) < 1e-12 * ir[125]
 
+    def test_sinc_mode_direct_path_past_the_ir_rejected(self):
+        # the direct path lands at sample 175 of a 160-sample IR; sinc taps still reach inside it
+        room = RoomSpec((5, 4, 3), target_t60=0.5)
+        src = SourceSpec((1, 1, 1))
+        mic = MicSpec("m", (4, 3, 2))
+        cfg = ImageSynthesisConfig(ir_length=0.01, fractional_delay="sinc")
+        with pytest.raises(ValidationError, match=r"integer in \[0, 160\), got 175"):
+            synthesize_rir(room, src, mic, cfg, sample_rate=16000)
+
     def test_sinc_mode_places_fractional_peak(self):
         room = RoomSpec((6, 4, 3), reflectivity=(0.0,))
         src = SourceSpec((1, 1, 1))
@@ -341,6 +350,11 @@ class TestEngineAgainstReference:
         expected = reference_rir(room, source, mic, config, fs)
         if np.sum(expected**2) == 0.0:
             with pytest.raises(ValidationError, match="nonzero energy"):
+                synthesize_rir(room, source, mic, config, sample_rate=fs)
+            return
+        if direct_path_index(room, source, mic, fs) >= expected.size:
+            # only the leading taps of the direct path's sinc kernel reach inside the IR
+            with pytest.raises(ValidationError, match="direct_path_index"):
                 synthesize_rir(room, source, mic, config, sample_rate=fs)
             return
         got = synthesize_rir(room, source, mic, config, sample_rate=fs).samples

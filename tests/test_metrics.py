@@ -192,6 +192,20 @@ class TestCompareIrs:
         with pytest.raises(ValidationError):
             compare_irs(synthetic_decay(0.3), synthetic_decay(0.3, fs=48000))
 
+    def test_unknown_t60_method_rejected(self):
+        ir = synthetic_decay(0.4, seed=27)
+        with pytest.raises(ValidationError, match="unknown T60 method"):
+            compare_irs(ir, ir, "T40")
+
+    def test_metrics_leave_their_inputs_unchanged(self):
+        a = ImpulseResponse(FS, synthetic_decay(0.3, seed=28).samples)
+        b = ImpulseResponse(FS, synthetic_decay(0.5, seed=29).samples)
+        before = (a.direct_path_index, b.direct_path_index)
+        compare_irs(a, b)
+        estimate_t60(a)
+        direct_to_reverberant_db(b)
+        assert (a.direct_path_index, b.direct_path_index) == before
+
     def test_one_schroeder_curve_per_ir(self, monkeypatch):
         import roomforge.metrics as metrics
 
@@ -202,7 +216,7 @@ class TestCompareIrs:
         t60_delta = estimate_t60(b) - estimate_t60(a)
         drr_delta = direct_to_reverberant_db(b) - direct_to_reverberant_db(a)
         ca = schroeder_curve(a).level_db[a.direct_path_index:]
-        cb = schroeder_curve(b).level_db[b.detect_direct_path():]
+        cb = schroeder_curve(b).level_db[b.direct_path_index:]
         n = min(ca.size, cb.size)
         decay_rms = float(np.sqrt(np.mean((ca[:n] - cb[:n]) ** 2)))
 

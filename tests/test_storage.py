@@ -75,6 +75,35 @@ def test_save_is_deterministic(tmp_path):
     assert sidecar_path(a).read_bytes() == sidecar_path(b).read_bytes()
 
 
+def test_envelope_maximum_index_round_trips(tmp_path):
+    h = np.zeros(300)
+    h[40] = -0.5
+    h[90] = 0.25
+    path = tmp_path / "h.wav"
+    save_ir(path, ImpulseResponse(FS, h))
+    assert json.loads(sidecar_path(path).read_text())["direct_path_index"] == 40
+    assert load_ir(path).direct_path_index == 40
+
+
+@pytest.mark.parametrize("field, value", [
+    ("direct_path_index", "7"),
+    ("direct_path_index", 3.5),
+    ("direct_path_index", True),
+    ("direct_path_index", -1),
+    ("direct_path_index", 800),
+    ("direct_path_index", 10**9),
+    ("provenance", "banana"),
+])
+def test_bad_sidecar_field_names_the_sidecar(tmp_path, field, value):
+    path = tmp_path / "h.wav"
+    save_ir(path, make_ir())
+    record = json.loads(sidecar_path(path).read_text())
+    record[field] = value
+    sidecar_path(path).write_text(json.dumps(record))
+    with pytest.raises(ValidationError, match="h.json"):
+        load_ir(path)
+
+
 @pytest.mark.parametrize("text", ["{broken", "[1, 2]", b"\xff\xfe\x00"])
 def test_broken_sidecar_names_the_sidecar(tmp_path, text):
     path = tmp_path / "h.wav"

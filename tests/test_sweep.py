@@ -56,6 +56,13 @@ class TestSweepSpec:
         with pytest.raises(ValidationError):
             generate_ess(spec, FS)
 
+    # 0 samples; 1 sample, sin(0) = 0; 2 samples, both faded to 0
+    @pytest.mark.parametrize("duration, fade", [(0.00001, 0.0), (0.00005, 0.0), (0.000125, 0.0000625)])
+    @pytest.mark.parametrize("build", [generate_ess, inverse_filter])
+    def test_sweep_too_short_to_measure_with_rejected(self, build, duration, fade):
+        with pytest.raises(ValidationError, match="fewer than 2|all 0"):
+            build(SweepSpec(50, 7000, duration, fade=fade), 16000)
+
     def test_amplitude_and_fade_bounds(self):
         with pytest.raises(ValidationError):
             SweepSpec(20, 20000, 10, amplitude=0.0)
@@ -242,6 +249,13 @@ class TestDeconvolveIr:
     def test_short_recording_rejected(self):
         with pytest.raises(ValidationError):
             deconvolve_ir(AudioSignal(FS, np.ones(100)), self.SPEC, ir_length=0.5)
+
+    def test_ir_shorter_than_the_pre_peak_guard_rejected(self):
+        # the 5 ms guard puts the direct path at sample 240, past a 48-sample IR
+        h = np.zeros(FS)
+        h[0] = 1.0
+        with pytest.raises(ValidationError, match=r"got 240"):
+            deconvolve_ir(self._record(h), self.SPEC, ir_length=0.001)
 
 
 class TestGateOnImageMethodIrs:
