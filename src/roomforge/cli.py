@@ -44,6 +44,15 @@ def _vec3(text: str):
     return tuple(parts)
 
 
+def _max_order(text: str):
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or an integer, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="forge", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"forge {__version__}")
@@ -53,7 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", type=Path)
     p.add_argument("--jobs", type=int, default=1, help="worker count")
     p.add_argument("--seed", type=int, default=None, help="override the manifest seed")
-    p.add_argument("--dry-run", action="store_true", help="plan only, write nothing")
+    p.add_argument("--dry-run", action="store_true",
+                   help="validate the manifest and count its jobs; read no audio, "
+                        "synthesize nothing and write nothing")
 
     p = sub.add_parser("rir", help="synthesize an image-method RIR")
     p.add_argument("--room", type=_vec3, required=True, metavar="LX,LY,LZ")
@@ -67,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--directivity", default="omnidirectional",
                    choices=["omnidirectional", "cardioid", "subcardioid", "hypercardioid"])
     p.add_argument("--ir-length", type=float, default=0.5, help="seconds")
-    p.add_argument("--max-order", default="auto")
+    p.add_argument("--max-order", type=_max_order, default="auto", help="'auto' or an integer")
     p.add_argument("--fractional-delay", choices=["nearest", "sinc"], default="nearest")
     p.add_argument("--highpass", type=float, default=0.0, help="high-pass cutoff, Hz")
     p.add_argument("--fs", type=int, default=48000)
@@ -149,10 +160,9 @@ def _cmd_rir(args) -> int:
         directivity=args.directivity,
     )
     mic = MicSpec(id="mic", position=args.mic)
-    order = args.max_order if args.max_order == "auto" else int(args.max_order)
     config = ImageSynthesisConfig(
         ir_length=args.ir_length,
-        max_reflection_order=order,
+        max_reflection_order=args.max_order,
         fractional_delay=args.fractional_delay,
         highpass_hz=args.highpass,
     )

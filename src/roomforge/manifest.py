@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -45,7 +46,7 @@ from .image_source import (
     synthesize_rir,  # noqa: F401 - kept as a module attribute: perfbench's tracer wraps it here
     synthesize_rirs,
 )
-from .storage import load_ir, save_ir
+from .storage import load_ir, write_json
 from .wavio import read_wav, write_wav
 
 CACHE_ENV_VAR = "ROOMFORGE_CACHE_DIR"
@@ -94,12 +95,33 @@ class ScenarioManifest:
         return sum(len(s.sentences) for s in self.sessions)
 
 
-def _get(doc: dict, key: str, path: str, errors: list, required: bool = True, default=None):
-    if key not in doc:
-        if required:
+_KINDS = {
+    "an object": lambda v: isinstance(v, dict),
+    "an object of strings": lambda v: isinstance(v, dict)
+    and all(isinstance(x, str) for x in v.values()),
+    "a list": lambda v: isinstance(v, list),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "a string": lambda v: isinstance(v, str),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
+
+
+def _field(doc: dict, key: str, path: str, errors: list, kind: str, default=None):
+    """``doc[key]`` if it is ``kind`` (a key of ``_KINDS``), else ``default``.
+
+    A value of another kind is an error at ``path.key``, and so is an absent
+    or null key that has no default.
+    """
+    value = doc.get(key)
+    if value is None:
+        if default is None:
             errors.append((f"{path}.{key}", "missing required field"))
         return default
-    return doc[key]
+    if not _KINDS[kind](value):
+        errors.append((f"{path}.{key}", f"must be {kind}, got {reprlib.repr(value)}"))
+        return default
+    return value
 
 
 def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManifest:
@@ -113,13 +135,13 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
     if not isinstance(doc, dict):
         raise ManifestError([("$", "manifest root must be an object")])
 
-    seed = _get(doc, "seed", "$", errors, required=False, default=0)
-    sample_rate = _get(doc, "sample_rate", "$", errors)
+    seed = _field(doc, "seed", "$", errors, "an integer", 0)
+    sample_rate = _field(doc, "sample_rate", "$", errors, "an integer")
     if sample_rate is not None and sample_rate not in PIPELINE_SAMPLE_RATES:
         errors.append(("$.sample_rate", f"must be one of {PIPELINE_SAMPLE_RATES}, got {sample_rate}"))
 
     rooms: Dict[str, RoomSpec] = {}
-    for name, spec in (doc.get("rooms") or {}).items():
+    for name, spec in _field(doc, "rooms", "$", errors, "an object", {}).items():
         path = f"$.rooms.{name}"
         try:
             rooms[name] = RoomSpec(
@@ -134,7 +156,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
         errors.append(("$.rooms", "at least one room is required"))
 
     arrays: Dict[str, List[MicSpec]] = {}
-    for name, mics in (doc.get("arrays") or {}).items():
+    for name, mics in _field(doc, "arrays", "$", errors, "an object", {}).items():
         path = f"$.arrays.{name}"
         try:
             layout = [MicSpec(id=m["id"], position=tuple(m["position"])) for m in mics]
@@ -145,7 +167,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
     if not arrays:
         errors.append(("$.arrays", "at least one microphone array is required"))
 
-    syn = doc.get("synthesis") or {}
+    syn = _field(doc, "synthesis", "$", errors, "an object", {})
     try:
         synthesis = ImageSynthesisConfig(
             ir_length=syn.get("ir_length", 0.5),
@@ -153,22 +175,20 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
             fractional_delay=syn.get("fractional_delay", "nearest"),
             highpass_hz=syn.get("highpass_hz", 0.0),
         )
-    except ValidationError as exc:
+    except (ValidationError, TypeError) as exc:
         errors.append(("$.synthesis", str(exc)))
         synthesis = ImageSynthesisConfig()
 
     noise_file = None
     target_snr_db = None
-    noise = doc.get("noise")
+    noise = _field(doc, "noise", "$", errors, "an object", {})
     if noise:
-        noise_file = base / noise.get("file", "")
-        target_snr_db = noise.get("snr_db")
-        if "file" not in noise:
-            errors.append(("$.noise.file", "missing required field"))
-        elif not noise_file.exists():
-            errors.append(("$.noise.file", f"noise file not found: {noise_file}"))
-        if target_snr_db is None:
-            errors.append(("$.noise.snr_db", "missing required field"))
+        noise_name = _field(noise, "file", "$.noise", errors, "a string")
+        target_snr_db = _field(noise, "snr_db", "$.noise", errors, "a number")
+        if noise_name is not None:
+            noise_file = base / noise_name
+            if not noise_file.exists():
+                errors.append(("$.noise.file", f"noise file not found: {noise_file}"))
 
     normalization = doc.get("normalization", "none")
     if normalization not in ("none", "peak"):
@@ -176,19 +196,24 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
     output_format = doc.get("format", "float32")
     if output_format not in ("pcm16", "pcm24", "float32"):
         errors.append(("$.format", f"unsupported output format {output_format!r}"))
+    clean_dir = _field(doc, "clean_dir", "$", errors, "a string", ".")
+    output_dir = _field(doc, "output_dir", "$", errors, "a string", "corpus_out")
 
     sessions: List[SessionSpec] = []
-    for i, sess in enumerate(doc.get("sessions") or []):
+    for i, sess in enumerate(_field(doc, "sessions", "$", errors, "a list", [])):
         path = f"$.sessions[{i}]"
-        name = sess.get("name", f"session{i}")
-        room_name = _get(sess, "room", path, errors)
-        array_name = _get(sess, "array", path, errors)
+        if not isinstance(sess, dict):
+            errors.append((path, f"must be an object, got {reprlib.repr(sess)}"))
+            continue
+        name = _field(sess, "name", path, errors, "a string", f"session{i}")
+        room_name = _field(sess, "room", path, errors, "a string")
+        array_name = _field(sess, "array", path, errors, "a string")
         if room_name is not None and room_name not in rooms:
             errors.append((f"{path}.room", f"unknown room {room_name!r}"))
         if array_name is not None and array_name not in arrays:
             errors.append((f"{path}.array", f"unknown array {array_name!r}"))
 
-        src_doc = _get(sess, "source", path, errors, default={})
+        src_doc = _field(sess, "source", path, errors, "an object") or {}
         source = None
         try:
             source = SourceSpec(
@@ -212,17 +237,18 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
                         (f"{path}.array", f"mic {mic.id!r} outside room {room_name!r}")
                     )
 
-        sentences = sess.get("sentences") or []
-        if not sentences:
+        sentences = _field(sess, "sentences", path, errors, "a list of strings")
+        if sentences == []:
             errors.append((f"{path}.sentences", "session has no sentences"))
+        sentences = sentences or []
         if len(set(sentences)) != len(sentences):
             errors.append((f"{path}.sentences", "sentence ids must be unique within a session"))
 
-        ir_doc = sess.get("ir") or {"mode": "synthesize"}
+        ir_doc = _field(sess, "ir", path, errors, "an object", {})
         ir_mode = ir_doc.get("mode", "synthesize")
         ir_files: Dict[str, str] = {}
         if ir_mode == "load":
-            files = ir_doc.get("files") or {}
+            files = _field(ir_doc, "files", f"{path}.ir", errors, "an object of strings", {})
             mics = arrays.get(array_name, [])
             for mic in mics:
                 if mic.id not in files:
@@ -248,7 +274,8 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
                 )
             )
 
-    for room_name in sorted({s.room for s in sessions if s.ir_mode == "synthesize"}):
+    synthesized = [s for s in sessions if s.ir_mode == "synthesize"]
+    for room_name in sorted({s.room for s in synthesized}):
         count = lattice_image_count(rooms[room_name], synthesis)
         if count > synthesis.image_budget:
             errors.append(
@@ -258,6 +285,20 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
                     f"exceeding the budget of {synthesis.image_budget}",
                 )
             )
+    if sample_rate in PIPELINE_SAMPLE_RATES:
+        n_ir = round(synthesis.ir_length * sample_rate)
+        for sess in synthesized:
+            for mic in arrays[sess.array]:
+                index = direct_path_index(rooms[sess.room], sess.source, mic, sample_rate)
+                if index >= n_ir:
+                    errors.append(
+                        (
+                            "$.synthesis.ir_length",
+                            f"session {sess.name!r}, mic {mic.id!r}: the direct path arrives "
+                            f"at sample {index}, past the end of the {n_ir}-sample IR "
+                            f"({synthesis.ir_length} s)",
+                        )
+                    )
 
     if errors:
         raise ManifestError(errors)
@@ -266,10 +307,10 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
         rooms=rooms,
         arrays=arrays,
         sessions=sessions,
-        seed=int(seed),
-        sample_rate=int(sample_rate),
-        clean_dir=base / doc.get("clean_dir", "."),
-        output_dir=base / doc.get("output_dir", "corpus_out"),
+        seed=seed,
+        sample_rate=sample_rate,
+        clean_dir=base / clean_dir,
+        output_dir=base / output_dir,
         synthesis=synthesis,
         noise_file=noise_file,
         target_snr_db=target_snr_db,
@@ -289,7 +330,11 @@ def _parse_directivity(value) -> Directivity:
 
 def load_manifest(path: Union[str, Path]) -> ScenarioManifest:
     p = Path(path)
-    return parse_manifest(p.read_text(), base_dir=p.parent)
+    try:
+        text = p.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError([("$", f"{p}: not UTF-8 text ({exc})")]) from None
+    return parse_manifest(text, base_dir=p.parent)
 
 
 @dataclass
@@ -395,142 +440,136 @@ def _job_seed(global_seed: int, session: str, sentence: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def _read_mono(path: Path, fs: int) -> AudioSignal:
+    """The mono signal in ``path``; another sample rate or channel count is invalid."""
+    signal = read_wav(path)
+    if signal.sample_rate != fs:
+        raise ValidationError(f"{path}: sample rate {signal.sample_rate} != manifest rate {fs}")
+    if signal.num_channels != 1:
+        raise ValidationError(f"{path}: {signal.num_channels} channels, expected mono")
+    return signal
+
+
+def _run_one(
+    manifest: ScenarioManifest,
+    session: SessionSpec,
+    sentence: str,
+    irs: List[ImpulseResponse],
+    noise: Optional[AudioSignal],
+) -> Tuple[List[str], int]:
+    """Write one sentence's WAV and sidecar per mic; return the files and the samples written."""
+    fs = manifest.sample_rate
+    clean_path = manifest.clean_dir / f"{sentence}.wav"
+    if not clean_path.exists():
+        raise FileNotFoundError(f"clean file not found: {clean_path}")
+    seed = _job_seed(manifest.seed, session.name, sentence)
+    job = ContaminationJob(
+        clean=_read_mono(clean_path, fs),
+        irs=irs,
+        noise=noise,
+        target_snr_db=manifest.target_snr_db,
+        seed=seed,
+        normalization=manifest.normalization,
+    )
+    out = run_job(job)
+    sess_dir = manifest.output_dir / session.name
+    sess_dir.mkdir(parents=True, exist_ok=True)
+    source = session.source
+    job_fields = {
+        "session": session.name,
+        "sentence": sentence,
+        "seed": seed,
+        "snr_db": manifest.target_snr_db,
+        "sample_rate": fs,
+        "source": {
+            "position": list(source.position),
+            "azimuth": source.azimuth,
+            "elevation": source.elevation,
+            "directivity": source.directivity.pattern,
+        },
+        "room": list(manifest.rooms[session.room].dimensions),
+    }
+    written = []
+    for ch, (mic, ir) in enumerate(zip(manifest.arrays[session.array], irs)):
+        wav_path = sess_dir / f"{sentence}_{mic.id}.wav"
+        write_wav(wav_path, out.channel(ch), fmt=manifest.output_format)
+        sidecar = {
+            **job_fields,
+            "channel": mic.id,
+            "mic": {"id": mic.id, "position": list(mic.position)},
+            "ir_provenance": ir.provenance,
+        }
+        write_json(wav_path.with_suffix(".json"), sidecar)
+        written.append(str(wav_path.relative_to(manifest.output_dir)))
+    return written, out.num_samples * out.num_channels
+
+
 def plan_and_run(
     manifest: ScenarioManifest,
     parallelism: int = 1,
     dry_run: bool = False,
     cache: Optional[IrCache] = None,
 ) -> CorpusReport:
-    """Expand the manifest into jobs and write the corpus.
+    """Expand the manifest into one job per (session, sentence) and write the corpus.
 
-    IRs are resolved serially first (one batched synthesis per placement,
-    cached per mic), then the independent per-sentence jobs run on a
-    bounded thread pool.  Each job
-    writes one mono WAV per microphone plus a JSON sidecar; a top-level
-    ``corpus.json`` indexes everything.
+    A dry run only counts the jobs: it reads no audio, resolves no IR and
+    writes nothing, not even to the IR cache.  A real run reads the noise
+    file, resolves IRs serially (one batched synthesis per placement, cached
+    per mic, or loaded), then runs the jobs on a bounded thread pool.  Each
+    job writes one mono WAV per microphone plus a JSON sidecar; a top-level
+    ``corpus.json`` indexes everything.  A job that fails is reported in
+    ``failures`` and ``corpus.json``, and the others still run.
     """
     start = time.monotonic()
     fs = manifest.sample_rate
-    cache = cache or IrCache()
-
-    noise = None
-    if manifest.noise_file is not None:
-        noise = read_wav(manifest.noise_file)
-        if noise.sample_rate != fs:
-            raise ValidationError(
-                f"noise sample rate {noise.sample_rate} does not match manifest rate {fs}"
-            )
-        noise = AudioSignal(fs, noise.data[0])
-
-    # resolve IRs per session up front; deterministic regardless of workers
-    session_irs: Dict[str, List] = {}
-    for sess in manifest.sessions:
-        room = manifest.rooms[sess.room]
-        mics = manifest.arrays[sess.array]
-        if sess.ir_mode == "load":
-            session_irs[sess.name] = [load_ir(sess.ir_files[mic.id]) for mic in mics]
-        else:
-            session_irs[sess.name] = cache.get_or_synthesize(
-                room, sess.source, mics, manifest.synthesis, fs
-            )
-
     jobs = [(sess, sentence) for sess in manifest.sessions for sentence in sess.sentences]
-    if dry_run:
-        return CorpusReport(
-            jobs_planned=len(jobs),
-            jobs_done=0,
-            files_written=0,
-            failures=[],
-            total_audio_hours=0.0,
-            elapsed_seconds=time.monotonic() - start,
-        )
-
-    manifest.output_dir.mkdir(parents=True, exist_ok=True)
-    failures: List[Tuple[str, str]] = []
     index_entries = []
+    failures: List[Tuple[str, str]] = []
     samples_written = 0
-    files_written = 0
+    if not dry_run:
+        noise = None if manifest.noise_file is None else _read_mono(manifest.noise_file, fs)
+        cache = cache or IrCache()
+        # resolve IRs per session up front; deterministic regardless of workers
+        session_irs: Dict[str, List[ImpulseResponse]] = {}
+        for sess in manifest.sessions:
+            mics = manifest.arrays[sess.array]
+            if sess.ir_mode == "load":
+                session_irs[sess.name] = [load_ir(sess.ir_files[mic.id]) for mic in mics]
+            else:
+                session_irs[sess.name] = cache.get_or_synthesize(
+                    manifest.rooms[sess.room], sess.source, mics, manifest.synthesis, fs
+                )
 
-    def execute(sess: SessionSpec, sentence: str):
-        job_id = f"{sess.name}/{sentence}"
-        clean_path = manifest.clean_dir / f"{sentence}.wav"
-        if not clean_path.exists():
-            raise FileNotFoundError(f"clean file not found: {clean_path}")
-        clean = read_wav(clean_path)
-        if clean.sample_rate != fs:
-            raise ValidationError(
-                f"{clean_path}: sample rate {clean.sample_rate} != manifest rate {fs}"
-            )
-        irs = session_irs[sess.name]
-        mics = manifest.arrays[sess.array]
-        seed = _job_seed(manifest.seed, sess.name, sentence)
-        job = ContaminationJob(
-            clean=AudioSignal(fs, clean.data[0]),
-            irs=irs,
-            noise=noise,
-            target_snr_db=manifest.target_snr_db,
-            seed=seed,
-            normalization=manifest.normalization,
-        )
-        out = run_job(job)
-        sess_dir = manifest.output_dir / sess.name
-        sess_dir.mkdir(parents=True, exist_ok=True)
-        written = []
-        for ch, mic in enumerate(mics):
-            wav_path = sess_dir / f"{sentence}_{mic.id}.wav"
-            write_wav(wav_path, out.channel(ch), fmt=manifest.output_format)
-            sidecar = {
-                "session": sess.name,
-                "sentence": sentence,
-                "channel": mic.id,
-                "seed": seed,
-                "snr_db": manifest.target_snr_db,
-                "sample_rate": fs,
-                "ir_provenance": irs[ch].provenance,
-                "source": {
-                    "position": list(sess.source.position),
-                    "azimuth": sess.source.azimuth,
-                    "elevation": sess.source.elevation,
-                    "directivity": sess.source.directivity.pattern,
-                },
-                "mic": {"id": mic.id, "position": list(mic.position)},
-                "room": list(manifest.rooms[sess.room].dimensions),
-            }
-            wav_path.with_suffix(".json").write_text(
-                json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-            )
-            written.append(str(wav_path.relative_to(manifest.output_dir)))
-        return job_id, written, out.num_samples * out.num_channels
-
-    with ThreadPoolExecutor(max_workers=max(parallelism, 1)) as pool:
-        futures = {pool.submit(execute, sess, sentence): (sess, sentence) for sess, sentence in jobs}
-        for fut, (sess, sentence) in futures.items():
-            job_id = f"{sess.name}/{sentence}"
-            try:
-                job_id, written, n_samples = fut.result()
-            except Exception as exc:  # noqa: BLE001 - collected per-job
-                failures.append((job_id, str(exc)))
-                continue
-            index_entries.append({"job": job_id, "files": written})
-            files_written += len(written)
-            samples_written += n_samples
-
-    index_entries.sort(key=lambda e: e["job"])
-    index = {
-        "seed": manifest.seed,
-        "sample_rate": fs,
-        "jobs": index_entries,
-        "failures": [{"job": j, "error": m} for j, m in sorted(failures)],
-    }
-    (manifest.output_dir / "corpus.json").write_text(
-        json.dumps(index, indent=2, sort_keys=True) + "\n"
-    )
+        manifest.output_dir.mkdir(parents=True, exist_ok=True)
+        with ThreadPoolExecutor(max_workers=max(parallelism, 1)) as pool:
+            futures = [
+                (f"{sess.name}/{sentence}",
+                 pool.submit(_run_one, manifest, sess, sentence, session_irs[sess.name], noise))
+                for sess, sentence in jobs
+            ]
+            for job_id, future in futures:
+                try:
+                    written, n_samples = future.result()
+                except Exception as exc:  # noqa: BLE001 - collected per-job
+                    failures.append((job_id, str(exc)))
+                    continue
+                index_entries.append({"job": job_id, "files": written})
+                samples_written += n_samples
+        index_entries.sort(key=lambda e: e["job"])
+        failures.sort()
+        index = {
+            "seed": manifest.seed,
+            "sample_rate": fs,
+            "jobs": index_entries,
+            "failures": [{"job": j, "error": m} for j, m in failures],
+        }
+        write_json(manifest.output_dir / "corpus.json", index)
 
     return CorpusReport(
         jobs_planned=len(jobs),
-        jobs_done=len(jobs) - len(failures),
-        files_written=files_written,
-        failures=sorted(failures),
+        jobs_done=len(index_entries),
+        files_written=sum(len(e["files"]) for e in index_entries),
+        failures=failures,
         total_audio_hours=samples_written / fs / 3600.0,
         elapsed_seconds=time.monotonic() - start,
     )

@@ -28,7 +28,12 @@ def save_ir(path: Union[str, Path], ir: ImpulseResponse) -> None:
         "direct_path_index": ir.direct_path_index,
         "meta": ir.meta,
     }
-    sidecar_path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    write_json(sidecar_path(path), record)
+
+
+def write_json(path: Union[str, Path], doc) -> None:
+    """Write ``doc`` as JSON indented by 2 with sorted keys, plus a newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_ir(path: Union[str, Path]) -> ImpulseResponse:

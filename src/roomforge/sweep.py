@@ -137,7 +137,8 @@ def deconvolve_ir(
     ``ir_length`` seconds.  Distortion products land at negative lag and are
     dropped.  The sweep counts as found when the peak stands
     ``PEAK_OVER_FLOOR_DB`` above the rms of everything before the guard.
-    The result is peak-normalized; the scale is stored in ``meta``.
+    ``ir_length`` must be longer than the guard, in samples at the recording's
+    rate.  The result is peak-normalized; the scale is stored in ``meta``.
 
     The convolution is one ``rfft`` of the recording times the inverse
     filter's spectrum, which is cached per ``(spec, sample_rate, nfft)``, one
@@ -148,6 +149,13 @@ def deconvolve_ir(
     """
     fs = recording.sample_rate
     sweep_len = spec.validate_rate(fs)
+    guard = int(round(pre_peak_guard * fs))
+    n_out = int(round(ir_length * fs))
+    if n_out <= guard:
+        raise ValidationError(
+            f"ir_length of {ir_length} s ({n_out} samples) must exceed the "
+            f"{pre_peak_guard} s pre-peak guard ({guard} samples)"
+        )
     if recording.num_samples < sweep_len:
         raise ValidationError("recording shorter than the excitation sweep")
 
@@ -163,12 +171,10 @@ def deconvolve_ir(
     peak = float(np.abs(raw[peak_idx]))
     if peak == 0.0:
         raise ValidationError("sweep not found: silent deconvolution result")
-    guard = int(round(pre_peak_guard * fs))
     start = max(peak_idx - guard, 0)
     if _peak_prominence_db(peak, raw[:start]) < PEAK_OVER_FLOOR_DB:
         raise ValidationError("sweep not found: no peak above the noise floor")
 
-    n_out = int(round(ir_length * fs))
     segment = raw[start : start + n_out]
     if segment.size < n_out:
         segment = np.pad(segment, (0, n_out - segment.size))

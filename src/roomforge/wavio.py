@@ -48,9 +48,21 @@ def read_wav(path: Union[str, Path]) -> AudioSignal:
     audio_format, n_channels, sample_rate, _, block_align, bits = fmt
     if audio_format == 0xFFFE and bits in (16, 24, 32):
         audio_format = 1 if bits != 32 else 3  # extensible: trust bit depth
-    if (audio_format, bits) == (1, 16):
+    if (audio_format, bits) not in _FORMATS.values():
+        raise ValidationError(
+            f"{path}: unsupported WAV format (format={audio_format}, bits={bits})"
+        )
+    if n_channels < 1:
+        raise ValidationError(f"{path}: invalid channel count {n_channels}")
+    frame_bytes = n_channels * bits // 8
+    if len(data) % frame_bytes:
+        raise ValidationError(
+            f"{path}: data chunk of {len(data)} bytes is not a whole number "
+            f"of {frame_bytes}-byte frames"
+        )
+    if bits == 16:
         samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 2**15
-    elif (audio_format, bits) == (1, 24):
+    elif bits == 24:
         b = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
         ints = (
             b[:, 0].astype(np.int32)
@@ -59,18 +71,11 @@ def read_wav(path: Union[str, Path]) -> AudioSignal:
         )
         ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints)
         samples = ints.astype(np.float64) / 2**23
-    elif (audio_format, bits) == (3, 32):
+    else:
         samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
         if not np.isfinite(samples).all():
             raise ValidationError(f"{path}: float32 data holds NaN or infinite samples")
-    else:
-        raise ValidationError(
-            f"{path}: unsupported WAV format (format={audio_format}, bits={bits})"
-        )
-    if n_channels < 1:
-        raise ValidationError(f"{path}: invalid channel count {n_channels}")
-    frames = samples.size // n_channels
-    samples = samples[: frames * n_channels].reshape(frames, n_channels).T
+    samples = samples.reshape(-1, n_channels).T
     return AudioSignal(sample_rate, samples)
 
 

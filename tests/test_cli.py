@@ -47,6 +47,18 @@ class TestRirCommand:
         assert code == EXIT_INVALID
         assert "exceeding the budget" in capsys.readouterr().err
 
+    def test_max_order_that_is_not_an_integer_is_invalid(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli(
+                "rir", "--room", "5,4,3", "--beta", "0.8", "--source", "1,1,1", "--mic", "2,2,2",
+                "--max-order", "abc", "-o", tmp_path / "h.wav",
+            )
+        assert exc_info.value.code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "--max-order: expected 'auto' or an integer, got 'abc'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "h.wav").exists()
+
     def test_source_outside_room_is_invalid(self, tmp_path):
         code = run_cli(
             "rir", "--room", "5,4,3", "--beta", "0.8",
@@ -106,6 +118,18 @@ class TestSweepCommands:
         out = tmp_path / "out.wav"
         assert run_cli("sweep", command, *args, "-o", out) == EXIT_INVALID
         assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_deconv_ir_length_within_the_guard_is_invalid(self, tmp_path, capsys):
+        args = ["--f-start", "50", "--f-end", "7000", "--duration", "2"]
+        sweep_wav = tmp_path / "sweep.wav"
+        assert run_cli("sweep", "gen", *args, "--fs", str(FS), "-o", sweep_wav) == EXIT_OK
+        out = tmp_path / "ir.wav"
+        code = run_cli("sweep", "deconv", *args, sweep_wav, "--ir-length", "0.001", "-o", out)
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert ("error: ir_length of 0.001 s (16 samples) must exceed "
+                "the 0.005 s pre-peak guard (80 samples)") in err
         assert not out.exists()
 
     def test_deconv_of_noise_is_invalid(self, tmp_path):
@@ -344,6 +368,54 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
         assert run_cli("run", manifest, "--jobs", "2") == EXIT_OK
         assert (tmp_path / "out" / "corpus.json").exists()
+
+    def test_dry_run_leaves_the_ir_cache_empty(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ROOMFORGE_CACHE_DIR", str(tmp_path / "cache"))
+        synthesis = {"ir_length": 0.1, "fractional_delay": "sinc"}
+        manifest = write_run_manifest(tmp_path, ["s01", "s02"], synthesis)
+        assert run_cli("run", manifest, "--dry-run") == EXIT_OK
+        assert list((tmp_path / "cache").glob("*")) == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (lambda d: d.update(noise="n.wav"), "$.noise"),
+            (lambda d: d.update(synthesis="x"), "$.synthesis"),
+            (lambda d: d["sessions"][0].update(ir="load"), "$.sessions[0].ir"),
+            (lambda d: d.update(seed="abc"), "$.seed"),
+            (lambda d: d["sessions"][0].update(sentences="s01"), "$.sessions[0].sentences"),
+        ],
+    )
+    def test_value_of_the_wrong_json_type_is_invalid(self, tmp_path, capsys, edit, path):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "max_order": 2})
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        assert run_cli("run", manifest, "--dry-run") == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert f"  {path}: must be " in captured.err and "Traceback" not in captured.err
+        assert "plan:" not in captured.out
+
+    def test_manifest_that_is_not_utf8_is_invalid(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(b'{"sample_rate": 16000, "clean_dir": "\xff"}')
+        assert run_cli("run", manifest, "--dry-run") == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "  $: " in err and "not UTF-8" in err and "Traceback" not in err
+
+    def test_ir_too_short_for_the_direct_path_is_invalid(self, tmp_path, capsys):
+        synthesis = {"ir_length": 0.01, "fractional_delay": "sinc"}
+        manifest = write_run_manifest(tmp_path, ["s01"], synthesis)
+        doc = json.loads(manifest.read_text())
+        doc["arrays"]["solo"][0]["position"] = [4.0, 3.0, 2.0]
+        doc["sessions"][0]["source"]["position"] = [1.0, 1.0, 1.0]
+        manifest.write_text(json.dumps(doc))
+        assert run_cli("run", manifest) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert ("$.synthesis.ir_length: session 'sessA', mic 'm0': "
+                "the direct path arrives at sample 175") in err
+        assert not (tmp_path / "out").exists()
 
     def test_partial_failure_exit_code(self, tmp_path):
         manifest = write_run_manifest(tmp_path, ["s01", "s02"], {"ir_length": 0.1, "max_order": 2})

@@ -125,6 +125,77 @@ class TestParseManifest:
         doc["sessions"][0]["ir"] = {"mode": "load", "files": {"m0": "m0.wav", "m1": "m1.wav"}}
         parse_manifest(json.dumps(doc), base_dir=tmp_path)
 
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (lambda d: d.update(noise="n.wav"), "$.noise"),
+            (lambda d: d.update(synthesis="x"), "$.synthesis"),
+            (lambda d: d["sessions"][0].update(ir="load"), "$.sessions[0].ir"),
+            (lambda d: d.update(seed="abc"), "$.seed"),
+            (lambda d: d.update(seed=True), "$.seed"),
+            (lambda d: d.update(sample_rate="16000"), "$.sample_rate"),
+            (lambda d: d["sessions"][0].update(sentences="s01"), "$.sessions[0].sentences"),
+            (lambda d: d["sessions"][0].update(sentences=["s01", 2]), "$.sessions[0].sentences"),
+            (lambda d: d.update(rooms=["lab"]), "$.rooms"),
+            (lambda d: d.update(arrays="pair"), "$.arrays"),
+            (lambda d: d.update(sessions={"name": "sessA"}), "$.sessions"),
+            (lambda d: d["sessions"].append("sessB"), "$.sessions[1]"),
+            (lambda d: d["sessions"][0].update(room=["lab"]), "$.sessions[0].room"),
+            (lambda d: d["sessions"][0].update(name=3), "$.sessions[0].name"),
+            (lambda d: d["sessions"][0].update(source=[3.0, 2.0, 1.5]), "$.sessions[0].source"),
+            (lambda d: d.update(output_dir=5), "$.output_dir"),
+            (lambda d: d.update(noise={"file": 5, "snr_db": 10}), "$.noise.file"),
+            (lambda d: d.update(noise={"file": "n.wav", "snr_db": "10"}), "$.noise.snr_db"),
+            (lambda d: d["sessions"][0].update(ir={"mode": "load", "files": {"m0": 0}}),
+             "$.sessions[0].ir.files"),
+        ],
+    )
+    def test_value_of_the_wrong_json_type_names_its_path(self, tmp_path, edit, path):
+        (tmp_path / "n.wav").touch()
+        doc = base_doc(tmp_path)
+        edit(doc)
+        with pytest.raises(ManifestError) as exc_info:
+            parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert any(p == path and msg.startswith("must be ") for p, msg in exc_info.value.errors)
+
+    def test_sentences_string_is_not_three_sentences(self, tmp_path):
+        doc = base_doc(tmp_path)
+        doc["sessions"][0]["sentences"] = "s01"
+        with pytest.raises(ManifestError) as exc_info:
+            parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert exc_info.value.errors == [
+            ("$.sessions[0].sentences", "must be a list of strings, got 's01'")
+        ]
+
+    def test_manifest_that_is_not_utf8_rejected_at_the_root(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(json.dumps(base_doc(tmp_path)).encode("utf-16"))
+        with pytest.raises(ManifestError) as exc_info:
+            load_manifest(path)
+        [(where, message)] = exc_info.value.errors
+        assert where == "$" and "manifest.json: not UTF-8" in message
+
+    def test_ir_too_short_for_the_direct_path_names_session_and_mic(self, tmp_path):
+        doc = base_doc(tmp_path, mics=[{"id": "far", "position": [4.0, 3.0, 2.0]}])
+        doc["sessions"][0]["source"]["position"] = [1.0, 1.0, 1.0]
+        doc["synthesis"] = {"ir_length": 0.01}
+        with pytest.raises(ManifestError) as exc_info:
+            parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert exc_info.value.errors == [
+            (
+                "$.synthesis.ir_length",
+                "session 'sessA', mic 'far': the direct path arrives at sample 175, "
+                "past the end of the 160-sample IR (0.01 s)",
+            )
+        ]
+        # one sample longer is enough, and loaded IRs are not synthesized at all
+        doc["synthesis"] = {"ir_length": 176 / FS}
+        parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        doc["synthesis"] = {"ir_length": 0.01}
+        (tmp_path / "far.wav").touch()
+        doc["sessions"][0]["ir"] = {"mode": "load", "files": {"far": "far.wav"}}
+        parse_manifest(json.dumps(doc), base_dir=tmp_path)
+
     def test_multi_room_session_grid(self, tmp_path):
         doc = base_doc(tmp_path)
         doc["rooms"]["hall"] = {"dimensions": [8.0, 6.0, 4.0], "t60": 0.5}
@@ -163,6 +234,52 @@ class TestPlanAndRun:
         assert report.jobs_done == 0
         assert not (tmp_path / "out").exists()
 
+    def test_dry_run_reads_synthesizes_and_writes_nothing(self, tmp_path, monkeypatch):
+        from roomforge import manifest as manifest_module
+
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setenv(CACHE_ENV_VAR, str(cache_dir))
+        doc = base_doc(tmp_path, sentences=("s01", "s02", "s03"))
+        doc["noise"] = {"file": "noise.wav", "snr_db": 15}
+        doc["sessions"].append(dict(doc["sessions"][0], name="sessB", sentences=["s04"],
+                                    ir={"mode": "load", "files": {"m0": "m0.wav", "m1": "m1.wav"}}))
+        for name in ("noise.wav", "m0.wav", "m1.wav"):
+            (tmp_path / name).touch()  # a dry run must not even open them
+        m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a dry run read or synthesized audio")
+
+        for name in ("synthesize_rirs", "load_ir", "read_wav"):
+            monkeypatch.setattr(manifest_module, name, forbidden)
+        report = plan_and_run(m, dry_run=True)
+        assert (report.jobs_planned, report.jobs_done, report.files_written) == (4, 0, 0)
+        assert report.ok and report.total_audio_hours == 0.0
+        assert list(cache_dir.glob("*")) == []
+        assert not (tmp_path / "out").exists()
+
+    def test_stereo_clean_file_fails_only_its_job(self, tmp_path):
+        m = self._setup(tmp_path)
+        rng = np.random.default_rng(62)
+        stereo = AudioSignal(FS, rng.standard_normal((2, FS // 4)))
+        write_wav(tmp_path / "clean" / "s02.wav", stereo)
+        report = plan_and_run(m)
+        assert report.jobs_done == 1 and report.files_written == 2
+        [(job_id, message)] = report.failures
+        assert job_id == "sessA/s02"
+        assert message == f"{tmp_path / 'clean' / 's02.wav'}: 2 channels, expected mono"
+
+    def test_stereo_noise_rejected_before_any_output(self, tmp_path):
+        doc = base_doc(tmp_path)
+        doc["noise"] = {"file": "noise.wav", "snr_db": 15}
+        rng = np.random.default_rng(63)
+        write_wav(tmp_path / "noise.wav", AudioSignal(FS, rng.standard_normal((2, FS))))
+        write_clean(tmp_path / "clean", ["s01", "s02"])
+        m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        with pytest.raises(ValidationError, match=r"noise\.wav: 2 channels, expected mono"):
+            plan_and_run(m)
+        assert not (tmp_path / "out").exists()
+
     def test_run_writes_expected_files(self, tmp_path):
         m = self._setup(tmp_path)
         report = plan_and_run(m)
@@ -197,8 +314,9 @@ class TestPlanAndRun:
     def test_rerun_is_byte_identical(self, tmp_path):
         def digest(root):
             out = {}
-            for p in sorted(root.rglob("*.wav")):
-                out[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")):
+                if p.is_file():
+                    out[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
             return out
 
         doc = base_doc(tmp_path)
@@ -228,7 +346,7 @@ class TestPlanAndRun:
         write_clean(tmp_path / "clean", ["s01", "s02"])
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"noise\.wav: sample rate 48000 != manifest"):
             plan_and_run(load_manifest(path))
 
 

@@ -244,7 +244,7 @@ class TestDeconvolveIr:
         click = np.zeros(6 * FS)
         click[0] = 1.0
         with pytest.raises(ValidationError, match="sweep not found: no samples before the peak"):
-            deconvolve_ir(AudioSignal(FS, click), self.SPEC, ir_length=0.5, pre_peak_guard=0.5)
+            deconvolve_ir(AudioSignal(FS, click), self.SPEC, ir_length=1.0, pre_peak_guard=0.5)
 
     def test_short_recording_rejected(self):
         with pytest.raises(ValidationError):
@@ -254,8 +254,20 @@ class TestDeconvolveIr:
         # the 5 ms guard puts the direct path at sample 240, past a 48-sample IR
         h = np.zeros(FS)
         h[0] = 1.0
-        with pytest.raises(ValidationError, match=r"got 240"):
+        message = r"ir_length of 0\.001 s \(48 samples\) must exceed the 0\.005 s pre-peak guard"
+        with pytest.raises(ValidationError, match=message):
             deconvolve_ir(self._record(h), self.SPEC, ir_length=0.001)
+
+    @pytest.mark.parametrize("ir_length", [0.005, 0.0])
+    def test_ir_no_longer_than_the_guard_rejected_before_any_fft(self, ir_length, monkeypatch):
+        from roomforge import sweep
+
+        def no_fft(*args):
+            raise AssertionError("deconvolve_ir transformed the recording")
+
+        monkeypatch.setattr(sweep, "_inverse_spectrum", no_fft)
+        with pytest.raises(ValidationError, match="pre-peak guard"):
+            deconvolve_ir(AudioSignal(FS, np.zeros(10 * FS)), self.SPEC, ir_length=ir_length)
 
 
 class TestGateOnImageMethodIrs:

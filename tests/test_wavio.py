@@ -111,3 +111,25 @@ def test_riff_size_over_4_gib_rejected_before_any_sample_work(tmp_path, fmt, fra
         write_wav(path, huge, fmt=fmt)
     assert not path.exists()
 
+
+
+@pytest.mark.parametrize(
+    "fmt,channels,extra",
+    [("pcm16", 1, 1), ("pcm24", 1, 1), ("float32", 1, 2), ("pcm16", 2, 2), ("pcm24", 2, 3)],
+)
+def test_partial_frame_rejected(tmp_path, fmt, channels, extra):
+    # the last two cases end in whole samples but half a frame, which used to be dropped
+    path = tmp_path / "odd.wav"
+    write_wav(path, AudioSignal(16000, np.zeros((channels, 10))), fmt=fmt)
+    raw = bytearray(path.read_bytes() + bytes(extra))
+    (data_size,) = struct.unpack_from("<I", raw, 40)
+    struct.pack_into("<I", raw, 40, data_size + extra)
+    struct.pack_into("<I", raw, 4, len(raw) - 8)
+    path.write_bytes(bytes(raw))
+    frame = channels * {"pcm16": 2, "pcm24": 3, "float32": 4}[fmt]
+    with pytest.raises(
+        ValidationError,
+        match=rf"odd.wav: data chunk of {data_size + extra} bytes is not a whole number "
+        rf"of {frame}-byte frames",
+    ):
+        read_wav(path)
