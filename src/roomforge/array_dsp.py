@@ -7,8 +7,9 @@ regardless of source spectrum or level.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from .core import AudioSignal, ValidationError
 
 PHAT_FLOOR = 1e-8  # bins below floor * max magnitude are zeroed, not divided
 DEFAULT_MAX_DELAY = 0.010  # seconds; search bound for TDOA peaks
+ZOOM_POINTS = 129  # lags on the parabolic refinement grid, two samples wide
 
 
 @dataclass(frozen=True)
@@ -27,36 +29,65 @@ class TdoaEstimate:
     confidence: float  # ratio of main peak to second-highest peak
 
 
-def gcc_phat(
-    a: AudioSignal,
-    b: AudioSignal,
-    max_delay: float = DEFAULT_MAX_DELAY,
-    interpolation: str = "none",
-) -> TdoaEstimate:
-    """GCC-PHAT delay of ``b`` relative to ``a``.
+def _correlation_size(
+    fs_a: int,
+    fs_b: int,
+    interpolation: str,
+    max_delay: float,
+    signals: Sequence[np.ndarray],
+    n: int,
+) -> Tuple[int, int]:
+    """Check a GCC-PHAT request; return its FFT length and lag bound in samples.
 
-    ``interpolation`` is "none" (integer-sample) or "parabolic" (sub-sample
-    refinement of the correlation peak).
+    ``signals`` are every channel to be correlated and ``n`` the summed length
+    of a pair.  ``gcc_phat`` and ``steer_and_sum`` share these checks.
     """
-    if a.sample_rate != b.sample_rate:
+    if fs_a != fs_b:
         raise ValidationError("sample-rate mismatch between channels")
     if interpolation not in ("none", "parabolic"):
         raise ValidationError(f"unknown interpolation mode {interpolation!r}")
     if not 0.0 <= max_delay < np.inf:
         raise ValidationError(f"max_delay must be finite and non-negative, got {max_delay}")
-    fs = a.sample_rate
-    xa = a.mono
-    xb = b.mono
-    if not np.any(xa) or not np.any(xb):
+    if not all(np.any(x) for x in signals):
         raise ValidationError("no signal: silent input channel")
-
-    n = xa.size + xb.size
     nfft = 1 << int(n - 1).bit_length()
-    max_lag = int(round(max_delay * fs))
+    max_lag = int(round(max_delay * fs_a))
     if max_lag >= nfft // 2:
         raise ValidationError("max_delay too large for the signal length")
+    return nfft, max_lag
 
-    spec = np.fft.rfft(xb, nfft) * np.conj(np.fft.rfft(xa, nfft))
+
+@functools.lru_cache(maxsize=2)
+def _zoom_plan(nfft: int) -> Tuple[Any, np.ndarray, np.ndarray]:
+    """Zoom FFT over lags [0, 2] of an ``nfft``-point half spectrum, shared and read-only.
+
+    Returns the transform, the half-spectrum weights (DC and Nyquist appear
+    once in the full spectrum, every other bin twice) and the exact twiddle
+    table ``exp(-2j pi m / nfft)``, which moves the grid to any other lag.
+    ``nfft`` is a power of two, so its last bin is Nyquist and an index
+    ``& (nfft - 1)`` is that index modulo ``nfft``.
+    """
+    from scipy.signal import ZoomFFT  # deferred: scipy.signal takes a second to import
+
+    zoom = ZoomFFT(nfft // 2 + 1, [0.0, 2.0], ZOOM_POINTS, fs=nfft, endpoint=True)
+    weights = np.full(nfft // 2 + 1, 2.0)
+    weights[[0, -1]] = 1.0
+    twiddle = np.exp(-2j * np.pi * np.arange(nfft) / nfft)
+    weights.flags.writeable = False
+    twiddle.flags.writeable = False
+    return zoom, weights, twiddle
+
+
+def _gcc_phat_spectra(
+    conj_a: np.ndarray,
+    spec_b: np.ndarray,
+    nfft: int,
+    max_lag: int,
+    fs: int,
+    interpolation: str,
+) -> TdoaEstimate:
+    """GCC-PHAT delay from ``conj(rfft(a, nfft))`` and ``rfft(b, nfft)``."""
+    spec = spec_b * conj_a
     mag = np.abs(spec)
     floor = PHAT_FLOOR * float(np.max(mag))
     active = mag > floor
@@ -74,12 +105,12 @@ def gcc_phat(
     if interpolation == "parabolic":
         # the whitened correlation peak is sinc-shaped, which biases a three-point
         # parabola; a zoom FFT of the conjugated half spectrum (the inverse transform's
-        # sign, 1/nfft left out) gives it on a fine lag grid, where the parabola is fit
-        from scipy.signal import zoom_fft  # deferred: scipy.signal takes a second to import
-        grid = np.linspace(lag - 1.0, lag + 1.0, 129)
-        weights = np.full(white.size, 2.0)
-        weights[[0, -1]] = 1.0  # DC and Nyquist (nfft is a power of two) appear once
-        fine = zoom_fft(np.conj(weights * white), grid[[0, -1]], grid.size, fs=nfft, endpoint=True).real
+        # sign, 1/nfft left out) gives it on a fine lag grid, where the parabola is fit.
+        # The plan's grid starts at lag 0; a phase ramp moves it to start at lag - 1.
+        zoom, weights, twiddle = _zoom_plan(nfft)
+        grid = np.linspace(lag - 1.0, lag + 1.0, ZOOM_POINTS)
+        ramp = twiddle[(np.arange(white.size) * (lag - 1)) & (nfft - 1)]
+        fine = zoom(np.conj(weights * white) * ramp).real
         j = int(np.argmax(fine))
         delay_samples = float(grid[j])
         if 0 < j < fine.size - 1:
@@ -101,6 +132,28 @@ def gcc_phat(
     confidence = peak / second if second > 0 else np.inf
 
     return TdoaEstimate(delay=delay_samples / fs, peak_value=peak_value, confidence=confidence)
+
+
+def gcc_phat(
+    a: AudioSignal,
+    b: AudioSignal,
+    max_delay: float = DEFAULT_MAX_DELAY,
+    interpolation: str = "none",
+) -> TdoaEstimate:
+    """GCC-PHAT delay of ``b`` relative to ``a``.
+
+    ``interpolation`` is "none" (integer-sample) or "parabolic" (sub-sample
+    refinement of the correlation peak on a zoom-FFT lag grid, whose plan is
+    cached per FFT length).
+    """
+    xa = a.mono
+    xb = b.mono
+    nfft, max_lag = _correlation_size(
+        a.sample_rate, b.sample_rate, interpolation, max_delay, (xa, xb), xa.size + xb.size
+    )
+    conj_a = np.conj(np.fft.rfft(xa, nfft))
+    spec_b = np.fft.rfft(xb, nfft)
+    return _gcc_phat_spectra(conj_a, spec_b, nfft, max_lag, a.sample_rate, interpolation)
 
 
 def _fractional_shift(x: np.ndarray, shift: float, pad: int) -> np.ndarray:
@@ -160,13 +213,22 @@ def steer_and_sum(
     max_delay: float = DEFAULT_MAX_DELAY,
     interpolation: str = "none",
 ) -> BeamformResult:
-    """Estimate per-channel delays against a reference, then delay-and-sum."""
+    """Estimate per-channel delays against a reference, then delay-and-sum.
+
+    Each delay is ``gcc_phat(reference, channel)``; the reference channel is
+    transformed once for the whole array.
+    """
     n_ch = channels.num_channels
     if n_ch < 2:
         raise ValidationError("steer_and_sum needs at least 2 channels")
     if not (0 <= reference_channel < n_ch):
         raise ValidationError(f"reference channel {reference_channel} out of range")
-    ref = channels.channel(reference_channel)
+    fs = channels.sample_rate
+    data = channels.data
+    nfft, max_lag = _correlation_size(
+        fs, fs, interpolation, max_delay, data, 2 * channels.num_samples
+    )
+    conj_ref = np.conj(np.fft.rfft(data[reference_channel], nfft))
     delays = []
     tdoas: List[Optional[TdoaEstimate]] = []
     for i in range(n_ch):
@@ -174,7 +236,8 @@ def steer_and_sum(
             delays.append(0.0)
             tdoas.append(None)
             continue
-        est = gcc_phat(ref, channels.channel(i), max_delay=max_delay, interpolation=interpolation)
+        spec = np.fft.rfft(data[i], nfft)
+        est = _gcc_phat_spectra(conj_ref, spec, nfft, max_lag, fs, interpolation)
         delays.append(est.delay)
         tdoas.append(est)
     return BeamformResult(signal=delay_and_sum(channels, delays), tdoas=tdoas)

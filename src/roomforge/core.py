@@ -245,13 +245,15 @@ class AudioSignal:
         return AudioSignal(self.sample_rate, self.data[index].copy())
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImpulseResponse:
     """Sampled room impulse response with provenance.
 
     ``provenance`` is "measured" or "image-method".  ``direct_path_index``, the
     direct arrival's sample, is the producer's value or else the envelope
-    maximum; it is always an int in ``[0, num_samples)``.
+    maximum; it is always an int in ``[0, num_samples)``.  The fields cannot be
+    reassigned, so the constructor's checks hold for the object's lifetime;
+    ``dataclasses.replace`` builds a checked copy with other values.
     """
 
     sample_rate: int
@@ -271,13 +273,13 @@ class ImpulseResponse:
             raise ValidationError("impulse response must have finite nonzero energy")
         if self.provenance not in ("measured", "image-method"):
             raise ValidationError(f"unknown IR provenance {self.provenance!r}")
-        self.samples = arr
+        object.__setattr__(self, "samples", arr)
         idx = self.direct_path_index
         if idx is None:
             idx = np.argmax(np.abs(arr))
         elif isinstance(idx, bool) or not isinstance(idx, (int, np.integer)) or not 0 <= idx < arr.size:
             raise ValidationError(f"direct_path_index must be an integer in [0, {arr.size}), got {idx!r}")
-        self.direct_path_index = int(idx)
+        object.__setattr__(self, "direct_path_index", int(idx))
 
     @property
     def num_samples(self) -> int:

@@ -124,6 +124,11 @@ def _field(doc: dict, key: str, path: str, errors: list, kind: str, default=None
     return value
 
 
+def _is_path_component(name: str) -> bool:
+    """Whether ``name`` names one file or directory inside its parent, never another place."""
+    return name not in ("", ".", "..") and "/" not in name and "\\" not in name
+
+
 def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManifest:
     """Parse and validate a manifest, reporting every error at once."""
     base = Path(base_dir)
@@ -200,12 +205,21 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
     output_dir = _field(doc, "output_dir", "$", errors, "a string", "corpus_out")
 
     sessions: List[SessionSpec] = []
+    session_paths: Dict[str, str] = {}  # name -> JSON path of the session that has it
     for i, sess in enumerate(_field(doc, "sessions", "$", errors, "a list", [])):
         path = f"$.sessions[{i}]"
         if not isinstance(sess, dict):
             errors.append((path, f"must be an object, got {reprlib.repr(sess)}"))
             continue
         name = _field(sess, "name", path, errors, "a string", f"session{i}")
+        if not _is_path_component(name):
+            errors.append((f"{path}.name", f"must be a single path component, got {name!r}"))
+        elif name in session_paths:
+            errors.append(
+                (f"{path}.name", f"duplicate session name {name!r}, first at {session_paths[name]}")
+            )
+        else:
+            session_paths[name] = path
         room_name = _field(sess, "room", path, errors, "a string")
         array_name = _field(sess, "array", path, errors, "a string")
         if room_name is not None and room_name not in rooms:
@@ -241,6 +255,11 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
         if sentences == []:
             errors.append((f"{path}.sentences", "session has no sentences"))
         sentences = sentences or []
+        for j, sentence in enumerate(sentences):
+            if not _is_path_component(sentence):
+                errors.append(
+                    (f"{path}.sentences[{j}]", f"must be a single path component, got {sentence!r}")
+                )
         if len(set(sentences)) != len(sentences):
             errors.append((f"{path}.sentences", "sentence ids must be unique within a session"))
 
@@ -522,30 +541,31 @@ def plan_and_run(
     """
     start = time.monotonic()
     fs = manifest.sample_rate
-    jobs = [(sess, sentence) for sess in manifest.sessions for sentence in sess.sentences]
     index_entries = []
     failures: List[Tuple[str, str]] = []
     samples_written = 0
     if not dry_run:
         noise = None if manifest.noise_file is None else _read_mono(manifest.noise_file, fs)
         cache = cache or IrCache()
-        # resolve IRs per session up front; deterministic regardless of workers
-        session_irs: Dict[str, List[ImpulseResponse]] = {}
+        # resolve IRs per session up front, in session order; deterministic regardless of workers
+        session_irs: List[List[ImpulseResponse]] = []
         for sess in manifest.sessions:
             mics = manifest.arrays[sess.array]
             if sess.ir_mode == "load":
-                session_irs[sess.name] = [load_ir(sess.ir_files[mic.id]) for mic in mics]
+                irs = [load_ir(sess.ir_files[mic.id]) for mic in mics]
             else:
-                session_irs[sess.name] = cache.get_or_synthesize(
+                irs = cache.get_or_synthesize(
                     manifest.rooms[sess.room], sess.source, mics, manifest.synthesis, fs
                 )
+            session_irs.append(irs)
 
         manifest.output_dir.mkdir(parents=True, exist_ok=True)
         with ThreadPoolExecutor(max_workers=max(parallelism, 1)) as pool:
             futures = [
                 (f"{sess.name}/{sentence}",
-                 pool.submit(_run_one, manifest, sess, sentence, session_irs[sess.name], noise))
-                for sess, sentence in jobs
+                 pool.submit(_run_one, manifest, sess, sentence, irs, noise))
+                for sess, irs in zip(manifest.sessions, session_irs)
+                for sentence in sess.sentences
             ]
             for job_id, future in futures:
                 try:
@@ -566,7 +586,7 @@ def plan_and_run(
         write_json(manifest.output_dir / "corpus.json", index)
 
     return CorpusReport(
-        jobs_planned=len(jobs),
+        jobs_planned=manifest.job_count(),
         jobs_done=len(index_entries),
         files_written=sum(len(e["files"]) for e in index_entries),
         failures=failures,

@@ -160,8 +160,8 @@ def test_criterion_4_t60_round_trip(capsys):
                 rng = np.random.default_rng(400 + seed)
                 n = int(1.5 * target * fs)
                 t = np.arange(n) / fs
-                ir = ImpulseResponse(fs, rng.standard_normal(n) * np.exp(-t / tau))
-                ir.direct_path_index = 0
+                h = rng.standard_normal(n) * np.exp(-t / tau)
+                ir = ImpulseResponse(fs, h, direct_path_index=0)
                 estimates.append(estimate_t60(ir))
             assert float(np.mean(estimates)) == pytest.approx(target, rel=0.05)
 

@@ -15,6 +15,7 @@ from roomforge import (
     oracle_select,
     steer_and_sum,
 )
+from roomforge import array_dsp
 from roomforge.array_dsp import _fractional_shift
 
 FS = 16000
@@ -245,6 +246,107 @@ class TestSteerAndSum:
     def test_bad_reference_rejected(self):
         with pytest.raises(ValidationError):
             steer_and_sum(AudioSignal(FS, np.ones((2, 100))), reference_channel=5)
+
+
+def delayed_array(n, lags, seed, noise=0.3):
+    """Noisy copies of one white-noise signal, channel i delayed by ``lags[i]`` samples."""
+    rng = np.random.default_rng(seed)
+    pad = int(np.ceil(max(abs(d) for d in lags))) + 1
+    base = rng.standard_normal(n + 2 * pad)
+    rows = [_fractional_shift(base, d + pad, pad=0)[2 * pad : 2 * pad + n] for d in lags]
+    return np.stack(rows) + noise * rng.standard_normal((len(lags), n))
+
+
+class TestSteerAndSumAgainstPairs:
+    LAGS = [0.0, 13.0, -21.0, 0.0, 7.4, -3.65, 0.3, -0.45]
+
+    @pytest.mark.parametrize("ref", [0, 5])
+    def test_integer_delays_are_the_pairwise_ones_bit_for_bit(self, ref):
+        signal = AudioSignal(FS, delayed_array(3000, self.LAGS, seed=40))
+        result = steer_and_sum(signal, reference_channel=ref)
+        assert result.tdoas[ref] is None
+        for i, est in enumerate(result.tdoas):
+            if i != ref:
+                assert est == gcc_phat(signal.channel(ref), signal.channel(i))
+        for i in (1, 2, 3):
+            assert result.tdoas[i].delay * FS == round(self.LAGS[i] - self.LAGS[ref])
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_parabolic_delays_match_pairs_and_the_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        lags = [0.0, *rng.uniform(1.0, 30.0, 3), *rng.uniform(-30.0, -1.0, 3), 0.0, 0.2, -0.3]
+        data = delayed_array(int(rng.integers(500, 5000)), lags, seed=seed)
+        max_delay = 0.003  # 48 samples
+        max_lag = round(max_delay * FS)
+        result = steer_and_sum(AudioSignal(FS, data), max_delay=max_delay, interpolation="parabolic")
+        for i, est in enumerate(result.tdoas[1:], start=1):
+            pair = gcc_phat(
+                AudioSignal(FS, data[0]), AudioSignal(FS, data[i]),
+                max_delay=max_delay, interpolation="parabolic",
+            )
+            oracle = reference_parabolic_delay(data[0], data[i], max_lag)
+            assert est.delay * FS == pytest.approx(pair.delay * FS, abs=1e-9)
+            assert est.delay * FS == pytest.approx(oracle, abs=1e-9)
+            assert (est.peak_value, est.confidence) == (pair.peak_value, pair.confidence)
+            assert est.delay * FS == pytest.approx(lags[i], abs=0.25)
+
+    def test_shared_checks_keep_their_order(self):
+        data = np.ones((3, 64))
+        data[2] = 0.0
+        signal = AudioSignal(FS, data)
+        with pytest.raises(ValidationError, match="unknown interpolation"):
+            steer_and_sum(signal, interpolation="cubic", max_delay=-1.0)
+        with pytest.raises(ValidationError, match="max_delay must be finite"):
+            steer_and_sum(signal, max_delay=math.nan)
+        with pytest.raises(ValidationError, match="silent input channel"):
+            steer_and_sum(signal, max_delay=1.0)
+        with pytest.raises(ValidationError, match="too large"):
+            steer_and_sum(AudioSignal(FS, np.ones((3, 64))), max_delay=1.0)
+
+
+class TestZoomPlanCache:
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        import scipy.signal
+
+        built = []
+
+        class CountingZoomFFT(scipy.signal.ZoomFFT):
+            def __init__(self, n, *args, **kwargs):
+                built.append(n)
+                super().__init__(n, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.signal, "ZoomFFT", CountingZoomFFT)
+        array_dsp._zoom_plan.cache_clear()
+        yield built
+        array_dsp._zoom_plan.cache_clear()
+
+    def test_plan_built_once_per_fft_length(self, constructions):
+        data = delayed_array(1500, [0.0, 4.5, -2.25, 9.0], seed=44)  # pairs of 3000: nfft 4096
+        for _ in range(3):
+            steer_and_sum(AudioSignal(FS, data), interpolation="parabolic")
+            gcc_phat(AudioSignal(FS, data[1]), AudioSignal(FS, data[2]), interpolation="parabolic")
+        assert constructions == [4096 // 2 + 1]
+        steer_and_sum(AudioSignal(FS, data[:, :1000]), interpolation="parabolic")  # nfft 2048
+        assert constructions == [4096 // 2 + 1, 2048 // 2 + 1]
+
+    def test_integer_mode_builds_no_plan(self, constructions):
+        steer_and_sum(AudioSignal(FS, delayed_array(1500, [0.0, 4.0], seed=45)))
+        assert constructions == []
+
+    def test_cache_keeps_two_read_only_plans(self, constructions):
+        for n in (300, 700, 1500):
+            x = white(n, n)
+            gcc_phat(AudioSignal(FS, x), AudioSignal(FS, np.roll(x, 3)), interpolation="parabolic")
+        info = array_dsp._zoom_plan.cache_info()
+        assert (info.maxsize, info.currsize) == (2, 2)
+        _, weights, twiddle = array_dsp._zoom_plan(4096)
+        assert len(constructions) == 3
+        assert not weights.flags.writeable and not twiddle.flags.writeable
+        with pytest.raises(ValueError):
+            twiddle[0] = 0.0
+        assert weights[0] == weights[-1] == 1.0 and np.all(weights[1:-1] == 2.0)
+        assert twiddle.size == 4096 and twiddle[1024] == pytest.approx(-1j, abs=1e-15)
 
 
 class TestOracleSelect:

@@ -417,6 +417,31 @@ class TestRunCommand:
                 "the direct path arrives at sample 175") in err
         assert not (tmp_path / "out").exists()
 
+    def test_duplicate_session_name_is_invalid(self, tmp_path, capsys):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "max_order": 2})
+        doc = json.loads(manifest.read_text())
+        doc["sessions"].append(dict(doc["sessions"][0], source={"position": [4.0, 3.0, 1.5]}))
+        manifest.write_text(json.dumps(doc))
+        assert run_cli("run", manifest) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "  $.sessions[1].name: duplicate session name 'sessA'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_sentence_outside_the_output_dir_is_invalid(self, tmp_path, capsys):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "max_order": 2})
+        (tmp_path / "a" / "b" / "clean").mkdir(parents=True)
+        (tmp_path / "clean" / "s01.wav").rename(tmp_path / "a" / "s01.wav")
+        doc = json.loads(manifest.read_text())
+        doc["clean_dir"] = "a/b/clean"
+        # the clean file resolves (a/b/clean/../../s01.wav), and out/sessA/../../ is tmp_path
+        doc["sessions"][0]["sentences"] = ["../../s01"]
+        manifest.write_text(json.dumps(doc))
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli("run", manifest) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "  $.sessions[0].sentences[0]: must be a single path component" in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_partial_failure_exit_code(self, tmp_path):
         manifest = write_run_manifest(tmp_path, ["s01", "s02"], {"ir_length": 0.1, "max_order": 2})
         # s02.wav removed: one job fails, one succeeds

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -188,3 +190,14 @@ class TestImpulseResponse:
     def test_bad_direct_path_index_rejected(self, index):
         with pytest.raises(ValidationError, match="direct_path_index"):
             ImpulseResponse(16000, np.ones(100), direct_path_index=index)
+
+    def test_fields_cannot_be_reassigned_past_the_check(self):
+        ir = ImpulseResponse(16000, np.ones(100), direct_path_index=5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ir.direct_path_index = 10**9
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ir.samples = np.ones(3)
+        assert ir.direct_path_index == 5 and ir.num_samples == 100
+        with pytest.raises(ValidationError, match="direct_path_index"):
+            dataclasses.replace(ir, direct_path_index=10**9)
+        assert dataclasses.replace(ir, direct_path_index=99).direct_path_index == 99

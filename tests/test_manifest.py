@@ -13,6 +13,7 @@ from roomforge.manifest import (
     parse_manifest,
     plan_and_run,
 )
+from roomforge.image_source import direct_path_index
 from roomforge.wavio import write_wav
 
 FS = 16000
@@ -196,6 +197,33 @@ class TestParseManifest:
         doc["sessions"][0]["ir"] = {"mode": "load", "files": {"far": "far.wav"}}
         parse_manifest(json.dumps(doc), base_dir=tmp_path)
 
+    def test_duplicate_session_name_rejected_at_its_path(self, tmp_path):
+        doc = base_doc(tmp_path)
+        doc["sessions"].append(dict(doc["sessions"][0], source={"position": [4.0, 3.0, 1.5]}))
+        doc["sessions"].append(dict(doc["sessions"][0], name="sessB"))
+        with pytest.raises(ManifestError) as exc_info:
+            parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert exc_info.value.errors == [
+            ("$.sessions[1].name", "duplicate session name 'sessA', first at $.sessions[0]")
+        ]
+
+    @pytest.mark.parametrize("bad", ["", ".", "..", "../../s01", "a/b", "/abs", "a\\b", "..\\s01"])
+    def test_name_or_sentence_that_is_not_one_path_component_rejected(self, tmp_path, bad):
+        doc = base_doc(tmp_path, sentences=("s01", bad))
+        doc["sessions"][0]["name"] = bad
+        with pytest.raises(ManifestError) as exc_info:
+            parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert exc_info.value.errors == [
+            ("$.sessions[0].name", f"must be a single path component, got {bad!r}"),
+            ("$.sessions[0].sentences[1]", f"must be a single path component, got {bad!r}"),
+        ]
+
+    def test_dots_inside_a_name_are_one_path_component(self, tmp_path):
+        doc = base_doc(tmp_path, sentences=("s.01", "..s02", "s03.."))
+        doc["sessions"][0]["name"] = "sess.A"
+        m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert m.sessions[0].sentences == ["s.01", "..s02", "s03.."]
+
     def test_multi_room_session_grid(self, tmp_path):
         doc = base_doc(tmp_path)
         doc["rooms"]["hall"] = {"dimensions": [8.0, 6.0, 4.0], "t60": 0.5}
@@ -335,6 +363,32 @@ class TestPlanAndRun:
             assert report.ok
             digests.append(digest(tmp_path / f"out{run}"))
         assert digests[0] == digests[1]
+
+    def test_each_session_runs_with_its_own_irs(self, tmp_path, monkeypatch):
+        # sessions built by hand can share a name; IRs are matched by position, not by name
+        from roomforge import manifest as manifest_module
+
+        doc = base_doc(tmp_path, sentences=("s01",))
+        doc["sessions"].append(
+            dict(doc["sessions"][0], name="sessB", source={"position": [4.0, 3.0, 1.5]})
+        )
+        m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        m.sessions[1].name = "sessA"
+        seen = []
+
+        def record(manifest, session, sentence, irs, noise):
+            seen.append((session.source.position, [ir.direct_path_index for ir in irs]))
+            return [], 0
+
+        monkeypatch.setattr(manifest_module, "_run_one", record)
+        plan_and_run(m, cache=IrCache(directory=None))
+        expected = [
+            (s.source.position, [direct_path_index(m.rooms["lab"], s.source, mic, FS)
+                                 for mic in m.arrays["pair"]])
+            for s in m.sessions
+        ]
+        assert seen == expected
+        assert expected[0][1] != expected[1][1]
 
     def test_noise_rate_mismatch_rejected(self, tmp_path):
         doc = base_doc(tmp_path)

@@ -25,9 +25,7 @@ def synthetic_decay(t60, fs=FS, seconds=None, seed=0):
     tau = t60 / (3.0 * np.log(10.0))
     rng = np.random.default_rng(seed)
     h = rng.standard_normal(n) * np.exp(-t / tau)
-    ir = ImpulseResponse(fs, h)
-    ir.direct_path_index = 0
-    return ir
+    return ImpulseResponse(fs, h, direct_path_index=0)
 
 
 class TestSchroederCurve:
@@ -88,8 +86,7 @@ class TestEstimateT60:
 
     def test_scaling_invariance(self):
         ir = synthetic_decay(0.6, seed=11)
-        scaled = ImpulseResponse(FS, 37.5 * ir.samples)
-        scaled.direct_path_index = 0
+        scaled = ImpulseResponse(FS, 37.5 * ir.samples, direct_path_index=0)
         assert estimate_t60(scaled) == pytest.approx(estimate_t60(ir), rel=1e-12)
 
     def test_t20_and_t30_agree_on_clean_decay(self):
@@ -114,24 +111,21 @@ class TestDirectToReverberant:
     def test_delta_hits_positive_cap(self):
         h = np.zeros(1000)
         h[100] = 1.0
-        ir = ImpulseResponse(FS, h)
-        ir.direct_path_index = 100
+        ir = ImpulseResponse(FS, h, direct_path_index=100)
         assert direct_to_reverberant_db(ir) == 120.0
 
     def test_equal_energy_split_is_zero_db(self):
         h = np.zeros(1000)
         h[100] = 1.0
         h[900] = 1.0  # one tap inside the direct window, one far outside
-        ir = ImpulseResponse(FS, h)
-        ir.direct_path_index = 100
+        ir = ImpulseResponse(FS, h, direct_path_index=100)
         assert direct_to_reverberant_db(ir) == pytest.approx(0.0, abs=1e-12)
 
     def test_known_ratio(self):
         h = np.zeros(1000)
         h[50] = 2.0
         h[800] = 1.0
-        ir = ImpulseResponse(FS, h)
-        ir.direct_path_index = 50
+        ir = ImpulseResponse(FS, h, direct_path_index=50)
         assert direct_to_reverberant_db(ir) == pytest.approx(10 * np.log10(4.0), abs=1e-12)
 
     def test_more_reflective_room_has_lower_drr(self):
@@ -144,14 +138,12 @@ class TestDirectToReverberant:
             h[0] = 1.0
             h[1:] = 0.0
             h[81:] = g * tail[: 2001 - 81]
-            ir = ImpulseResponse(FS, h)
-            ir.direct_path_index = 0
+            ir = ImpulseResponse(FS, h, direct_path_index=0)
             values.append(direct_to_reverberant_db(ir))
         assert values[0] > values[1] > values[2]
 
     def test_window_covering_everything_rejected(self):
-        ir = ImpulseResponse(FS, np.ones(10))
-        ir.direct_path_index = 5
+        ir = ImpulseResponse(FS, np.ones(10), direct_path_index=5)
         with pytest.raises(ValidationError):
             direct_to_reverberant_db(ir, direct_window_ms=100.0)
 
@@ -167,8 +159,9 @@ class TestCompareIrs:
 
     def test_pure_delay_detected(self):
         ir = synthetic_decay(0.5, seed=21)
-        delayed = ImpulseResponse(FS, np.concatenate([np.zeros(100), ir.samples]))
-        delayed.direct_path_index = 100
+        delayed = ImpulseResponse(
+            FS, np.concatenate([np.zeros(100), ir.samples]), direct_path_index=100
+        )
         cmp = compare_irs(ir, delayed)
         assert cmp.direct_offset_samples == 100
         assert cmp.t60_delta == pytest.approx(0.0, abs=1e-6)

@@ -13,9 +13,9 @@ FS = 16000
 def make_ir():
     rng = np.random.default_rng(40)
     h = rng.standard_normal(800) * np.exp(-np.arange(800) / 100.0)
-    ir = ImpulseResponse(FS, 0.1 * h, provenance="image-method", meta={"order": 3})
-    ir.direct_path_index = 12
-    return ir
+    return ImpulseResponse(
+        FS, 0.1 * h, provenance="image-method", direct_path_index=12, meta={"order": 3}
+    )
 
 
 def test_round_trip(tmp_path):
