@@ -80,23 +80,32 @@ def _zoom_plan(nfft: int) -> Tuple[Any, np.ndarray, np.ndarray]:
 
 def _gcc_phat_spectra(
     conj_a: np.ndarray,
-    spec_b: np.ndarray,
+    white: np.ndarray,
     nfft: int,
     max_lag: int,
     fs: int,
     interpolation: str,
 ) -> TdoaEstimate:
-    """GCC-PHAT delay from ``conj(rfft(a, nfft))`` and ``rfft(b, nfft)``."""
-    spec = spec_b * conj_a
-    mag = np.abs(spec)
+    """GCC-PHAT delay from ``conj(rfft(a, nfft))`` and ``rfft(b, nfft)``.
+
+    The second spectrum is overwritten with the whitened cross spectrum.
+    Every spectrum-sized temporary is computed in place or released once
+    used, so a pair holds few large arrays at a time and repeated calls
+    reuse heap memory instead of faulting in fresh pages.
+    """
+    np.multiply(white, conj_a, out=white)
+    mag = np.abs(white)
     floor = PHAT_FLOOR * float(np.max(mag))
     active = mag > floor
-    white = np.zeros_like(spec)
-    white[active] = spec[active] / mag[active]
+    np.divide(white, mag, out=white, where=active)
+    white[~active] = 0.0
+    del mag
+    n_active = int(np.count_nonzero(active))
+    del active
     cc = np.fft.irfft(white, nfft)
-
     lags = np.arange(-max_lag, max_lag + 1)
     values = np.concatenate([cc[nfft - max_lag :], cc[: max_lag + 1]])
+    del cc
     peak_pos = int(np.argmax(values))
     lag = int(lags[peak_pos])
     peak = float(values[peak_pos])
@@ -109,8 +118,14 @@ def _gcc_phat_spectra(
         # The plan's grid starts at lag 0; a phase ramp moves it to start at lag - 1.
         zoom, weights, twiddle = _zoom_plan(nfft)
         grid = np.linspace(lag - 1.0, lag + 1.0, ZOOM_POINTS)
-        ramp = twiddle[(np.arange(white.size) * (lag - 1)) & (nfft - 1)]
-        fine = zoom(np.conj(weights * white) * ramp).real
+        shifted = np.multiply(weights, white)
+        np.conjugate(shifted, out=shifted)
+        index = np.arange(white.size)
+        index *= lag - 1
+        index &= nfft - 1
+        shifted *= twiddle[index]
+        del white, index
+        fine = zoom(shifted).real
         j = int(np.argmax(fine))
         delay_samples = float(grid[j])
         if 0 < j < fine.size - 1:
@@ -121,7 +136,6 @@ def _gcc_phat_spectra(
                 delay_samples += 0.5 * (y0 - y2) / denom * step
 
     # ideal coherent pair gives a peak of n_active / nfft
-    n_active = int(np.count_nonzero(active))
     peak_value = float(np.clip(peak * nfft / max(n_active, 1), 0.0, 1.0))
 
     exclusion = 3
@@ -151,9 +165,11 @@ def gcc_phat(
     nfft, max_lag = _correlation_size(
         a.sample_rate, b.sample_rate, interpolation, max_delay, (xa, xb), xa.size + xb.size
     )
-    conj_a = np.conj(np.fft.rfft(xa, nfft))
-    spec_b = np.fft.rfft(xb, nfft)
-    return _gcc_phat_spectra(conj_a, spec_b, nfft, max_lag, a.sample_rate, interpolation)
+    conj_a = np.fft.rfft(xa, nfft)
+    np.conjugate(conj_a, out=conj_a)
+    return _gcc_phat_spectra(
+        conj_a, np.fft.rfft(xb, nfft), nfft, max_lag, a.sample_rate, interpolation
+    )
 
 
 def _fractional_shift(x: np.ndarray, shift: float, pad: int) -> np.ndarray:
@@ -228,7 +244,8 @@ def steer_and_sum(
     nfft, max_lag = _correlation_size(
         fs, fs, interpolation, max_delay, data, 2 * channels.num_samples
     )
-    conj_ref = np.conj(np.fft.rfft(data[reference_channel], nfft))
+    conj_ref = np.fft.rfft(data[reference_channel], nfft)
+    np.conjugate(conj_ref, out=conj_ref)
     delays = []
     tdoas: List[Optional[TdoaEstimate]] = []
     for i in range(n_ch):
@@ -236,8 +253,9 @@ def steer_and_sum(
             delays.append(0.0)
             tdoas.append(None)
             continue
-        spec = np.fft.rfft(data[i], nfft)
-        est = _gcc_phat_spectra(conj_ref, spec, nfft, max_lag, fs, interpolation)
+        est = _gcc_phat_spectra(
+            conj_ref, np.fft.rfft(data[i], nfft), nfft, max_lag, fs, interpolation
+        )
         delays.append(est.delay)
         tdoas.append(est)
     return BeamformResult(signal=delay_and_sum(channels, delays), tdoas=tdoas)

@@ -290,6 +290,19 @@ class TestSteerAndSumAgainstPairs:
             assert (est.peak_value, est.confidence) == (pair.peak_value, pair.confidence)
             assert est.delay * FS == pytest.approx(lags[i], abs=0.25)
 
+    def test_array_peak_memory_is_a_few_spectra(self):
+        # 2 s at 16 kHz: nfft 65536.  Each pair's spectrum is whitened in place and
+        # freed before the next, so the peak stays a few spectra for 8 channels
+        signal = AudioSignal(FS, delayed_array(2 * FS, self.LAGS, seed=46))
+        steer_and_sum(signal, interpolation="parabolic")  # builds the plan outside the trace
+        tracemalloc.start()
+        try:
+            steer_and_sum(signal, interpolation="parabolic")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * (65536 // 2 + 1) * 16
+
     def test_shared_checks_keep_their_order(self):
         data = np.ones((3, 64))
         data[2] = 0.0
