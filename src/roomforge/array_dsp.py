@@ -29,6 +29,11 @@ class TdoaEstimate:
     confidence: float  # ratio of main peak to second-highest peak
 
 
+def _fft_size(n: int) -> int:
+    """The least power of two >= ``n``: every FFT length here, as ``_zoom_plan`` needs."""
+    return 1 << int(n - 1).bit_length()
+
+
 def _correlation_size(
     fs_a: int,
     fs_b: int,
@@ -50,7 +55,7 @@ def _correlation_size(
         raise ValidationError(f"max_delay must be finite and non-negative, got {max_delay}")
     if not all(np.any(x) for x in signals):
         raise ValidationError("no signal: silent input channel")
-    nfft = 1 << int(n - 1).bit_length()
+    nfft = _fft_size(n)
     max_lag = int(round(max_delay * fs_a))
     if max_lag >= nfft // 2:
         raise ValidationError("max_delay too large for the signal length")
@@ -175,7 +180,7 @@ def gcc_phat(
 def _fractional_shift(x: np.ndarray, shift: float, pad: int) -> np.ndarray:
     """Delay ``x`` by a fractional number of samples via an FFT phase ramp."""
     n = x.size + pad
-    nfft = 1 << int(n - 1).bit_length()
+    nfft = _fft_size(n)
     spec = np.fft.rfft(x, nfft)
     freqs = np.arange(spec.size)
     spec *= np.exp(-2j * np.pi * freqs * shift / nfft)

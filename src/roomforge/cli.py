@@ -28,9 +28,9 @@ from .core import MicSpec, RoomSpec, SourceSpec, ValidationError
 from .image_source import ImageSynthesisConfig, ResourceError, synthesize_rir
 from .manifest import ManifestError, load_manifest, plan_and_run
 from .metrics import direct_to_reverberant_db, estimate_t60, schroeder_curve
-from .storage import load_ir, save_ir
+from .storage import load_ir, save_ir, write_json
 from .sweep import SweepSpec, deconvolve_ir, generate_ess, inverse_filter
-from .wavio import read_wav, write_wav
+from .wavio import atomic_write, read_wav, write_wav
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -232,18 +232,20 @@ def _cmd_metrics(args) -> int:
         report["t60_error"] = str(exc)
     report["drr_db"] = direct_to_reverberant_db(ir)
     report["direct_path_index"] = ir.direct_path_index
-    text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:
-        args.output.write_text(text + "\n")
+        write_json(args.output, report)
     else:
-        print(text)
+        print(json.dumps(report, indent=2, sort_keys=True))
     if args.decay_csv:
         curve = schroeder_curve(ir)
-        with open(args.decay_csv, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["time_s", "level_db"])
-            writer.writerows(zip(curve.times, curve.level_db))
+        _write_csv(args.decay_csv, [("time_s", "level_db"), *zip(curve.times, curve.level_db)])
     return EXIT_OK
+
+
+def _write_csv(path: Path, rows) -> None:
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    atomic_write(path, text.getvalue().encode("utf-8"))
 
 
 def _cmd_select(args) -> int:
@@ -273,8 +275,7 @@ def _cmd_select(args) -> int:
         best = oracle_select(tables[utt])
         lines.append((utt, best, tables[utt][best]))
     if args.output:
-        with open(args.output, "w", newline="") as f:
-            csv.writer(f).writerows(lines)
+        _write_csv(args.output, lines)
     else:
         for row in lines:
             print(",".join(str(v) for v in row))

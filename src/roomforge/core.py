@@ -131,11 +131,16 @@ def directivity_gain(pattern: Union[Directivity, str], angle) -> Union[float, np
         angles, gains = pattern.table
         out = np.interp(theta, angles, gains)
     else:
-        a = FIRST_ORDER_PATTERNS[pattern.pattern]
-        out = np.maximum(a + (1.0 - a) * np.cos(theta), 0.0)
+        out = _first_order_gain(pattern.pattern, np.cos(theta))
     if np.isscalar(angle) or np.ndim(angle) == 0:
         return float(out)
     return out
+
+
+def _first_order_gain(pattern: str, cos_theta):
+    """Gain of the built-in ``pattern`` from the cosine of the off-boresight angle."""
+    a = FIRST_ORDER_PATTERNS[pattern]
+    return np.maximum(a + (1.0 - a) * cos_theta, 0.0)
 
 
 def orientation_vector(azimuth: float, elevation: float) -> np.ndarray:
@@ -188,9 +193,18 @@ class MicSpec:
             raise ValidationError(f"mic {self.id!r} position {self.position} outside room {room.dimensions}")
 
 
+def _is_path_component(name: str) -> bool:
+    """Whether ``name`` names one file or directory inside its parent, never another place."""
+    return name not in ("", ".", "..") and "/" not in name and "\\" not in name
+
+
 def validate_mic_array(mics: Sequence[MicSpec]) -> None:
+    """Reject an empty array, a mic id that is not one path component and duplicate ids."""
     if not mics:
         raise ValidationError("microphone array is empty")
+    for mic in mics:
+        if not isinstance(mic.id, str) or not _is_path_component(mic.id):
+            raise ValidationError(f"mic id must be a single path component, got {mic.id!r}")
     ids = [m.id for m in mics]
     if len(set(ids)) != len(ids):
         raise ValidationError(f"duplicate mic ids in array: {ids}")

@@ -28,13 +28,13 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from .core import (
-    FIRST_ORDER_PATTERNS,
     Directivity,
     ImpulseResponse,
     MicSpec,
     RoomSpec,
     SourceSpec,
     ValidationError,
+    _first_order_gain,
 )
 
 DEFAULT_IMAGE_BUDGET = 10_000_000
@@ -153,8 +153,7 @@ def _pattern_gain(pattern: Directivity, cos_theta: np.ndarray) -> np.ndarray:
     cos_theta = np.clip(cos_theta, -1.0, 1.0)
     if pattern.pattern == "custom":
         return np.interp(np.arccos(cos_theta), *pattern.table)
-    a = FIRST_ORDER_PATTERNS[pattern.pattern]
-    return np.maximum(a + (1.0 - a) * cos_theta, 0.0)
+    return _first_order_gain(pattern.pattern, cos_theta)
 
 
 def _sinc_taps(delays: np.ndarray, amps: np.ndarray, n_out: int) -> np.ndarray:

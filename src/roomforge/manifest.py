@@ -13,11 +13,11 @@ count.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
 import reprlib
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -36,6 +36,7 @@ from .core import (
     RoomSpec,
     SourceSpec,
     ValidationError,
+    _is_path_component,
     validate_mic_array,
 )
 from .image_source import (
@@ -47,7 +48,7 @@ from .image_source import (
     synthesize_rirs,
 )
 from .storage import load_ir, write_json
-from .wavio import read_wav, write_wav
+from .wavio import atomic_write, read_wav, write_wav
 
 CACHE_ENV_VAR = "ROOMFORGE_CACHE_DIR"
 
@@ -122,11 +123,6 @@ def _field(doc: dict, key: str, path: str, errors: list, kind: str, default=None
         errors.append((f"{path}.{key}", f"must be {kind}, got {reprlib.repr(value)}"))
         return default
     return value
-
-
-def _is_path_component(name: str) -> bool:
-    """Whether ``name`` names one file or directory inside its parent, never another place."""
-    return name not in ("", ".", "..") and "/" not in name and "\\" not in name
 
 
 def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManifest:
@@ -424,15 +420,9 @@ class IrCache:
     def _store(self, key: str, ir: ImpulseResponse) -> None:
         self._mem[key] = ir
         if self.directory:
-            # write aside, then rename: a reader never sees a partly written file
-            fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f".{key}.", suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as f:
-                    np.save(f, ir.samples)
-                os.replace(tmp, self.directory / f"{key}.npy")
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+            buf = io.BytesIO()
+            np.save(buf, ir.samples)
+            atomic_write(self.directory / f"{key}.npy", buf.getvalue())
 
     def get_or_synthesize(
         self,

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Union
 
 from .core import AudioSignal, ImpulseResponse, ValidationError
-from .wavio import read_wav, write_wav
+from .wavio import atomic_write, read_wav, write_wav
 
 
 def sidecar_path(wav_path: Union[str, Path]) -> Path:
@@ -32,8 +32,8 @@ def save_ir(path: Union[str, Path], ir: ImpulseResponse) -> None:
 
 
 def write_json(path: Union[str, Path], doc) -> None:
-    """Write ``doc`` as JSON indented by 2 with sorted keys, plus a newline."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Write ``doc`` as JSON indented by 2 with sorted keys, plus a newline, whole or not at all."""
+    atomic_write(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
 
 def load_ir(path: Union[str, Path]) -> ImpulseResponse:

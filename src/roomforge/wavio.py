@@ -1,4 +1,4 @@
-"""Minimal RIFF/WAVE reader and writer.
+"""Minimal RIFF/WAVE reader and writer, and the one function that writes files.
 
 Supports the three formats the pipeline exchanges: PCM 16-bit, PCM 24-bit
 and IEEE float32, any channel count.  Samples are exposed as float64 in
@@ -7,6 +7,7 @@ and IEEE float32, any channel count.  Samples are exposed as float64 in
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 from typing import Union
@@ -19,9 +20,34 @@ _FORMATS = {"pcm16": (1, 16), "pcm24": (1, 24), "float32": (3, 32)}
 _RIFF_MAX = 2**32 - 1  # the RIFF and data chunk sizes are unsigned 32-bit
 
 
+def atomic_write(path: Union[str, Path], data: bytes) -> None:
+    """Write ``data`` to ``path`` whole or not at all.
+
+    The bytes go to a hidden ``.<name>.<random>.tmp`` file in the same
+    directory, which then replaces ``path``; on any failure the temporary file
+    is removed and ``path`` keeps its old bytes.  A killed process may leave a
+    temporary file, which no reader opens.  Nothing is synced to disk, so this
+    guards against a killed process, not a power loss.  The file gets the mode
+    of a plain ``open(path, "wb")``: 0o666 less the umask.
+    """
+    path = Path(path)
+    # <name> is cut to 32 characters (128 bytes at most), so the temporary name
+    # fits the usual 255-byte limit on a name even when ``path``'s name is near it
+    tmp = path.with_name(f".{path.name[:32]}.{os.urandom(6).hex()}.tmp")
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def read_wav(path: Union[str, Path]) -> AudioSignal:
     """Read a WAV file into a (channels, samples) AudioSignal."""
     raw = Path(path).read_bytes()
+    view = memoryview(raw)  # chunk bodies are views into the file's bytes, not copies
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise ValidationError(f"{path}: not a RIFF/WAVE file")
     pos = 12
@@ -35,7 +61,7 @@ def read_wav(path: Union[str, Path]) -> AudioSignal:
                 f"{path}: truncated {chunk_id.decode('latin-1')!r} chunk: "
                 f"declares {size} bytes, {len(raw) - pos - 8} remain"
             )
-        body = raw[pos + 8 : pos + 8 + size]
+        body = view[pos + 8 : pos + 8 + size]
         if chunk_id == b"fmt ":
             if size < 16:
                 raise ValidationError(f"{path}: fmt chunk of {size} bytes, at least 16 expected")
@@ -61,16 +87,17 @@ def read_wav(path: Union[str, Path]) -> AudioSignal:
             f"of {frame_bytes}-byte frames"
         )
     if bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 2**15
+        samples = np.frombuffer(data, dtype="<i2").astype(np.float64)
+        samples /= 2**15
     elif bits == 24:
-        b = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
-        ints = (
-            b[:, 0].astype(np.int32)
-            | (b[:, 1].astype(np.int32) << 8)
-            | (b[:, 2].astype(np.int32) << 16)
-        )
-        ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints)
-        samples = ints.astype(np.float64) / 2**23
+        # each sample's 3 bytes fill the top of a little-endian int32; the
+        # arithmetic shift back down sign-extends it
+        words = np.zeros((len(data) // 3, 4), dtype=np.uint8)
+        words[:, 1:] = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
+        ints = words.view("<i4")[:, 0]
+        ints >>= 8
+        samples = ints.astype(np.float64)
+        samples /= 2**23
     else:
         samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
         if not np.isfinite(samples).all():
@@ -80,7 +107,7 @@ def read_wav(path: Union[str, Path]) -> AudioSignal:
 
 
 def write_wav(path: Union[str, Path], signal: AudioSignal, fmt: str = "float32") -> None:
-    """Write an AudioSignal as PCM16, PCM24 or float32 WAV."""
+    """Write an AudioSignal as PCM16, PCM24 or float32 WAV, whole or not at all."""
     if fmt not in _FORMATS:
         raise ValidationError(f"unknown WAV format {fmt!r}, expected one of {sorted(_FORMATS)}")
     audio_format, bits = _FORMATS[fmt]
@@ -114,4 +141,4 @@ def write_wav(path: Union[str, Path], signal: AudioSignal, fmt: str = "float32")
         "<IHHIIHH", 16, audio_format, n_channels, signal.sample_rate, byte_rate, block_align, bits
     )
     header += b"data" + struct.pack("<I", len(payload))
-    Path(path).write_bytes(header + payload)
+    atomic_write(path, header + payload)

@@ -442,6 +442,18 @@ class TestRunCommand:
         assert "  $.sessions[0].sentences[0]: must be a single path component" in err
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("bad", ["../../x", "", ".", "a/b", "a\\b"])
+    def test_mic_id_that_is_not_one_path_component_is_invalid(self, tmp_path, capsys, bad):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "max_order": 2})
+        doc = json.loads(manifest.read_text())
+        doc["arrays"]["solo"][0]["id"] = bad
+        manifest.write_text(json.dumps(doc))
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli("run", manifest) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"  $.arrays.solo: mic id must be a single path component, got {bad!r}" in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_partial_failure_exit_code(self, tmp_path):
         manifest = write_run_manifest(tmp_path, ["s01", "s02"], {"ir_length": 0.1, "max_order": 2})
         # s02.wav removed: one job fails, one succeeds

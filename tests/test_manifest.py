@@ -211,9 +211,12 @@ class TestParseManifest:
     def test_name_or_sentence_that_is_not_one_path_component_rejected(self, tmp_path, bad):
         doc = base_doc(tmp_path, sentences=("s01", bad))
         doc["sessions"][0]["name"] = bad
+        doc["arrays"]["odd"] = [{"id": "m0", "position": [1.0, 1.0, 1.5]},
+                                {"id": bad, "position": [1.2, 1.0, 1.5]}]
         with pytest.raises(ManifestError) as exc_info:
             parse_manifest(json.dumps(doc), base_dir=tmp_path)
         assert exc_info.value.errors == [
+            ("$.arrays.odd", f"mic id must be a single path component, got {bad!r}"),
             ("$.sessions[0].name", f"must be a single path component, got {bad!r}"),
             ("$.sessions[0].sentences[1]", f"must be a single path component, got {bad!r}"),
         ]

@@ -1,10 +1,14 @@
+import os
+import stat
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from roomforge import AudioSignal, ValidationError
-from roomforge.wavio import read_wav, write_wav
+from roomforge import wavio
+from roomforge.wavio import atomic_write, read_wav, write_wav
 
 
 @pytest.fixture
@@ -112,7 +116,6 @@ def test_riff_size_over_4_gib_rejected_before_any_sample_work(tmp_path, fmt, fra
     assert not path.exists()
 
 
-
 @pytest.mark.parametrize(
     "fmt,channels,extra",
     [("pcm16", 1, 1), ("pcm24", 1, 1), ("float32", 1, 2), ("pcm16", 2, 2), ("pcm24", 2, 3)],
@@ -133,3 +136,95 @@ def test_partial_frame_rejected(tmp_path, fmt, channels, extra):
         rf"of {frame}-byte frames",
     ):
         read_wav(path)
+
+
+@pytest.mark.parametrize("bits", [16, 24])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_pcm_samples_decode_exactly(tmp_path, bits, channels):
+    width = bits // 8
+    full = 2 ** (bits - 1)
+    extremes = b"".join(v.to_bytes(width, "little", signed=True) for v in (-full, full - 1, -1, 0, 1))
+    noise = np.random.default_rng(bits + channels).integers(0, 256, 600 * width, dtype=np.uint8)
+    data = (extremes + noise.tobytes())[: 201 * channels * width]
+    path = tmp_path / "pcm.wav"
+    write_wav(path, AudioSignal(16000, np.zeros((channels, 201))), fmt=f"pcm{bits}")
+    path.write_bytes(path.read_bytes()[:44] + data)
+    expected = [
+        int.from_bytes(data[i : i + width], "little", signed=True) / full
+        for i in range(0, len(data), width)
+    ]
+    np.testing.assert_array_equal(read_wav(path).data, np.reshape(expected, (-1, channels)).T)
+
+
+def test_pcm16_read_peak_memory_is_the_output_and_the_file(tmp_path):
+    # 8 channels, 2 s at 16 kHz: a 512 KB file that decodes to 2 MB of float64
+    x = np.clip(0.2 * np.random.default_rng(3).standard_normal((8, 32000)), -1, 1)
+    path = tmp_path / "array.wav"
+    write_wav(path, AudioSignal(16000, x), fmt="pcm16")
+    tracemalloc.start()
+    try:
+        back = read_wav(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # measured: the output plus the file's bytes plus about 1 KiB.  A copy of
+    # the data chunk adds another 512 KB, a second float64 array 2 MB.
+    assert peak <= back.data.nbytes + path.stat().st_size + 64 * 1024
+
+
+class _HalfWriter:
+    """A file whose ``write`` stores half of the bytes, then fails like a full disk."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def write(self, data):
+        self._f.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._f.close()
+
+
+def _fail_write(monkeypatch):
+    monkeypatch.setattr(wavio, "open", lambda *args: _HalfWriter(open(*args)), raising=False)
+
+
+def _fail_replace(monkeypatch):
+    def broken_replace(src, dst):
+        raise OSError("cross-device link")
+
+    monkeypatch.setattr(os, "replace", broken_replace)
+
+
+@pytest.mark.parametrize("fail", [_fail_write, _fail_replace])
+def test_failed_atomic_write_keeps_the_old_file(tmp_path, monkeypatch, fail):
+    target = tmp_path / "x.wav"
+    target.write_bytes(b"old bytes")
+    fail(monkeypatch)
+    with pytest.raises(OSError):
+        atomic_write(target, b"new bytes, a few more of them")
+    assert target.read_bytes() == b"old bytes"
+    assert list(tmp_path.iterdir()) == [target]  # no .x.wav.<random>.tmp left behind
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+def test_atomic_write_gives_a_new_file_the_mode_of_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "wb"):
+            pass
+        atomic_write(tmp_path / "atomic", b"x")
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("plain", "atomic")]
+    assert modes[0] == modes[1] == 0o666 & ~umask
+
+
+def test_atomic_write_takes_a_name_of_255_bytes(tmp_path):
+    target = tmp_path / ("s" * 251 + ".wav")
+    atomic_write(target, b"x")
+    assert target.read_bytes() == b"x"
