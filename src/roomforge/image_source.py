@@ -13,10 +13,12 @@ at delay distance / c, where ``gain`` is the source directivity evaluated
 with the image's mirrored orientation (boresight components are negated
 along every axis with odd mirror parity, i.e. p = 1).
 
-``synthesize_rirs`` builds the lattice once for all microphones of an
-array and discards the images too far from every microphone before any
-per-image work; each microphone's IR is the same, bit for bit, as when it
-is synthesized alone.
+``synthesize_rirs`` walks the lattice once for all microphones of an
+array, about 32k images at a time.  Each chunk discards the images too far
+from every microphone, weighs the walls once, and adds every microphone's
+taps straight into that microphone's IR, so the working set is a few MB at
+any IR length.  Each microphone's IR is the same, bit for bit, as when it is
+synthesized alone.
 """
 
 from __future__ import annotations
@@ -40,9 +42,12 @@ from .core import (
 DEFAULT_IMAGE_BUDGET = 10_000_000
 SINC_HALF_WIDTH = 32  # taps on each side in fractional-delay mode
 # Changes whenever synthesized samples may change in any bit; part of IR cache keys.
-SYNTHESIS_VERSION = 2
+SYNTHESIS_VERSION = 3
 
-_BLOCK = 8192  # images per block of per-image temporaries, which then stay in cache
+_CHUNK = 32768  # lattice points per chunk: the working set stays a few MB at any IR length
+# images per sinc block: its (2W + 1, block) temporaries stay in cache, and the
+# basis product is too small to wake BLAS threads
+_BLOCK = 2048
 _OFFSETS = np.arange(-SINC_HALF_WIDTH, SINC_HALF_WIDTH + 1)
 # Rows k = -W..W: (-1)^k * (cos(pi k / (W + 1)), -sin(pi k / (W + 1)), 1), so that
 # (_SINC_BASIS @ (cos b, sin b, 1))[k] = (-1)^k * (1 + cos(pi k / (W + 1) + b)).
@@ -156,19 +161,19 @@ def _pattern_gain(pattern: Directivity, cos_theta: np.ndarray) -> np.ndarray:
     return _first_order_gain(pattern.pattern, cos_theta)
 
 
-def _sinc_taps(delays: np.ndarray, amps: np.ndarray, n_out: int) -> np.ndarray:
-    """Sum of Hann-windowed sinc kernels, one per (delay, amplitude) pair.
+def _sinc_taps(delays: np.ndarray, amps: np.ndarray, out: np.ndarray) -> None:
+    """Add Hann-windowed sinc kernels, one per (delay, amplitude) pair, into ``out``.
 
     An image at ``d = r - delta`` samples (``r = round(d)``) puts
 
         amp * sinc(k + delta) * 0.5 * (1 + cos(pi * (k + delta) / (W + 1)))
 
-    on tap ``r + k`` for |k| <= W.  With sin(pi * (k + delta)) =
-    (-1)^k sin(pi * delta) and the angle-addition form of the Hann cosine,
-    this is exact and takes three trig calls per image instead of two per tap.
+    on tap ``r + k`` for |k| <= W, which is ``out[r + k + W]``; ``out`` must
+    reach every such tap.  With sin(pi * (k + delta)) = (-1)^k sin(pi * delta)
+    and the angle-addition form of the Hann cosine, this is exact and takes
+    three trig calls per image instead of two per tap.
     """
     w = SINC_HALF_WIDTH
-    ir = np.zeros(n_out)
     for start in range(0, delays.size, _BLOCK):
         d = delays[start : start + _BLOCK]
         a = amps[start : start + _BLOCK]
@@ -183,10 +188,9 @@ def _sinc_taps(delays: np.ndarray, amps: np.ndarray, n_out: int) -> np.ndarray:
         x[w, exact] = 1.0
         taps /= x
         taps[w, exact] = a[exact]
-        # bins are shifted by W so that every index is >= 0; the out-of-range ones are dropped
+        # out[0] is tap -W, so every index is >= 0
         shifted = np.add.outer(_OFFSETS + w, centers)
-        ir += np.bincount(shifted.ravel(), weights=taps.ravel(), minlength=n_out + w)[w : w + n_out]
-    return ir
+        out += np.bincount(shifted.ravel(), weights=taps.ravel(), minlength=out.size)
 
 
 def direct_path_index(room: RoomSpec, source: SourceSpec, mic: MicSpec, sample_rate: int) -> int:
@@ -232,73 +236,80 @@ def synthesize_rirs(
 
     # Keep the images that can land a tap inside the IR for some mic: within
     # reach samples (plus one for rounding) of the array's centroid, widened by
-    # the array's extent.  Rows of the (x*y, z) grid are x-major, and np.nonzero
-    # keeps C order, so every mic sums its taps in the order of the full lattice.
+    # the array's extent.  A kept image is within radius + extent of every mic,
+    # so its taps, shifted by W, fall inside each mic's accumulator.
     mic_pos = np.array([m.position for m in mics])
     centroid = mic_pos.mean(axis=0)
     extent = float(np.max(np.linalg.norm(mic_pos - centroid, axis=1)))
-    reach = n_out - 0.5 if config.fractional_delay == "nearest" else n_out + SINC_HALF_WIDTH
+    nearest = config.fractional_delay == "nearest"
+    reach = n_out - 0.5 if nearest else n_out + SINC_HALF_WIDTH
     radius = (reach + 1.0) * c / sample_rate + extent
-    d2 = np.add.outer(
-        np.add.outer((centroid[0] - per_axis[0][0]) ** 2, (centroid[1] - per_axis[1][0]) ** 2).ravel(),
-        (centroid[2] - per_axis[2][0]) ** 2,
-    )
-    ixy, iz = np.nonzero(d2 <= radius * radius)
-    del d2
+    w = SINC_HALF_WIDTH
+    acc = np.zeros((len(mics), int((radius + extent) / c * sample_rate) + 2 * w + 2))
 
-    def kept(ufunc, x, y, z):
-        """Per-axis values combined as (x . y) . z, for every kept image."""
-        return ufunc(ufunc.outer(x, y).ravel()[ixy], z[iz])
-
-    att = kept(
-        np.multiply,
-        *(betas[2 * d] ** per_axis[d][1] * betas[2 * d + 1] ** per_axis[d][2] for d in range(3)),
-    )
-    if config.negative_reflection or order_cap is not None:
-        counts = kept(np.add, *(per_axis[d][1] + per_axis[d][2] for d in range(3)))
-        if config.negative_reflection:
-            att = att * np.where(counts % 2 == 0, 1.0, -1.0)
-        if order_cap is not None:
-            att = np.where(counts <= order_cap, att, 0.0)
-
+    # Per-axis factors of each image's values; a lattice point combines its
+    # three as (x . y) . z, the same bits as an (x*y, z) table would hold.
+    to_centroid = [(centroid[d] - per_axis[d][0]) ** 2 for d in range(3)]
+    wall_att = [betas[2 * d] ** per_axis[d][1] * betas[2 * d + 1] ** per_axis[d][2] for d in range(3)]
+    reflections = [per_axis[d][1] + per_axis[d][2] for d in range(3)]
     pattern = source.directivity
     directive = pattern.pattern != "omnidirectional"
     ori = source.orientation
-    ir_samples = []
+    per_mic = []
     for pos in mic_pos:
-        # Squared distance and boresight projection, per axis: summed as (x + y) + z
-        # through an (x*y) table and the z values, one block of images at a time.
         rel = [pos[d] - per_axis[d][0] for d in range(3)]  # mic minus image
-        sq_xy, sq_z = np.add.outer(rel[0] * rel[0], rel[1] * rel[1]).ravel(), rel[2] * rel[2]
-        proj = [ori[d] * per_axis[d][3] * rel[d] for d in range(3)]
-        proj_xy, proj_z = np.add.outer(proj[0], proj[1]).ravel(), proj[2]
-        amps = np.empty(iz.size)
-        delays = np.empty(iz.size)
-        for start in range(0, iz.size, _BLOCK):
-            blk = slice(start, start + _BLOCK)
-            bxy, bz = ixy[blk], iz[blk]
-            dist = np.sqrt(sq_xy[bxy] + sq_z[bz])
-            gain = att[blk]
-            if directive:
-                gain = gain * _pattern_gain(pattern, (proj_xy[bxy] + proj_z[bz]) / dist)
-            amps[blk] = gain / (4.0 * np.pi * dist)
-            delays[blk] = dist / c * sample_rate
+        # squared distance and boresight projection
+        per_mic.append(([r * r for r in rel], [ori[d] * per_axis[d][3] * rel[d] for d in range(3)]))
 
-        if config.fractional_delay == "nearest":
-            # Taps past the IR fall in bins >= n_out, which are cut off; zero
-            # amplitudes add +-0.0, which leaves every bin's bits unchanged.
-            taps = np.round(delays).astype(np.int64)
-            ir_samples.append(np.bincount(taps, weights=amps, minlength=n_out)[:n_out])
-        else:
-            keep = (delays < n_out + SINC_HALF_WIDTH) & (amps != 0.0)
-            ir_samples.append(_sinc_taps(delays[keep], amps[keep], n_out))
+    # The lattice is walked in chunks of (x, y) rows, x-major, each with every
+    # z; np.nonzero keeps C order, so every mic adds its images in lattice
+    # order.  The chunks do not depend on the mics, so a mic's IR is the same
+    # bits in any array.
+    n_y, n_z = per_axis[1][0].size, per_axis[2][0].size
+    n_rows = per_axis[0][0].size * n_y
+    rows_per_chunk = max(1, _CHUNK // n_z)
+
+    def kept(ufunc, f):
+        """Per-axis values ``f`` combined as (x . y) . z, for the chunk's kept images."""
+        return ufunc(ufunc(f[0][ix], f[1][iy])[row], f[2][iz])
+
+    for first in range(0, n_rows, rows_per_chunk):
+        ix, iy = np.divmod(np.arange(first, min(first + rows_per_chunk, n_rows)), n_y)
+        row, iz = np.nonzero(
+            np.add.outer(to_centroid[0][ix] + to_centroid[1][iy], to_centroid[2]) <= radius * radius
+        )
+        if not iz.size:
+            continue
+        att = kept(np.multiply, wall_att)
+        if config.negative_reflection or order_cap is not None:
+            counts = kept(np.add, reflections)
+            if config.negative_reflection:
+                att = att * np.where(counts % 2 == 0, 1.0, -1.0)
+            if order_cap is not None:
+                att = np.where(counts <= order_cap, att, 0.0)
+
+        for out, (sq, proj) in zip(acc, per_mic):
+            dist = np.sqrt(kept(np.add, sq))
+            gain = att
+            if directive:
+                gain = gain * _pattern_gain(pattern, kept(np.add, proj) / dist)
+            amps = gain / (4.0 * np.pi * dist)
+            delays = dist / c * sample_rate
+            if nearest:
+                # unbuffered, in image order: the same sums as one bincount over the
+                # lattice; zero amplitudes add +-0.0, which leaves every bin's bits unchanged
+                np.add.at(out[w:], np.round(delays).astype(np.int64), amps)
+            else:
+                keep = (delays < n_out + w) & (amps != 0.0)
+                _sinc_taps(delays[keep], amps[keep], out)
+    ir_samples = acc[:, w : w + n_out]
 
     if config.highpass_hz > 0:
         # deferred: importing scipy.signal costs about a second, and only this branch needs it
         from scipy.signal import butter, sosfilt
 
         sos = butter(2, config.highpass_hz, btype="highpass", fs=sample_rate, output="sos")
-        ir_samples = [sosfilt(sos, ir) for ir in ir_samples]
+        ir_samples = sosfilt(sos, ir_samples)
 
     out = []
     for mic, ir in zip(mics, ir_samples):

@@ -4,10 +4,10 @@ A manifest is a JSON document describing rooms, microphone layouts and
 speaker sessions (one placement plus a block of sentences each).  Angles
 are authored in degrees and converted to radians internally; geometry is
 in meters.  ``plan_and_run`` expands the manifest into one contamination
-job per (session, sentence), synthesizing each session's IRs for its whole
-array in one call (or loading them), and writes a reproducible corpus: the
-same manifest and seed yield byte-identical outputs regardless of worker
-count.
+job per (session, sentence), synthesizing each placement's IRs for its
+whole array in one call (or loading them) on the same worker pool as the
+jobs, and writes a reproducible corpus: the same manifest and seed yield
+byte-identical outputs regardless of worker count.
 """
 
 from __future__ import annotations
@@ -523,11 +523,14 @@ def plan_and_run(
 
     A dry run only counts the jobs: it reads no audio, resolves no IR and
     writes nothing, not even to the IR cache.  A real run reads the noise
-    file, resolves IRs serially (one batched synthesis per placement, cached
-    per mic, or loaded), then runs the jobs on a bounded thread pool.  Each
-    job writes one mono WAV per microphone plus a JSON sidecar; a top-level
-    ``corpus.json`` indexes everything.  A job that fails is reported in
-    ``failures`` and ``corpus.json``, and the others still run.
+    file, then uses one bounded thread pool of ``parallelism`` workers.  It
+    first resolves the IRs of each distinct placement (one batched synthesis,
+    cached per mic, or loaded); their results are taken in session order, so
+    the first session that fails raises before any job starts.  Then the
+    pool runs the jobs.  Each job writes one mono WAV per microphone plus a
+    JSON sidecar; a top-level ``corpus.json`` indexes everything.  A job
+    that fails is reported in ``failures`` and ``corpus.json``, and the
+    others still run.
     """
     start = time.monotonic()
     fs = manifest.sample_rate
@@ -537,20 +540,34 @@ def plan_and_run(
     if not dry_run:
         noise = None if manifest.noise_file is None else _read_mono(manifest.noise_file, fs)
         cache = cache or IrCache()
-        # resolve IRs per session up front, in session order; deterministic regardless of workers
-        session_irs: List[List[ImpulseResponse]] = []
-        for sess in manifest.sessions:
+
+        def resolve(sess: SessionSpec) -> List[ImpulseResponse]:
             mics = manifest.arrays[sess.array]
             if sess.ir_mode == "load":
-                irs = [load_ir(sess.ir_files[mic.id]) for mic in mics]
-            else:
-                irs = cache.get_or_synthesize(
-                    manifest.rooms[sess.room], sess.source, mics, manifest.synthesis, fs
-                )
-            session_irs.append(irs)
+                return [load_ir(sess.ir_files[mic.id]) for mic in mics]
+            return cache.get_or_synthesize(
+                manifest.rooms[sess.room], sess.source, mics, manifest.synthesis, fs
+            )
 
-        manifest.output_dir.mkdir(parents=True, exist_ok=True)
         with ThreadPoolExecutor(max_workers=max(parallelism, 1)) as pool:
+            # sessions with one key get the same IRs, so they share one resolution
+            placements = {}
+            resolutions = []
+            for sess in manifest.sessions:
+                if sess.ir_mode == "load":
+                    key = (sess.array, tuple(sess.ir_files.items()))
+                else:
+                    key = (sess.array, sess.room, sess.source)
+                if key not in placements:
+                    placements[key] = pool.submit(resolve, sess)
+                resolutions.append(placements[key])
+            try:
+                session_irs = [future.result() for future in resolutions]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+
+            manifest.output_dir.mkdir(parents=True, exist_ok=True)
             futures = [
                 (f"{sess.name}/{sentence}",
                  pool.submit(_run_one, manifest, sess, sentence, irs, noise))

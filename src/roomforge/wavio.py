@@ -7,6 +7,7 @@ and IEEE float32, any channel count.  Samples are exposed as float64 in
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -100,7 +101,9 @@ def read_wav(path: Union[str, Path]) -> AudioSignal:
         samples /= 2**23
     else:
         samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
-        if not np.isfinite(samples).all():
+        # a float64 sum of float32 values cannot overflow, so it is finite exactly
+        # when every sample is, and it allocates nothing per sample
+        if not math.isfinite(samples.sum()):
             raise ValidationError(f"{path}: float32 data holds NaN or infinite samples")
     samples = samples.reshape(-1, n_channels).T
     return AudioSignal(sample_rate, samples)

@@ -516,3 +516,19 @@ class TestRunCommand:
         assert run_cli("run", manifest) == EXIT_INVALID
         err = capsys.readouterr().err
         assert "m0.json" in err and "Traceback" not in err
+
+    def test_broken_sidecar_after_a_synthesized_session_writes_no_corpus(self, tmp_path, capsys):
+        manifest = write_run_manifest(tmp_path, ["s01", "s02"], {"ir_length": 0.1, "max_order": 2})
+        write_wav(tmp_path / "m0.wav", AudioSignal(FS, np.exp(-np.arange(800) / 80.0)), fmt="float32")
+        (tmp_path / "m0.json").write_text("{broken")
+        doc = json.loads(manifest.read_text())
+        first = doc["sessions"][0]
+        first["sentences"] = ["s01"]
+        doc["sessions"].append(
+            dict(first, name="sessB", sentences=["s02"], ir={"mode": "load", "files": {"m0": "m0.wav"}})
+        )
+        manifest.write_text(json.dumps(doc))
+        assert run_cli("run", manifest, "--jobs", "2") == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "m0.json" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()

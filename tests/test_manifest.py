@@ -1,5 +1,8 @@
 import hashlib
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -50,6 +53,34 @@ def base_doc(tmp_path, sentences=("s01", "s02"), mics=None):
             }
         ],
     }
+
+
+def placement_doc(tmp_path, sources):
+    """``base_doc`` with one single-sentence session per source position."""
+    doc = base_doc(tmp_path, sentences=())
+    first = doc["sessions"].pop()
+    for i, position in enumerate(sources):
+        doc["sessions"].append(
+            dict(first, name=f"sess{i}", source={"position": position}, sentences=[f"s{i}"])
+        )
+    write_clean(tmp_path / "clean", [f"s{i}" for i in range(len(sources))])
+    return doc
+
+
+def hook_synthesis(monkeypatch, before):
+    """Make the manifest's synthesis call ``before()`` first; returns the source positions it got."""
+    from roomforge import manifest as manifest_module
+
+    calls = []
+    synthesize = manifest_module.synthesize_rirs
+
+    def hooked(room, source, *args, **kwargs):
+        calls.append(source.position)
+        before()
+        return synthesize(room, source, *args, **kwargs)
+
+    monkeypatch.setattr(manifest_module, "synthesize_rirs", hooked)
+    return calls
 
 
 class TestParseManifest:
@@ -350,22 +381,23 @@ class TestPlanAndRun:
                     out[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
             return out
 
-        doc = base_doc(tmp_path)
+        # three placements, one of them repeated
+        doc = placement_doc(tmp_path, [[3.0, 2.0, 1.5], [4.0, 3.0, 1.5], [3.0, 2.0, 1.5], [2.0, 3.0, 2.0]])
         doc["noise"] = {"file": "noise.wav", "snr_db": 15}
         rng = np.random.default_rng(60)
         write_wav(tmp_path / "noise.wav", AudioSignal(FS, rng.standard_normal(FS)), fmt="float32")
-        write_clean(tmp_path / "clean", ["s01", "s02"])
         path = tmp_path / "manifest.json"
 
         digests = []
-        for run, workers in ((1, 1), (2, 4)):
-            doc["output_dir"] = f"out{run}"
+        for workers in (1, 2, 4):
+            doc["output_dir"] = f"out{workers}"
             path.write_text(json.dumps(doc))
             m = load_manifest(path)
             report = plan_and_run(m, parallelism=workers)
             assert report.ok
-            digests.append(digest(tmp_path / f"out{run}"))
-        assert digests[0] == digests[1]
+            digests.append(digest(tmp_path / f"out{workers}"))
+        assert len(digests[0]) == 4 * 2 * 2 + 1  # a WAV and a sidecar per job and mic, and corpus.json
+        assert digests[0] == digests[1] == digests[2]
 
     def test_each_session_runs_with_its_own_irs(self, tmp_path, monkeypatch):
         # sessions built by hand can share a name; IRs are matched by position, not by name
@@ -392,6 +424,29 @@ class TestPlanAndRun:
         ]
         assert seen == expected
         assert expected[0][1] != expected[1][1]
+
+    def test_distinct_placements_resolve_concurrently(self, tmp_path, monkeypatch):
+        doc = placement_doc(tmp_path, [[3.0, 2.0, 1.5], [4.0, 3.0, 1.5]])
+        barrier = threading.Barrier(2, timeout=10)
+        hook_synthesis(monkeypatch, barrier.wait)  # breaks unless both resolve at once
+        m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert plan_and_run(m, parallelism=2, cache=IrCache(directory=None)).ok
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_repeated_placement_is_synthesized_once(self, tmp_path, monkeypatch, workers):
+        a, b, c = [3.0, 2.0, 1.5], [4.0, 3.0, 1.5], [2.0, 3.0, 2.0]
+        doc = placement_doc(tmp_path, [a, a, b, a, b, c])
+        # long enough for a second worker to miss the cache too
+        calls = hook_synthesis(monkeypatch, lambda: time.sleep(0.2))
+        m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more workers than cores, switching often
+        try:
+            report = plan_and_run(m, parallelism=workers, cache=IrCache(directory=None))
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.ok and report.jobs_done == 6
+        assert sorted(calls) == [tuple(c), tuple(a), tuple(b)]
 
     def test_noise_rate_mismatch_rejected(self, tmp_path):
         doc = base_doc(tmp_path)

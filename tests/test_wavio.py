@@ -172,6 +172,21 @@ def test_pcm16_read_peak_memory_is_the_output_and_the_file(tmp_path):
     assert peak <= back.data.nbytes + path.stat().st_size + 64 * 1024
 
 
+def test_float32_read_peak_memory_is_the_output_and_the_file(tmp_path):
+    # the same 8 x 32000 array as float32: a 1 MB file that decodes to 2 MB of float64
+    x = np.clip(0.2 * np.random.default_rng(3).standard_normal((8, 32000)), -1, 1)
+    path = tmp_path / "array.wav"
+    write_wav(path, AudioSignal(16000, x), fmt="float32")
+    tracemalloc.start()
+    try:
+        back = read_wav(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a per-sample finiteness mask adds 256 KB
+    assert peak <= back.data.nbytes + path.stat().st_size + 64 * 1024
+
+
 class _HalfWriter:
     """A file whose ``write`` stores half of the bytes, then fails like a full disk."""
 
