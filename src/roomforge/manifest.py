@@ -4,10 +4,12 @@ A manifest is a JSON document describing rooms, microphone layouts and
 speaker sessions (one placement plus a block of sentences each).  Angles
 are authored in degrees and converted to radians internally; geometry is
 in meters.  ``plan_and_run`` expands the manifest into one contamination
-job per (session, sentence), synthesizing each placement's IRs for its
-whole array in one call (or loading them) on the same worker pool as the
-jobs, and writes a reproducible corpus: the same manifest and seed yield
-byte-identical outputs regardless of worker count.
+job per (session, sentence) and runs it on one worker pool.  The pool
+first resolves each placement's IRs: a synthesized array is split into one
+contiguous mic group per worker, a loaded one is read in one task.  Then it
+runs the jobs, longest first.  The corpus is reproducible: the same manifest
+and seed yield byte-identical outputs whatever the worker count, the mic
+groups and the job order.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import os
 import reprlib
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -459,6 +461,15 @@ def _read_mono(path: Path, fs: int) -> AudioSignal:
     return signal
 
 
+def _job_cost(manifest: ScenarioManifest, session: SessionSpec, sentence: str) -> int:
+    """A job's relative cost: its clean file's size times its mic count, 0 if unreadable."""
+    try:
+        size = (manifest.clean_dir / f"{sentence}.wav").stat().st_size
+    except OSError:
+        return 0  # the job itself reports the problem
+    return size * len(manifest.arrays[session.array])
+
+
 def _run_one(
     manifest: ScenarioManifest,
     session: SessionSpec,
@@ -524,13 +535,16 @@ def plan_and_run(
     A dry run only counts the jobs: it reads no audio, resolves no IR and
     writes nothing, not even to the IR cache.  A real run reads the noise
     file, then uses one bounded thread pool of ``parallelism`` workers.  It
-    first resolves the IRs of each distinct placement (one batched synthesis,
-    cached per mic, or loaded); their results are taken in session order, so
-    the first session that fails raises before any job starts.  Then the
-    pool runs the jobs.  Each job writes one mono WAV per microphone plus a
-    JSON sidecar; a top-level ``corpus.json`` indexes everything.  A job
-    that fails is reported in ``failures`` and ``corpus.json``, and the
-    others still run.
+    first resolves the IRs of each distinct placement.  A synthesized one
+    becomes ``min(parallelism, mics)`` contiguous mic groups, one batched
+    synthesis each (cached per mic), joined back in mic order; a loaded one is
+    one task.  The results are taken in session order, so the first session
+    that fails raises before any job starts.  Then the pool runs the jobs,
+    longest first: by the clean file's size times the mic count, ties in
+    manifest order.  Neither the groups nor the order change a byte of the
+    corpus.  Each job writes one mono WAV per microphone plus a JSON sidecar;
+    a top-level ``corpus.json`` indexes everything.  A job that fails is
+    reported in ``failures`` and ``corpus.json``, and the others still run.
     """
     start = time.monotonic()
     fs = manifest.sample_rate
@@ -541,15 +555,25 @@ def plan_and_run(
         noise = None if manifest.noise_file is None else _read_mono(manifest.noise_file, fs)
         cache = cache or IrCache()
 
-        def resolve(sess: SessionSpec) -> List[ImpulseResponse]:
-            mics = manifest.arrays[sess.array]
-            if sess.ir_mode == "load":
-                return [load_ir(sess.ir_files[mic.id]) for mic in mics]
-            return cache.get_or_synthesize(
-                manifest.rooms[sess.room], sess.source, mics, manifest.synthesis, fs
-            )
+        workers = max(parallelism, 1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
 
-        with ThreadPoolExecutor(max_workers=max(parallelism, 1)) as pool:
+            def resolve(sess: SessionSpec) -> List[Future]:
+                """Futures for the session's IRs, in mic order."""
+                mics = manifest.arrays[sess.array]
+                if sess.ir_mode == "load":
+                    paths = [sess.ir_files[mic.id] for mic in mics]
+                    return [pool.submit(lambda: [load_ir(p) for p in paths])]
+                # up to one contiguous mic group per worker; synthesize_rirs gives a mic
+                # the same bits in any subset, so the grouping never reaches the corpus
+                groups = min(workers, len(mics))
+                bounds = [len(mics) * g // groups for g in range(groups + 1)]
+                return [
+                    pool.submit(cache.get_or_synthesize, manifest.rooms[sess.room], sess.source,
+                                mics[lo:hi], manifest.synthesis, fs)
+                    for lo, hi in zip(bounds, bounds[1:])
+                ]
+
             # sessions with one key get the same IRs, so they share one resolution
             placements = {}
             resolutions = []
@@ -559,20 +583,29 @@ def plan_and_run(
                 else:
                     key = (sess.array, sess.room, sess.source)
                 if key not in placements:
-                    placements[key] = pool.submit(resolve, sess)
+                    placements[key] = resolve(sess)
                 resolutions.append(placements[key])
             try:
-                session_irs = [future.result() for future in resolutions]
+                session_irs = [
+                    [ir for future in futures for ir in future.result()] for futures in resolutions
+                ]
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
 
             manifest.output_dir.mkdir(parents=True, exist_ok=True)
+            jobs = [
+                (sess, sentence, irs)
+                for sess, irs in zip(manifest.sessions, session_irs)
+                for sentence in sess.sentences
+            ]
+            # longest first, so that no long job starts last beside idle workers;
+            # the sort is stable, so equal costs keep manifest order
+            jobs.sort(key=lambda job: -_job_cost(manifest, *job[:2]))
             futures = [
                 (f"{sess.name}/{sentence}",
                  pool.submit(_run_one, manifest, sess, sentence, irs, noise))
-                for sess, irs in zip(manifest.sessions, session_irs)
-                for sentence in sess.sentences
+                for sess, sentence, irs in jobs
             ]
             for job_id, future in futures:
                 try:

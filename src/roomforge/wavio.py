@@ -19,6 +19,8 @@ from .core import AudioSignal, ValidationError
 
 _FORMATS = {"pcm16": (1, 16), "pcm24": (1, 24), "float32": (3, 32)}
 _RIFF_MAX = 2**32 - 1  # the RIFF and data chunk sizes are unsigned 32-bit
+# the low three bytes of a little-endian int32: one packed pcm24 sample
+_PCM24 = np.dtype({"names": ["v"], "formats": ["V3"], "offsets": [0], "itemsize": 4})
 
 
 def atomic_write(path: Union[str, Path], data: bytes) -> None:
@@ -124,24 +126,25 @@ def write_wav(path: Union[str, Path], signal: AudioSignal, fmt: str = "float32")
     interleaved = signal.data.T  # (frames, channels)
     n_channels = signal.num_channels
     if fmt == "float32":
-        payload = interleaved.astype("<f4").tobytes()
+        samples, stored = interleaved, "<f4"  # the cast to float32 happens as it is stored
     else:
         full = 2 ** (bits - 1)
-        ints = np.clip(np.round(interleaved * full), -full, full - 1).astype(np.int64)
+        samples = np.multiply(interleaved, full, out=np.empty(interleaved.shape))
+        np.round(samples, out=samples)
+        np.clip(samples, -full, full - 1, out=samples)
         if fmt == "pcm16":
-            payload = ints.astype("<i2").tobytes()
+            stored = "<i2"
         else:
-            flat = ints.ravel()
-            b = np.empty((flat.size, 3), dtype=np.uint8)
-            b[:, 0] = flat & 0xFF
-            b[:, 1] = (flat >> 8) & 0xFF
-            b[:, 2] = (flat >> 16) & 0xFF
-            payload = b.tobytes()
+            samples, stored = samples.astype("<i4").view(_PCM24)["v"], "V3"
     block_align = n_channels * bits // 8
     byte_rate = signal.sample_rate * block_align
-    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+    header = b"RIFF" + struct.pack("<I", 36 + payload_size) + b"WAVE"
     header += b"fmt " + struct.pack(
         "<IHHIIHH", 16, audio_format, n_channels, signal.sample_rate, byte_rate, block_align, bits
     )
-    header += b"data" + struct.pack("<I", len(payload))
-    atomic_write(path, header + payload)
+    header += b"data" + struct.pack("<I", payload_size)
+    data = bytearray(len(header) + payload_size)
+    data[: len(header)] = header
+    # stored straight into the file's bytes, with no payload copy to join to the header
+    np.frombuffer(data, stored, offset=len(header)).reshape(interleaved.shape)[...] = samples
+    atomic_write(path, data)

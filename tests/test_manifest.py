@@ -20,6 +20,11 @@ from roomforge.image_source import direct_path_index
 from roomforge.wavio import write_wav
 
 FS = 16000
+THREE_MICS = [
+    {"id": "m0", "position": [1.0, 1.0, 1.5]},
+    {"id": "m1", "position": [1.2, 1.0, 1.5]},
+    {"id": "m2", "position": [1.4, 1.0, 1.5]},
+]
 
 
 def write_clean(directory, names, seconds=0.5, seed=50):
@@ -55,9 +60,9 @@ def base_doc(tmp_path, sentences=("s01", "s02"), mics=None):
     }
 
 
-def placement_doc(tmp_path, sources):
+def placement_doc(tmp_path, sources, mics=None):
     """``base_doc`` with one single-sentence session per source position."""
-    doc = base_doc(tmp_path, sentences=())
+    doc = base_doc(tmp_path, sentences=(), mics=mics)
     first = doc["sessions"].pop()
     for i, position in enumerate(sources):
         doc["sessions"].append(
@@ -68,16 +73,19 @@ def placement_doc(tmp_path, sources):
 
 
 def hook_synthesis(monkeypatch, before):
-    """Make the manifest's synthesis call ``before()`` first; returns the source positions it got."""
+    """Make the manifest's synthesis call ``before()`` first.
+
+    Returns the calls it got, as (source position, mic ids) pairs.
+    """
     from roomforge import manifest as manifest_module
 
     calls = []
     synthesize = manifest_module.synthesize_rirs
 
-    def hooked(room, source, *args, **kwargs):
-        calls.append(source.position)
+    def hooked(room, source, mics, *args, **kwargs):
+        calls.append((source.position, tuple(mic.id for mic in mics)))
         before()
-        return synthesize(room, source, *args, **kwargs)
+        return synthesize(room, source, mics, *args, **kwargs)
 
     monkeypatch.setattr(manifest_module, "synthesize_rirs", hooked)
     return calls
@@ -381,23 +389,30 @@ class TestPlanAndRun:
                     out[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
             return out
 
-        # three placements, one of them repeated
-        doc = placement_doc(tmp_path, [[3.0, 2.0, 1.5], [4.0, 3.0, 1.5], [3.0, 2.0, 1.5], [2.0, 3.0, 2.0]])
+        # three placements, one of them repeated, on three mics, and sentences
+        # of uneven length, so that both the mic groups and the job order vary
+        doc = placement_doc(
+            tmp_path,
+            [[3.0, 2.0, 1.5], [4.0, 3.0, 1.5], [3.0, 2.0, 1.5], [2.0, 3.0, 2.0]],
+            mics=THREE_MICS,
+        )
+        for i, seconds in enumerate((0.3, 0.7, 0.5, 0.9)):
+            write_clean(tmp_path / "clean", [f"s{i}"], seconds=seconds, seed=50 + i)
         doc["noise"] = {"file": "noise.wav", "snr_db": 15}
         rng = np.random.default_rng(60)
         write_wav(tmp_path / "noise.wav", AudioSignal(FS, rng.standard_normal(FS)), fmt="float32")
         path = tmp_path / "manifest.json"
 
         digests = []
-        for workers in (1, 2, 4):
+        for workers in (1, 2, 3, 4):
             doc["output_dir"] = f"out{workers}"
             path.write_text(json.dumps(doc))
             m = load_manifest(path)
             report = plan_and_run(m, parallelism=workers)
             assert report.ok
             digests.append(digest(tmp_path / f"out{workers}"))
-        assert len(digests[0]) == 4 * 2 * 2 + 1  # a WAV and a sidecar per job and mic, and corpus.json
-        assert digests[0] == digests[1] == digests[2]
+        assert len(digests[0]) == 4 * 3 * 2 + 1  # a WAV and a sidecar per job and mic, and corpus.json
+        assert digests[0] == digests[1] == digests[2] == digests[3]
 
     def test_each_session_runs_with_its_own_irs(self, tmp_path, monkeypatch):
         # sessions built by hand can share a name; IRs are matched by position, not by name
@@ -426,16 +441,25 @@ class TestPlanAndRun:
         assert expected[0][1] != expected[1][1]
 
     def test_distinct_placements_resolve_concurrently(self, tmp_path, monkeypatch):
-        doc = placement_doc(tmp_path, [[3.0, 2.0, 1.5], [4.0, 3.0, 1.5]])
+        # one mic each, so that each placement is a single synthesis
+        doc = placement_doc(tmp_path, [[3.0, 2.0, 1.5], [4.0, 3.0, 1.5]], mics=THREE_MICS[:1])
         barrier = threading.Barrier(2, timeout=10)
         hook_synthesis(monkeypatch, barrier.wait)  # breaks unless both resolve at once
         m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
         assert plan_and_run(m, parallelism=2, cache=IrCache(directory=None)).ok
 
-    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_one_placement_synthesizes_its_mic_groups_concurrently(self, tmp_path, monkeypatch):
+        doc = placement_doc(tmp_path, [[3.0, 2.0, 1.5]])
+        barrier = threading.Barrier(2, timeout=10)
+        calls = hook_synthesis(monkeypatch, barrier.wait)  # breaks unless both groups run at once
+        m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert plan_and_run(m, parallelism=2, cache=IrCache(directory=None)).ok
+        assert sorted(calls) == [((3.0, 2.0, 1.5), ("m0",)), ((3.0, 2.0, 1.5), ("m1",))]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_repeated_placement_is_synthesized_once(self, tmp_path, monkeypatch, workers):
         a, b, c = [3.0, 2.0, 1.5], [4.0, 3.0, 1.5], [2.0, 3.0, 2.0]
-        doc = placement_doc(tmp_path, [a, a, b, a, b, c])
+        doc = placement_doc(tmp_path, [a, a, b, a, b, c], mics=THREE_MICS)
         # long enough for a second worker to miss the cache too
         calls = hook_synthesis(monkeypatch, lambda: time.sleep(0.2))
         m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
@@ -446,7 +470,42 @@ class TestPlanAndRun:
         finally:
             sys.setswitchinterval(interval)
         assert report.ok and report.jobs_done == 6
-        assert sorted(calls) == [tuple(c), tuple(a), tuple(b)]
+        synthesized = [(position, mic) for position, mics in calls for mic in mics]
+        assert sorted(synthesized) == sorted(
+            (tuple(p), mic["id"]) for p in (a, b, c) for mic in THREE_MICS
+        )
+        # each placement in min(workers, mics) contiguous groups
+        assert len(calls) == 3 * min(workers, 3)
+        assert all(list(mics) == sorted(mics) for _, mics in calls)
+
+    def test_jobs_start_longest_first(self, tmp_path, monkeypatch):
+        from roomforge import manifest as manifest_module
+
+        doc = base_doc(tmp_path, sentences=("s01", "s02", "s03", "s04", "s05"))
+        doc["arrays"]["solo"] = THREE_MICS[:1]
+        doc["sessions"].append(dict(doc["sessions"][0], name="sessB", array="solo", sentences=["u01"]))
+        for name, seconds in (("s01", 0.2), ("s02", 0.6), ("s03", 0.4), ("s04", 0.6), ("u01", 1.0)):
+            write_clean(tmp_path / "clean", [name], seconds=seconds)
+        # s05 has no clean file: it costs 0, goes last and still fails in its job
+        m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        started = []
+        run_one = manifest_module._run_one
+
+        def record(manifest, session, sentence, *args):
+            started.append(f"{session.name}/{sentence}")
+            return run_one(manifest, session, sentence, *args)
+
+        monkeypatch.setattr(manifest_module, "_run_one", record)
+        report = plan_and_run(m, parallelism=1, cache=IrCache(directory=None))
+        # cost = clean file bytes x mics: 0.6 s on two mics beats 1.0 s on one,
+        # and the two 0.6 s sentences keep their manifest order
+        assert started == ["sessA/s02", "sessA/s04", "sessB/u01", "sessA/s03", "sessA/s01", "sessA/s05"]
+        [(job_id, message)] = report.failures
+        assert job_id == "sessA/s05" and message.startswith("clean file not found")
+        index = json.loads((tmp_path / "out" / "corpus.json").read_text())
+        assert [e["job"] for e in index["jobs"]] == [
+            "sessA/s01", "sessA/s02", "sessA/s03", "sessA/s04", "sessB/u01"
+        ]
 
     def test_noise_rate_mismatch_rejected(self, tmp_path):
         doc = base_doc(tmp_path)
@@ -500,6 +559,26 @@ class TestIrCache:
         assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(
             f"{IrCache.key(room, src, mic, cfg, FS)}.npy" for mic in mics
         )
+
+    @pytest.mark.parametrize(
+        "config", [{"fractional_delay": "nearest"}, {"fractional_delay": "sinc", "highpass_hz": 80.0}]
+    )
+    def test_mic_groups_match_the_whole_array(self, config):
+        from roomforge import MicSpec, RoomSpec, SourceSpec
+        from roomforge.image_source import ImageSynthesisConfig
+
+        room = RoomSpec(dimensions=(5.0, 4.0, 3.0), target_t60=0.4)
+        src = SourceSpec(position=(3.0, 2.0, 1.5), directivity="cardioid")
+        cfg = ImageSynthesisConfig(ir_length=0.1, **config)
+        mics = [MicSpec(id=f"m{i}", position=(1.0 + 0.05 * i, 1.0, 1.5)) for i in range(5)]
+        whole = IrCache(directory=None).get_or_synthesize(room, src, mics, cfg, FS)
+        for bounds in ([0, 2, 5], [0, 1, 3, 5], [0, 1, 2, 3, 4, 5]):
+            cache = IrCache(directory=None)
+            grouped = [ir for lo, hi in zip(bounds, bounds[1:])
+                       for ir in cache.get_or_synthesize(room, src, mics[lo:hi], cfg, FS)]
+            for a, b in zip(whole, grouped):
+                assert np.array_equal(a.samples, b.samples)
+                assert a.direct_path_index == b.direct_path_index
 
     def test_disk_hit_keeps_geometric_direct_path(self, tmp_path):
         from roomforge import MicSpec, RoomSpec, SourceSpec

@@ -187,6 +187,41 @@ def test_float32_read_peak_memory_is_the_output_and_the_file(tmp_path):
     assert peak <= back.data.nbytes + path.stat().st_size + 64 * 1024
 
 
+@pytest.mark.parametrize("bits", [16, 24])
+def test_pcm_encoding_rounds_half_to_even_clips_and_interleaves(tmp_path, bits):
+    full = 2 ** (bits - 1)
+    codes = [-full - 5.0, -full, -2.5, -1.5, -0.5, 0.0, 0.5, 1.5, 2.5, 7.25, full - 1.0, full + 3.0]
+    x = np.array(codes) / full
+    path = tmp_path / "ties.wav"
+    write_wav(path, AudioSignal(16000, np.stack([x, -x])), fmt=f"pcm{bits}")
+    expected = b"".join(
+        min(max(round(code), -full), full - 1).to_bytes(bits // 8, "little", signed=True)
+        for pair in zip(codes, [-c for c in codes])
+        for code in pair
+    )
+    assert path.read_bytes()[44:] == expected
+
+
+@pytest.mark.parametrize("fmt,share", [("pcm16", 1.25), ("pcm24", 1.5), ("float32", 0.5)])
+def test_write_peak_memory_is_one_scaled_copy_and_the_file(tmp_path, fmt, share):
+    # the same 8 x 32000 array: 2 MB of float64 input
+    x = np.clip(0.2 * np.random.default_rng(3).standard_normal((8, 32000)), -1, 1)
+    signal = AudioSignal(16000, x)
+    path = tmp_path / "array.wav"
+    tracemalloc.start()
+    try:
+        write_wav(path, signal, fmt=fmt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # measured: pcm16 holds the float64 scaled samples and the file's bytes
+    # (1.25x the input); pcm24 the scaled samples and their int32 cast (1.5x);
+    # float32 only the file's bytes (0.5x).  Separate round, clip and int64
+    # temporaries, a payload copy and a header + payload concatenation peaked
+    # at 2.0x, 3.4x and 1.0x.
+    assert peak <= share * x.nbytes + 64 * 1024
+
+
 class _HalfWriter:
     """A file whose ``write`` stores half of the bytes, then fails like a full disk."""
 
