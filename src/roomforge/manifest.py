@@ -212,6 +212,8 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
         name = _field(sess, "name", path, errors, "a string", f"session{i}")
         if not _is_path_component(name):
             errors.append((f"{path}.name", f"must be a single path component, got {name!r}"))
+        elif name == _CORPUS_INDEX:
+            errors.append((f"{path}.name", f"{name!r} is the name of the corpus index"))
         elif name in session_paths:
             errors.append(
                 (f"{path}.name", f"duplicate session name {name!r}, first at {session_paths[name]}")
@@ -260,13 +262,20 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
                 )
         if len(set(sentences)) != len(sentences):
             errors.append((f"{path}.sentences", "sentence ids must be unique within a session"))
+        mics = arrays.get(array_name, [])
+        owners: Dict[Path, Tuple[str, str]] = {}  # WAV -> the (sentence, mic) that writes it
+        for sentence in sentences:
+            for wav, mic in zip(_job_files(name, sentence, mics)[1], mics):
+                owner = owners.setdefault(wav, (sentence, mic.id))
+                if owner != (sentence, mic.id):
+                    errors.append((f"{path}.sentences", f"(sentence, mic) {owner} and "
+                                   f"{(sentence, mic.id)} both write {wav.name}"))
 
         ir_doc = _field(sess, "ir", path, errors, "an object", {})
         ir_mode = ir_doc.get("mode", "synthesize")
         ir_files: Dict[str, str] = {}
         if ir_mode == "load":
             files = _field(ir_doc, "files", f"{path}.ir", errors, "an object of strings", {})
-            mics = arrays.get(array_name, [])
             for mic in mics:
                 if mic.id not in files:
                     errors.append((f"{path}.ir.files", f"no IR file for mic {mic.id!r}"))
@@ -451,23 +460,38 @@ def _job_seed(global_seed: int, session: str, sentence: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def _at_rate(path, item, fs: int):
+    """``item``, a signal or IR read from ``path``, if it is at the manifest rate ``fs``."""
+    if item.sample_rate != fs:
+        raise ValidationError(f"{path}: sample rate {item.sample_rate} != manifest rate {fs}")
+    return item
+
+
 def _read_mono(path: Path, fs: int) -> AudioSignal:
     """The mono signal in ``path``; another sample rate or channel count is invalid."""
-    signal = read_wav(path)
-    if signal.sample_rate != fs:
-        raise ValidationError(f"{path}: sample rate {signal.sample_rate} != manifest rate {fs}")
+    signal = _at_rate(path, read_wav(path), fs)
     if signal.num_channels != 1:
         raise ValidationError(f"{path}: {signal.num_channels} channels, expected mono")
     return signal
 
 
+_CORPUS_INDEX = "corpus.json"  # beside the session directories in ``output_dir``
+
+
+def _job_files(session: str, sentence: str, mics: Sequence[MicSpec]) -> Tuple[Path, List[Path], Path]:
+    """A job's clean input (under ``clean_dir``), WAVs in mic order and sidecar (under ``output_dir``)."""
+    wavs = [Path(session, f"{sentence}_{mic.id}.wav") for mic in mics]
+    return Path(f"{sentence}.wav"), wavs, Path(session, f"{sentence}.json")
+
+
 def _job_cost(manifest: ScenarioManifest, session: SessionSpec, sentence: str) -> int:
     """A job's relative cost: its clean file's size times its mic count, 0 if unreadable."""
+    mics = manifest.arrays[session.array]
     try:
-        size = (manifest.clean_dir / f"{sentence}.wav").stat().st_size
+        size = (manifest.clean_dir / _job_files(session.name, sentence, mics)[0]).stat().st_size
     except OSError:
         return 0  # the job itself reports the problem
-    return size * len(manifest.arrays[session.array])
+    return size * len(mics)
 
 
 def _run_one(
@@ -477,9 +501,16 @@ def _run_one(
     irs: List[ImpulseResponse],
     noise: Optional[AudioSignal],
 ) -> Tuple[List[str], int]:
-    """Write one sentence's WAV and sidecar per mic; return the files and the samples written."""
+    """Write one sentence's WAV per mic, then its sidecar; return the WAVs and the samples written.
+
+    The sidecar, ``<session>/<sentence>.json``, holds the job's fields once and a
+    ``channels`` list in mic order: each WAV's file name, its mic and its IR's
+    provenance.  It comes last, so one on disk means that every WAV it lists is whole.
+    """
     fs = manifest.sample_rate
-    clean_path = manifest.clean_dir / f"{sentence}.wav"
+    mics = manifest.arrays[session.array]
+    clean, wavs, sidecar = _job_files(session.name, sentence, mics)
+    clean_path = manifest.clean_dir / clean
     if not clean_path.exists():
         raise FileNotFoundError(f"clean file not found: {clean_path}")
     seed = _job_seed(manifest.seed, session.name, sentence)
@@ -492,10 +523,11 @@ def _run_one(
         normalization=manifest.normalization,
     )
     out = run_job(job)
-    sess_dir = manifest.output_dir / session.name
-    sess_dir.mkdir(parents=True, exist_ok=True)
+    (manifest.output_dir / sidecar).parent.mkdir(parents=True, exist_ok=True)
+    for ch, wav in enumerate(wavs):
+        write_wav(manifest.output_dir / wav, out.channel(ch), fmt=manifest.output_format)
     source = session.source
-    job_fields = {
+    write_json(manifest.output_dir / sidecar, {
         "session": session.name,
         "sentence": sentence,
         "seed": seed,
@@ -508,20 +540,13 @@ def _run_one(
             "directivity": source.directivity.pattern,
         },
         "room": list(manifest.rooms[session.room].dimensions),
-    }
-    written = []
-    for ch, (mic, ir) in enumerate(zip(manifest.arrays[session.array], irs)):
-        wav_path = sess_dir / f"{sentence}_{mic.id}.wav"
-        write_wav(wav_path, out.channel(ch), fmt=manifest.output_format)
-        sidecar = {
-            **job_fields,
-            "channel": mic.id,
-            "mic": {"id": mic.id, "position": list(mic.position)},
-            "ir_provenance": ir.provenance,
-        }
-        write_json(wav_path.with_suffix(".json"), sidecar)
-        written.append(str(wav_path.relative_to(manifest.output_dir)))
-    return written, out.num_samples * out.num_channels
+        "channels": [
+            {"file": wav.name, "mic": {"id": mic.id, "position": list(mic.position)},
+             "ir_provenance": ir.provenance}
+            for wav, mic, ir in zip(wavs, mics, irs)
+        ],
+    })
+    return [str(wav) for wav in wavs], out.num_samples * out.num_channels
 
 
 def plan_and_run(
@@ -532,20 +557,24 @@ def plan_and_run(
 ) -> CorpusReport:
     """Expand the manifest into one job per (session, sentence) and write the corpus.
 
-    A dry run only counts the jobs: it reads no audio, resolves no IR and
-    writes nothing, not even to the IR cache.  A real run reads the noise
-    file, then uses one bounded thread pool of ``parallelism`` workers.  It
-    first resolves the IRs of each distinct placement.  A synthesized one
-    becomes ``min(parallelism, mics)`` contiguous mic groups, one batched
-    synthesis each (cached per mic), joined back in mic order; a loaded one is
-    one task.  The results are taken in session order, so the first session
-    that fails raises before any job starts.  Then the pool runs the jobs,
-    longest first: by the clean file's size times the mic count, ties in
-    manifest order.  Neither the groups nor the order change a byte of the
-    corpus.  Each job writes one mono WAV per microphone plus a JSON sidecar;
-    a top-level ``corpus.json`` indexes everything.  A job that fails is
+    ``parallelism`` below 1 is a ``ValidationError``.  A dry run only counts
+    the jobs: it reads no audio, resolves no IR and writes nothing, not even
+    to the IR cache.  A real run reads the noise file, then uses one bounded
+    thread pool of ``parallelism`` workers.  It first resolves the IRs of each
+    distinct placement.  A synthesized one becomes ``min(parallelism, mics)``
+    contiguous mic groups, one batched synthesis each (cached per mic), joined
+    back in mic order; a loaded one is one task, and an IR file at another
+    rate than the manifest's is invalid.  The results are taken in session
+    order, so the first session that fails raises before any job starts.
+    Then the pool runs the jobs, longest first: by the clean file's size
+    times the mic count, ties in manifest order.  Neither the groups nor the
+    order change a byte of the corpus.  Each job writes one mono WAV per
+    microphone, then one JSON sidecar for the job (see ``_run_one``); a
+    top-level ``corpus.json`` indexes everything.  A job that fails is
     reported in ``failures`` and ``corpus.json``, and the others still run.
     """
+    if parallelism < 1:
+        raise ValidationError(f"worker count must be at least 1, got {parallelism}")
     start = time.monotonic()
     fs = manifest.sample_rate
     index_entries = []
@@ -555,18 +584,17 @@ def plan_and_run(
         noise = None if manifest.noise_file is None else _read_mono(manifest.noise_file, fs)
         cache = cache or IrCache()
 
-        workers = max(parallelism, 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
 
             def resolve(sess: SessionSpec) -> List[Future]:
                 """Futures for the session's IRs, in mic order."""
                 mics = manifest.arrays[sess.array]
                 if sess.ir_mode == "load":
                     paths = [sess.ir_files[mic.id] for mic in mics]
-                    return [pool.submit(lambda: [load_ir(p) for p in paths])]
+                    return [pool.submit(lambda: [_at_rate(p, load_ir(p), fs) for p in paths])]
                 # up to one contiguous mic group per worker; synthesize_rirs gives a mic
                 # the same bits in any subset, so the grouping never reaches the corpus
-                groups = min(workers, len(mics))
+                groups = min(parallelism, len(mics))
                 bounds = [len(mics) * g // groups for g in range(groups + 1)]
                 return [
                     pool.submit(cache.get_or_synthesize, manifest.rooms[sess.room], sess.source,
@@ -623,7 +651,7 @@ def plan_and_run(
             "jobs": index_entries,
             "failures": [{"job": j, "error": m} for j, m in failures],
         }
-        write_json(manifest.output_dir / "corpus.json", index)
+        write_json(manifest.output_dir / _CORPUS_INDEX, index)
 
     return CorpusReport(
         jobs_planned=manifest.job_count(),

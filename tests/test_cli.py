@@ -427,6 +427,38 @@ class TestRunCommand:
         assert "  $.sessions[1].name: duplicate session name 'sessA'" in err
         assert not (tmp_path / "out").exists()
 
+    def test_session_named_like_the_corpus_index_is_invalid(self, tmp_path, capsys):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "max_order": 2})
+        doc = json.loads(manifest.read_text())
+        doc["sessions"][0]["name"] = "corpus.json"
+        manifest.write_text(json.dumps(doc))
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli("run", manifest) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "  $.sessions[0].name: 'corpus.json' is the name of the corpus index" in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_worker_count_below_one_is_invalid(self, tmp_path, capsys, jobs):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "max_order": 2})
+        assert run_cli("run", manifest, "--jobs", jobs) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"worker count must be at least 1, got {jobs}" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_loaded_ir_at_another_rate_is_invalid(self, tmp_path, capsys):
+        manifest = write_run_manifest(tmp_path, ["s01", "s02"], {"ir_length": 0.1, "max_order": 2})
+        write_wav(tmp_path / "m0.wav", AudioSignal(48000, np.exp(-np.arange(2400) / 240.0)), fmt="float32")
+        doc = json.loads(manifest.read_text())
+        doc["sessions"][0]["ir"] = {"mode": "load", "files": {"m0": "m0.wav"}}
+        manifest.write_text(json.dumps(doc))
+        assert run_cli("run", manifest, "--jobs", "2") == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'm0.wav'}: sample rate 48000 != manifest rate {FS}" in err
+        assert "FAILED" not in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_sentence_outside_the_output_dir_is_invalid(self, tmp_path, capsys):
         manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "max_order": 2})
         (tmp_path / "a" / "b" / "clean").mkdir(parents=True)

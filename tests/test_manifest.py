@@ -266,6 +266,31 @@ class TestParseManifest:
         m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
         assert m.sessions[0].sentences == ["s.01", "..s02", "s03.."]
 
+    def test_two_outputs_of_one_session_with_one_name_rejected(self, tmp_path):
+        # s01 on mic "a_m0" and s01_a on mic "m0" would both write s01_a_m0.wav
+        doc = base_doc(tmp_path, sentences=("s01", "s01_a"),
+                       mics=[{"id": "a_m0", "position": [1.0, 1.0, 1.5]},
+                             {"id": "m0", "position": [1.2, 1.0, 1.5]}])
+        with pytest.raises(ManifestError) as exc_info:
+            parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert exc_info.value.errors == [
+            ("$.sessions[0].sentences",
+             "(sentence, mic) ('s01', 'a_m0') and ('s01_a', 'm0') both write s01_a_m0.wav")
+        ]
+        # in two sessions the same names go to two directories
+        doc["sessions"][0]["sentences"] = ["s01"]
+        doc["sessions"].append(dict(doc["sessions"][0], name="sessB", sentences=["s01_a"]))
+        assert parse_manifest(json.dumps(doc), base_dir=tmp_path).job_count() == 2
+
+    def test_session_named_like_the_corpus_index_rejected(self, tmp_path):
+        doc = base_doc(tmp_path)
+        doc["sessions"][0]["name"] = "corpus.json"
+        with pytest.raises(ManifestError) as exc_info:
+            parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert exc_info.value.errors == [
+            ("$.sessions[0].name", "'corpus.json' is the name of the corpus index")
+        ]
+
     def test_multi_room_session_grid(self, tmp_path):
         doc = base_doc(tmp_path)
         doc["rooms"]["hall"] = {"dimensions": [8.0, 6.0, 4.0], "t60": 0.5}
@@ -360,7 +385,8 @@ class TestPlanAndRun:
             for mic in ("m0", "m1"):
                 wav = tmp_path / "out" / "sessA" / f"{sent}_{mic}.wav"
                 assert wav.exists()
-                assert wav.with_suffix(".json").exists()
+                assert not wav.with_suffix(".json").exists()
+            assert (tmp_path / "out" / "sessA" / f"{sent}.json").exists()
         index = json.loads((tmp_path / "out" / "corpus.json").read_text())
         assert [e["job"] for e in index["jobs"]] == ["sessA/s01", "sessA/s02"]
 
@@ -411,7 +437,7 @@ class TestPlanAndRun:
             report = plan_and_run(m, parallelism=workers)
             assert report.ok
             digests.append(digest(tmp_path / f"out{workers}"))
-        assert len(digests[0]) == 4 * 3 * 2 + 1  # a WAV and a sidecar per job and mic, and corpus.json
+        assert len(digests[0]) == 4 * 3 + 4 + 1  # a WAV per job and mic, a sidecar per job, and corpus.json
         assert digests[0] == digests[1] == digests[2] == digests[3]
 
     def test_each_session_runs_with_its_own_irs(self, tmp_path, monkeypatch):
@@ -519,6 +545,92 @@ class TestPlanAndRun:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=r"noise\.wav: sample rate 48000 != manifest"):
             plan_and_run(load_manifest(path))
+
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_rejected(self, tmp_path, monkeypatch, workers):
+        from roomforge import manifest as manifest_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(manifest_module, "ThreadPoolExecutor", forbidden)
+        m = self._setup(tmp_path)
+        for dry_run in (True, False):
+            with pytest.raises(ValidationError, match=f"worker count must be at least 1, got {workers}"):
+                plan_and_run(m, parallelism=workers, dry_run=dry_run)
+        assert not (tmp_path / "out").exists()
+
+    def test_loaded_ir_rate_mismatch_rejected(self, tmp_path):
+        doc = base_doc(tmp_path, sentences=("s01",))
+        for mic in ("m0", "m1"):
+            h = AudioSignal(48000, np.exp(-np.arange(2400) / 240.0))
+            write_wav(tmp_path / f"{mic}.wav", h, fmt="float32")
+        doc["sessions"][0]["ir"] = {"mode": "load", "files": {"m0": "m0.wav", "m1": "m1.wav"}}
+        write_clean(tmp_path / "clean", ["s01"])
+        m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        with pytest.raises(ValidationError, match=r"m0\.wav: sample rate 48000 != manifest rate 16000"):
+            plan_and_run(m)
+        assert not (tmp_path / "out").exists()
+
+    def test_sidecar_holds_the_job_fields_once_and_the_channels_in_mic_order(self, tmp_path):
+        from roomforge.manifest import _job_seed
+
+        doc = base_doc(tmp_path, sentences=("s01",), mics=THREE_MICS[::-1])
+        doc["sessions"][0]["source"] = {"position": [3.0, 2.0, 1.5], "azimuth_deg": 90.0,
+                                        "elevation_deg": -30.0, "directivity": "cardioid"}
+        doc["noise"] = {"file": "noise.wav", "snr_db": 15}
+        rng = np.random.default_rng(64)
+        write_wav(tmp_path / "noise.wav", AudioSignal(FS, rng.standard_normal(FS)), fmt="float32")
+        write_clean(tmp_path / "clean", ["s01"])
+        m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert plan_and_run(m, cache=IrCache(directory=None)).ok
+        sess_dir = tmp_path / "out" / "sessA"
+        assert sorted(p.name for p in sess_dir.iterdir()) == [
+            "s01.json", "s01_m0.wav", "s01_m1.wav", "s01_m2.wav"
+        ]
+        assert json.loads((sess_dir / "s01.json").read_text()) == {
+            "session": "sessA",
+            "sentence": "s01",
+            "seed": _job_seed(7, "sessA", "s01"),
+            "snr_db": 15,
+            "sample_rate": FS,
+            "source": {"position": [3.0, 2.0, 1.5], "azimuth": pytest.approx(np.pi / 2),
+                       "elevation": pytest.approx(-np.pi / 6), "directivity": "cardioid"},
+            "room": [5.0, 4.0, 3.0],
+            "channels": [
+                {"file": f"s01_{mic['id']}.wav", "mic": mic, "ir_provenance": "image-method"}
+                for mic in THREE_MICS[::-1]
+            ],
+        }
+
+    def test_failed_wav_write_leaves_no_sidecar(self, tmp_path, monkeypatch):
+        from roomforge import manifest as manifest_module
+
+        doc = base_doc(tmp_path, sentences=("s01", "s02", "s03"))
+        write_clean(tmp_path / "clean", ["s01", "s02", "s03"])
+        m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        write = manifest_module.write_wav
+
+        def failing(path, *args, **kwargs):
+            if path.name == "s02_m1.wav":  # the job's second WAV
+                raise OSError(f"{path}: disk full")
+            return write(path, *args, **kwargs)
+
+        monkeypatch.setattr(manifest_module, "write_wav", failing)
+        report = plan_and_run(m, parallelism=2, cache=IrCache(directory=None))
+        [(job_id, message)] = report.failures
+        assert job_id == "sessA/s02" and message.endswith("s02_m1.wav: disk full")
+        sess_dir = tmp_path / "out" / "sessA"
+        # s02's first WAV is on disk, but no sidecar vouches for it
+        assert sorted(p.name for p in sess_dir.glob("*.json")) == ["s01.json", "s03.json"]
+        assert sorted(p.name for p in sess_dir.glob("*.wav")) == [
+            "s01_m0.wav", "s01_m1.wav", "s02_m0.wav", "s03_m0.wav", "s03_m1.wav"
+        ]
+        for sentence in ("s01", "s03"):
+            sidecar = json.loads((sess_dir / f"{sentence}.json").read_text())
+            listed = [channel["file"] for channel in sidecar["channels"]]
+            assert listed == sorted(p.name for p in sess_dir.glob(f"{sentence}_*.wav"))
 
 
 class TestIrCache:
