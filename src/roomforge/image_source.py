@@ -85,8 +85,8 @@ class ImageSynthesisConfig:
     image_budget: int = DEFAULT_IMAGE_BUDGET
 
     def __post_init__(self):
-        if self.ir_length <= 0:
-            raise ValidationError(f"ir_length must be positive, got {self.ir_length}")
+        if not (math.isfinite(self.ir_length) and self.ir_length > 0):
+            raise ValidationError(f"ir_length must be finite and positive, got {self.ir_length}")
         if isinstance(self.max_reflection_order, str):
             if self.max_reflection_order != "auto":
                 raise ValidationError(f"max_reflection_order must be an integer or 'auto'")
@@ -94,8 +94,8 @@ class ImageSynthesisConfig:
             raise ValidationError("max_reflection_order must be >= 0")
         if self.fractional_delay not in ("nearest", "sinc"):
             raise ValidationError(f"unknown fractional_delay mode {self.fractional_delay!r}")
-        if self.highpass_hz < 0:
-            raise ValidationError("highpass_hz must be >= 0")
+        if not (math.isfinite(self.highpass_hz) and self.highpass_hz >= 0):
+            raise ValidationError(f"highpass_hz must be finite and >= 0, got {self.highpass_hz}")
 
 
 def reflectivity_from_t60(room: RoomSpec, t60: float) -> float:

@@ -5,11 +5,10 @@ speaker sessions (one placement plus a block of sentences each).  Angles
 are authored in degrees and converted to radians internally; geometry is
 in meters.  ``plan_and_run`` expands the manifest into one contamination
 job per (session, sentence) and runs it on one worker pool.  The pool
-first resolves each placement's IRs: a synthesized array is split into one
-contiguous mic group per worker, a loaded one is read in one task.  Then it
-runs the jobs, longest first.  The corpus is reproducible: the same manifest
-and seed yield byte-identical outputs whatever the worker count, the mic
-groups and the job order.
+first makes each distinct IR of the run once, whatever the room, array and
+session names (``_resolve_irs``).  Then it runs the jobs, longest first.  The
+corpus is reproducible: the same manifest and seed yield byte-identical
+outputs whatever the worker count, the mic groups and the job order.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -153,7 +152,9 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
                 target_t60=spec.get("t60"),
                 speed_of_sound=spec.get("speed_of_sound", 343.0),
             )
-        except (ValidationError, KeyError, TypeError) as exc:
+        except KeyError as exc:  # "dimensions", the one key read with []
+            errors.append((f"{path}.{exc.args[0]}", "missing required field"))
+        except (ValueError, TypeError) as exc:
             errors.append((path, str(exc)))
     if not rooms:
         errors.append(("$.rooms", "at least one room is required"))
@@ -165,7 +166,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
             layout = [MicSpec(id=m["id"], position=tuple(m["position"])) for m in mics]
             validate_mic_array(layout)
             arrays[name] = layout
-        except (ValidationError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             errors.append((path, str(exc)))
     if not arrays:
         errors.append(("$.arrays", "at least one microphone array is required"))
@@ -178,7 +179,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
             fractional_delay=syn.get("fractional_delay", "nearest"),
             highpass_hz=syn.get("highpass_hz", 0.0),
         )
-    except (ValidationError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         errors.append(("$.synthesis", str(exc)))
         synthesis = ImageSynthesisConfig()
 
@@ -236,7 +237,9 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
                 elevation=math.radians(src_doc.get("elevation_deg", 0.0)),
                 directivity=_parse_directivity(src_doc.get("directivity", "omnidirectional")),
             )
-        except (ValidationError, KeyError, TypeError) as exc:
+        except KeyError as exc:  # "position", the one key read with []
+            errors.append((f"{path}.source.{exc.args[0]}", "missing required field"))
+        except (ValueError, TypeError) as exc:
             errors.append((f"{path}.source", str(exc)))
 
         room = rooms.get(room_name)
@@ -348,7 +351,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
 def _parse_directivity(value) -> Directivity:
     if isinstance(value, str):
         return Directivity(value)
-    if isinstance(value, dict) and "angles_deg" in value:
+    if isinstance(value, dict) and value.keys() >= {"angles_deg", "gains"}:
         angles = tuple(math.radians(a) for a in value["angles_deg"])
         return Directivity("custom", table=(angles, tuple(value["gains"])))
     raise ValidationError(f"cannot interpret directivity {value!r}")
@@ -380,13 +383,13 @@ class CorpusReport:
 
 
 class IrCache:
-    """Synthesis cache keyed by a digest of the full geometry + config.
+    """Disk mirror of synthesized IRs, keyed by a digest of the full geometry + config.
 
-    In-memory always; mirrored to ``ROOMFORGE_CACHE_DIR`` as .npy files when
-    the env var is set, so repeated runs skip re-synthesis.  Keys include
-    ``SYNTHESIS_VERSION``, so files written by an older engine are not reused.
-    A disk hit is built with the samples and the geometric ``direct_path_index``
-    of a fresh synthesis, but no synthesis ``meta``.
+    Each synthesized IR is saved as a .npy file in ``directory`` (by default
+    ``ROOMFORGE_CACHE_DIR``, if set), so later runs skip its synthesis; nothing
+    is kept in memory.  Keys include ``SYNTHESIS_VERSION``, so files written by
+    an older engine are not reused.  A disk hit is built with the samples and the
+    geometric ``direct_path_index`` of a fresh synthesis, but no synthesis ``meta``.
     """
 
     def __init__(self, directory: Optional[Union[str, Path]] = None):
@@ -395,7 +398,6 @@ class IrCache:
         self.directory = Path(directory) if directory else None
         if self.directory:
             self.directory.mkdir(parents=True, exist_ok=True)
-        self._mem: Dict[str, ImpulseResponse] = {}
 
     @staticmethod
     def key(room: RoomSpec, source: SourceSpec, mic: MicSpec, config: ImageSynthesisConfig, fs: int) -> str:
@@ -415,26 +417,6 @@ class IrCache:
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def _lookup(
-        self, key: str, room: RoomSpec, source: SourceSpec, mic: MicSpec, fs: int
-    ) -> Optional[ImpulseResponse]:
-        if key in self._mem:
-            return self._mem[key]
-        if self.directory:
-            f = self.directory / f"{key}.npy"
-            if f.exists():
-                ir = ImpulseResponse(fs, np.load(f), "image-method", direct_path_index(room, source, mic, fs))
-                self._mem[key] = ir
-                return ir
-        return None
-
-    def _store(self, key: str, ir: ImpulseResponse) -> None:
-        self._mem[key] = ir
-        if self.directory:
-            buf = io.BytesIO()
-            np.save(buf, ir.samples)
-            atomic_write(self.directory / f"{key}.npy", buf.getvalue())
-
     def get_or_synthesize(
         self,
         room: RoomSpec,
@@ -443,15 +425,32 @@ class IrCache:
         config: ImageSynthesisConfig,
         fs: int,
     ) -> List[ImpulseResponse]:
-        """IRs for ``mics``: hits from memory or disk, the misses from one batched synthesis."""
-        keys = [self.key(room, source, mic, config, fs) for mic in mics]
-        irs = [self._lookup(k, room, source, mic, fs) for k, mic in zip(keys, mics)]
+        """IRs for ``mics``: hits from disk, the misses from one batched synthesis, then saved.
+
+        A file that does not load as an IR of ``round(ir_length * fs)`` samples is
+        a miss: its IR is synthesized again and written over it.
+        """
+        irs: List[Optional[ImpulseResponse]] = [None] * len(mics)
+        files = []
+        if self.directory:
+            files = [self.directory / f"{self.key(room, source, mic, config, fs)}.npy" for mic in mics]
+            for i, (f, mic) in enumerate(zip(files, mics)):
+                try:
+                    samples = np.load(f)
+                    if samples.shape == (round(config.ir_length * fs),):
+                        irs[i] = ImpulseResponse(fs, samples, "image-method",
+                                                 direct_path_index(room, source, mic, fs))
+                except (OSError, EOFError, ValueError):
+                    pass  # absent, truncated or not an IR: a miss
         missing = [i for i, ir in enumerate(irs) if ir is None]
         if missing:
             fresh = synthesize_rirs(room, source, [mics[i] for i in missing], config, sample_rate=fs)
             for i, ir in zip(missing, fresh):
-                self._store(keys[i], ir)
                 irs[i] = ir
+                if files:
+                    buf = io.BytesIO()
+                    np.save(buf, ir.samples)
+                    atomic_write(files[i], buf.getvalue())
         return irs
 
 
@@ -524,6 +523,8 @@ def _run_one(
     )
     out = run_job(job)
     (manifest.output_dir / sidecar).parent.mkdir(parents=True, exist_ok=True)
+    # an earlier run's sidecar would vouch for WAVs that this run may leave half rewritten
+    (manifest.output_dir / sidecar).unlink(missing_ok=True)
     for ch, wav in enumerate(wavs):
         write_wav(manifest.output_dir / wav, out.channel(ch), fmt=manifest.output_format)
     source = session.source
@@ -549,6 +550,56 @@ def _run_one(
     return [str(wav) for wav in wavs], out.num_samples * out.num_channels
 
 
+def _resolve_irs(
+    manifest: ScenarioManifest, cache: IrCache, pool: ThreadPoolExecutor, parallelism: int
+) -> List[List[ImpulseResponse]]:
+    """Each session's IRs in mic order, each distinct IR made once on ``pool``.
+
+    A table maps each IR to the task that makes it and its index in that task's
+    result: a loaded IR by its file path, a synthesized one by (room, source, mic
+    position), as config and rate are fixed for the run.  A session's new files
+    are read in one task, each at the manifest's rate; its new synthesized mics
+    become ``min(parallelism, new)`` contiguous groups, one ``get_or_synthesize``
+    each (``synthesize_rirs`` gives a mic the same bits in any group).  Results
+    are taken in session order: the first session that fails raises, with the
+    queued tasks cancelled.
+    """
+    fs = manifest.sample_rate
+    table: Dict[Hashable, Tuple[Future, int]] = {}
+
+    def submit(keys, fn, *args):
+        future = pool.submit(fn, *args)
+        table.update((key, (future, i)) for i, key in enumerate(keys))
+
+    def load(paths):
+        return [_at_rate(p, load_ir(p), fs) for p in paths]
+
+    session_keys = []
+    for sess in manifest.sessions:
+        mics = manifest.arrays[sess.array]
+        if sess.ir_mode == "load":
+            keys = [sess.ir_files[mic.id] for mic in mics]
+            new = list(dict.fromkeys(key for key in keys if key not in table))
+            if new:
+                submit(new, load, new)
+        else:
+            room = manifest.rooms[sess.room]
+            keys = [(room, sess.source, mic.position) for mic in mics]
+            new = list({key: mic for key, mic in zip(keys, mics) if key not in table}.items())
+            groups = min(parallelism, len(new))
+            for g in range(groups):
+                group = new[len(new) * g // groups : len(new) * (g + 1) // groups]
+                submit([key for key, _ in group], cache.get_or_synthesize, room, sess.source,
+                       [mic for _, mic in group], manifest.synthesis, fs)
+        session_keys.append(keys)
+    try:
+        return [[future.result()[i] for future, i in (table[key] for key in keys)]
+                for keys in session_keys]
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        raise
+
+
 def plan_and_run(
     manifest: ScenarioManifest,
     parallelism: int = 1,
@@ -560,14 +611,10 @@ def plan_and_run(
     ``parallelism`` below 1 is a ``ValidationError``.  A dry run only counts
     the jobs: it reads no audio, resolves no IR and writes nothing, not even
     to the IR cache.  A real run reads the noise file, then uses one bounded
-    thread pool of ``parallelism`` workers.  It first resolves the IRs of each
-    distinct placement.  A synthesized one becomes ``min(parallelism, mics)``
-    contiguous mic groups, one batched synthesis each (cached per mic), joined
-    back in mic order; a loaded one is one task, and an IR file at another
-    rate than the manifest's is invalid.  The results are taken in session
-    order, so the first session that fails raises before any job starts.
-    Then the pool runs the jobs, longest first: by the clean file's size
-    times the mic count, ties in manifest order.  Neither the groups nor the
+    thread pool of ``parallelism`` workers.  It first makes each distinct IR
+    once (``_resolve_irs``); a failure there raises before any job starts or
+    ``output_dir`` exists.  Then the pool runs the jobs, longest first: by the
+    clean file's size times the mic count, ties in manifest order.  Neither the groups nor the
     order change a byte of the corpus.  Each job writes one mono WAV per
     microphone, then one JSON sidecar for the job (see ``_run_one``); a
     top-level ``corpus.json`` indexes everything.  A job that fails is
@@ -585,42 +632,7 @@ def plan_and_run(
         cache = cache or IrCache()
 
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-
-            def resolve(sess: SessionSpec) -> List[Future]:
-                """Futures for the session's IRs, in mic order."""
-                mics = manifest.arrays[sess.array]
-                if sess.ir_mode == "load":
-                    paths = [sess.ir_files[mic.id] for mic in mics]
-                    return [pool.submit(lambda: [_at_rate(p, load_ir(p), fs) for p in paths])]
-                # up to one contiguous mic group per worker; synthesize_rirs gives a mic
-                # the same bits in any subset, so the grouping never reaches the corpus
-                groups = min(parallelism, len(mics))
-                bounds = [len(mics) * g // groups for g in range(groups + 1)]
-                return [
-                    pool.submit(cache.get_or_synthesize, manifest.rooms[sess.room], sess.source,
-                                mics[lo:hi], manifest.synthesis, fs)
-                    for lo, hi in zip(bounds, bounds[1:])
-                ]
-
-            # sessions with one key get the same IRs, so they share one resolution
-            placements = {}
-            resolutions = []
-            for sess in manifest.sessions:
-                if sess.ir_mode == "load":
-                    key = (sess.array, tuple(sess.ir_files.items()))
-                else:
-                    key = (sess.array, sess.room, sess.source)
-                if key not in placements:
-                    placements[key] = resolve(sess)
-                resolutions.append(placements[key])
-            try:
-                session_irs = [
-                    [ir for future in futures for ir in future.result()] for futures in resolutions
-                ]
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
-
+            session_irs = _resolve_irs(manifest, cache, pool, parallelism)
             manifest.output_dir.mkdir(parents=True, exist_ok=True)
             jobs = [
                 (sess, sentence, irs)

@@ -36,11 +36,11 @@ class SweepSpec:
     def __post_init__(self):
         if not (0 < self.f_start < self.f_end):
             raise ValidationError(f"need 0 < f_start < f_end, got {self.f_start}, {self.f_end}")
-        if self.duration <= 0:
-            raise ValidationError("sweep duration must be positive")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValidationError(f"sweep duration must be finite and positive, got {self.duration}")
         if not (0 < self.amplitude <= 1):
             raise ValidationError("amplitude must lie in (0, 1]")
-        if self.fade < 0 or 2 * self.fade > self.duration:
+        if not (0 <= self.fade and 2 * self.fade <= self.duration):
             raise ValidationError("fade must be >= 0 and fit twice into the duration")
 
     def validate_rate(self, sample_rate: int) -> int:

@@ -16,6 +16,28 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+RIR = ["rir", "--room", "5,4,3", "--beta", "0.8", "--source", "1,1,1", "--mic", "2,2,2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (RIR + ["--ir-length", "inf"], "ir_length must be finite and positive, got inf"),
+        (RIR + ["--ir-length", "nan"], "ir_length must be finite and positive, got nan"),
+        (RIR + ["--highpass", "inf"], "highpass_hz must be finite and >= 0, got inf"),
+        (["sweep", "gen", "--duration", "inf"], "sweep duration must be finite and positive, got inf"),
+        (["sweep", "gen", "--duration", "nan"], "sweep duration must be finite and positive, got nan"),
+        (["sweep", "gen", "--fade", "nan"], "fade must be >= 0 and fit twice into the duration"),
+    ],
+    ids=["ir-length-inf", "ir-length-nan", "highpass-inf", "duration-inf", "duration-nan", "fade-nan"],
+)
+def test_number_that_is_not_finite_is_invalid(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.wav"
+    assert run_cli(*argv, "--fs", str(FS), "-o", out) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 class TestRirCommand:
     def test_synthesize_and_save(self, tmp_path):
         out = tmp_path / "h.wav"

@@ -198,6 +198,33 @@ class TestParseManifest:
             parse_manifest(json.dumps(doc), base_dir=tmp_path)
         assert any(p == path and msg.startswith("must be ") for p, msg in exc_info.value.errors)
 
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda d: d["rooms"]["lab"].update(dimensions=[5.0, "x", 3.0]),
+             ("$.rooms.lab", "could not convert string to float: 'x'")),
+            (lambda d: d["arrays"]["pair"][1].update(position=["x", 1.0, 1.5]),
+             ("$.arrays.pair", "could not convert string to float: 'x'")),
+            (lambda d: d["sessions"][0]["source"].update(position=[3.0, 2.0, "x"]),
+             ("$.sessions[0].source", "could not convert string to float: 'x'")),
+            (lambda d: d["synthesis"].update(ir_length=float("inf")),
+             ("$.synthesis", "ir_length must be finite and positive, got inf")),
+            (lambda d: d["synthesis"].update(highpass_hz=float("nan")),
+             ("$.synthesis", "highpass_hz must be finite and >= 0, got nan")),
+            (lambda d: d["rooms"]["lab"].pop("dimensions"),
+             ("$.rooms.lab.dimensions", "missing required field")),
+            (lambda d: d["sessions"][0]["source"].pop("position"),
+             ("$.sessions[0].source.position", "missing required field")),
+        ],
+        ids=["room", "mic", "source", "ir-length", "highpass", "no-dimensions", "no-position"],
+    )
+    def test_number_that_is_not_one_names_its_path(self, tmp_path, edit, error):
+        doc = base_doc(tmp_path)
+        edit(doc)
+        with pytest.raises(ManifestError) as exc_info:
+            parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert exc_info.value.errors[0] == error
+
     def test_sentences_string_is_not_three_sentences(self, tmp_path):
         doc = base_doc(tmp_path)
         doc["sessions"][0]["sentences"] = "s01"
@@ -504,6 +531,60 @@ class TestPlanAndRun:
         assert len(calls) == 3 * min(workers, 3)
         assert all(list(mics) == sorted(mics) for _, mics in calls)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_each_distinct_ir_is_made_once(self, tmp_path, monkeypatch, workers):
+        from roomforge import manifest as manifest_module
+        from roomforge.image_source import synthesize_rir
+        from roomforge.storage import load_ir
+
+        a = [3.0, 2.0, 1.5]
+        doc = placement_doc(tmp_path, [a] * 6)
+        doc["rooms"]["twin"] = doc["rooms"]["lab"]  # another name, the same geometry
+        doc["arrays"]["solo"] = doc["arrays"]["pair"][:1]
+        sessions = doc["sessions"]
+        sessions[1]["array"] = "solo"
+        sessions[2]["room"] = "twin"
+        sessions[3]["ir"] = {"mode": "load", "files": {"m0": "h0.wav", "m1": "h1.wav"}}
+        sessions[4]["ir"] = {"mode": "load", "files": {"m0": "h1.wav", "m1": "h0.wav"}}
+        sessions[5].update(array="solo", ir={"mode": "load", "files": {"m0": "h0.wav"}})
+        rng = np.random.default_rng(65)
+        for name in ("h0", "h1"):
+            h = rng.standard_normal(FS // 10) * np.exp(-np.arange(FS // 10) / 200.0)
+            write_wav(tmp_path / f"{name}.wav", AudioSignal(FS, h), fmt="float32")
+        # long enough for a second worker to miss the table too
+        calls = hook_synthesis(monkeypatch, lambda: time.sleep(0.2))
+        loads = []
+
+        def hooked_load(path):
+            loads.append(path)
+            time.sleep(0.2)
+            return load_ir(path)
+
+        monkeypatch.setattr(manifest_module, "load_ir", hooked_load)
+        seen = {}
+        run_one = manifest_module._run_one
+
+        def record(manifest, session, *args):
+            seen[session.name] = args[1]
+            return run_one(manifest, session, *args)
+
+        monkeypatch.setattr(manifest_module, "_run_one", record)
+        m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        report = plan_and_run(m, parallelism=workers, cache=IrCache(directory=None))
+        assert report.ok and report.jobs_done == 6
+        assert sorted(mic for _, mics in calls for mic in mics) == ["m0", "m1"]
+        assert sorted(loads) == [str(tmp_path / "h0.wav"), str(tmp_path / "h1.wav")]
+        # and each session still gets its own IRs, in mic order
+        h0, h1 = (load_ir(tmp_path / f"{name}.wav").samples for name in ("h0", "h1"))
+        room, source = m.rooms["lab"], m.sessions[0].source
+        r0, r1 = (synthesize_rir(room, source, mic, m.synthesis, FS).samples for mic in m.arrays["pair"])
+        expected = {"sess0": [r0, r1], "sess1": [r0], "sess2": [r0, r1],
+                    "sess3": [h0, h1], "sess4": [h1, h0], "sess5": [h0]}
+        assert {name: len(irs) for name, irs in seen.items()} == {
+            name: len(irs) for name, irs in expected.items()}
+        for name, irs in seen.items():
+            assert all(np.array_equal(ir.samples, x) for ir, x in zip(irs, expected[name]))
+
     def test_jobs_start_longest_first(self, tmp_path, monkeypatch):
         from roomforge import manifest as manifest_module
 
@@ -632,6 +713,28 @@ class TestPlanAndRun:
             listed = [channel["file"] for channel in sidecar["channels"]]
             assert listed == sorted(p.name for p in sess_dir.glob(f"{sentence}_*.wav"))
 
+    def test_failed_rerun_removes_the_earlier_sidecar(self, tmp_path, monkeypatch):
+        from roomforge import manifest as manifest_module
+        from roomforge.manifest import _job_seed
+
+        doc = base_doc(tmp_path)
+        write_clean(tmp_path / "clean", ["s01", "s02"])
+        assert plan_and_run(parse_manifest(json.dumps(doc), base_dir=tmp_path)).ok
+        doc["seed"] = 8
+        write = manifest_module.write_wav
+
+        def failing(path, *args, **kwargs):
+            if path.name == "s02_m1.wav":
+                raise OSError(f"{path}: disk full")
+            return write(path, *args, **kwargs)
+
+        monkeypatch.setattr(manifest_module, "write_wav", failing)
+        report = plan_and_run(parse_manifest(json.dumps(doc), base_dir=tmp_path))
+        assert [job_id for job_id, _ in report.failures] == ["sessA/s02"]
+        sess_dir = tmp_path / "out" / "sessA"
+        assert sorted(p.name for p in sess_dir.glob("*.json")) == ["s01.json"]
+        assert json.loads((sess_dir / "s01.json").read_text())["seed"] == _job_seed(8, "sessA", "s01")
+
 
 class TestIrCache:
     def test_disk_cache_round_trip(self, tmp_path, monkeypatch):
@@ -661,7 +764,7 @@ class TestIrCache:
         cache = IrCache(tmp_path / "cache")
         first = cache.get_or_synthesize(room, src, mics[:1], cfg, FS)
         irs = cache.get_or_synthesize(room, src, mics, cfg, FS)
-        assert irs[0] is first[0]
+        assert not irs[0].meta and np.array_equal(irs[0].samples, first[0].samples)  # a disk hit
         for mic, ir in zip(mics, irs):
             assert np.array_equal(ir.samples, synthesize_rir(room, src, mic, cfg, FS).samples)
         # a fresh cache on the same directory serves every mic from disk
@@ -706,6 +809,39 @@ class TestIrCache:
         assert not cached.meta  # served from disk
         assert np.array_equal(cached.samples, fresh.samples)
         assert fresh.direct_path_index == cached.direct_path_index == 93
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda f: f.write_bytes(f.read_bytes()[:1000]),  # truncated samples
+            lambda f: f.write_bytes(f.read_bytes()[:50]),  # truncated header
+            lambda f: f.write_bytes(b""),
+            lambda f: f.write_bytes(b"not an array"),
+            lambda f: np.save(f, np.ones(800)),  # an array of the wrong length
+            lambda f: np.save(f, np.zeros(1600)),  # no energy: not an IR
+        ],
+        ids=["samples-cut", "header-cut", "empty", "not-npy", "wrong-length", "silent"],
+    )
+    def test_unreadable_file_is_synthesized_again_and_overwritten(self, tmp_path, damage):
+        from roomforge import MicSpec, RoomSpec, SourceSpec
+        from roomforge.image_source import ImageSynthesisConfig
+
+        room = RoomSpec(dimensions=(5.0, 4.0, 3.0), reflectivity=(0.8,))
+        src = SourceSpec(position=(3.0, 2.0, 1.5))
+        mics = [MicSpec(id=f"m{i}", position=(1.0 + 0.1 * i, 1.0, 1.5)) for i in range(2)]
+        cfg = ImageSynthesisConfig(ir_length=0.1)
+        fresh = IrCache(tmp_path / "cache").get_or_synthesize(room, src, mics, cfg, FS)
+        damaged = tmp_path / "cache" / f"{IrCache.key(room, src, mics[1], cfg, FS)}.npy"
+        good = damaged.read_bytes()
+        damage(damaged)
+        irs = IrCache(tmp_path / "cache").get_or_synthesize(room, src, mics, cfg, FS)
+        assert not irs[0].meta and irs[1].meta  # a disk hit, then a new synthesis
+        for a, b in zip(fresh, irs):
+            assert np.array_equal(a.samples, b.samples)
+        assert damaged.read_bytes() == good
+        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(
+            f"{IrCache.key(room, src, mic, cfg, FS)}.npy" for mic in mics
+        )
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         from roomforge import MicSpec, RoomSpec, SourceSpec
