@@ -17,12 +17,10 @@ from .array_dsp import (
     steer_and_sum,
 )
 from .contaminate import (
-    CleanReport,
     ContaminationJob,
     convolve,
     mix_noise,
     run_job,
-    validate_clean,
 )
 from .core import (
     AudioSignal,

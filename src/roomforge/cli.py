@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from . import __version__
 from .array_dsp import delay_and_sum, oracle_select, steer_and_sum
 from .core import MicSpec, RoomSpec, SourceSpec, ValidationError
-from .image_source import ImageSynthesisConfig, ResourceError, synthesize_rir
+from .image_source import ImageSynthesisConfig, ResourceError, _resolve_reflectivity, synthesize_rir
 from .manifest import ManifestError, load_manifest, plan_and_run
 from .metrics import direct_to_reverberant_db, estimate_t60, schroeder_curve
 from .storage import load_ir, save_ir, write_json
@@ -167,7 +168,29 @@ def _cmd_rir(args) -> int:
         highpass_hz=args.highpass,
     )
     ir = synthesize_rir(room, source, mic, config, sample_rate=args.fs)
-    save_ir(args.output, ir)
+    meta = {
+        "room": {
+            "dimensions": list(room.dimensions),
+            "reflectivity": _resolve_reflectivity(room).tolist(),
+            "speed_of_sound": room.speed_of_sound,
+        },
+        "source": {
+            "position": list(source.position),
+            "azimuth": source.azimuth,
+            "elevation": source.elevation,
+            "directivity": source.directivity.pattern,
+        },
+        "mic": {"id": mic.id, "position": list(mic.position)},
+        "config": {
+            "ir_length": config.ir_length,
+            "max_reflection_order": config.max_reflection_order,
+            "fractional_delay": config.fractional_delay,
+            "highpass_hz": config.highpass_hz,
+            "negative_reflection": config.negative_reflection,
+        },
+        "sample_rate": args.fs,
+    }
+    save_ir(args.output, replace(ir, meta=meta))
     print(f"wrote {args.output} ({ir.num_samples} samples @ {ir.sample_rate} Hz)")
     return EXIT_OK
 

@@ -8,7 +8,7 @@ bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -17,8 +17,6 @@ from .core import AudioSignal, ImpulseResponse, ValidationError
 from .engine import fft_convolve, fft_convolve_many
 
 NOISE_CROSSFADE = 0.010  # seconds of crossfade at noise wrap seams
-CLIP_RUN_LENGTH = 3
-CLIP_THRESHOLD = 0.999
 PEAK_NORM_DBFS = -1.0
 
 
@@ -91,61 +89,6 @@ def mix_noise(
     out = y.mono[np.newaxis].copy()
     _add_noise(out, noise, target_snr_db, seed, y.sample_rate)
     return AudioSignal(y.sample_rate, out)
-
-
-@dataclass
-class CleanReport:
-    """Quality report for a close-talking recording."""
-
-    snr_db: Optional[float]
-    clipping: bool
-    dc_offset: float
-    passed: bool
-
-
-def validate_clean(x: AudioSignal, min_snr_db: float = 50.0) -> CleanReport:
-    """Estimate recording quality: SNR, clipping and DC offset.
-
-    SNR is the ratio of active-frame energy (frames 20 dB above the floor)
-    to the lowest-decile frame energy, on 25 ms frames with 10 ms hop.
-    """
-    sig = x.mono
-    clipped = _has_clipping(sig)
-    dc = float(np.mean(sig)) if sig.size else 0.0
-    if sig.size == 0 or _rms(sig) == 0.0:
-        return CleanReport(snr_db=None, clipping=clipped, dc_offset=dc, passed=False)
-
-    energies = _frame_energies(sig, x.sample_rate)
-    energies = energies[energies > 0]
-    if energies.size == 0:
-        return CleanReport(snr_db=None, clipping=clipped, dc_offset=dc, passed=False)
-
-    floor_count = max(int(np.ceil(energies.size * 0.1)), 1)
-    floor = float(np.mean(np.sort(energies)[:floor_count]))
-    active = energies[energies >= floor * 100.0]  # 20 dB above the floor
-    if active.size == 0 or floor == 0.0:
-        snr = None
-    else:
-        snr = float(10.0 * np.log10(np.mean(active) / floor))
-    passed = snr is not None and snr >= min_snr_db and not clipped
-    return CleanReport(snr_db=snr, clipping=clipped, dc_offset=dc, passed=passed)
-
-
-def _frame_energies(sig: np.ndarray, sample_rate: int) -> np.ndarray:
-    """Mean power of 25 ms frames at a 10 ms hop; a signal shorter than a frame is one frame."""
-    frame = max(int(round(0.025 * sample_rate)), 1)
-    hop = max(int(round(0.010 * sample_rate)), 1)
-    frames = np.lib.stride_tricks.sliding_window_view(sig, min(frame, sig.size))[::hop]
-    return np.mean(frames**2, axis=1)
-
-
-def _has_clipping(sig: np.ndarray) -> bool:
-    hot = np.abs(sig) >= CLIP_THRESHOLD
-    if hot.size < CLIP_RUN_LENGTH:
-        return False
-    run = np.ones(CLIP_RUN_LENGTH, dtype=bool)
-    windows = np.lib.stride_tricks.sliding_window_view(hot, CLIP_RUN_LENGTH)
-    return bool(np.any(np.all(windows == run, axis=1)))
 
 
 @dataclass

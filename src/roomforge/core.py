@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
@@ -48,8 +49,10 @@ class RoomSpec:
 
     def __post_init__(self):
         dims = tuple(float(d) for d in self.dimensions)
-        if len(dims) != 3 or any(d <= 0 for d in dims):
-            raise ValidationError(f"room dimensions must be 3 positive lengths, got {self.dimensions}")
+        if len(dims) != 3 or not all(math.isfinite(d) and d > 0 for d in dims):
+            raise ValidationError(
+                f"room dimensions must be 3 finite positive lengths, got {self.dimensions}"
+            )
         object.__setattr__(self, "dimensions", dims)
         if (self.reflectivity is None) == (self.target_t60 is None):
             raise ValidationError("specify exactly one of reflectivity or target_t60")
@@ -62,8 +65,8 @@ class RoomSpec:
             if any(not (0.0 <= b <= 1.0) for b in betas):
                 raise ValidationError(f"reflection coefficients must lie in [0, 1], got {betas}")
             object.__setattr__(self, "reflectivity", betas)
-        if self.target_t60 is not None and self.target_t60 <= 0:
-            raise ValidationError(f"target T60 must be positive, got {self.target_t60}")
+        if self.target_t60 is not None and not (math.isfinite(self.target_t60) and self.target_t60 > 0):
+            raise ValidationError(f"target T60 must be finite and positive, got {self.target_t60}")
         if not (300.0 <= self.speed_of_sound <= 360.0):
             raise ValidationError(f"speed_of_sound {self.speed_of_sound} outside sanity range [300, 360] m/s")
 
@@ -163,6 +166,10 @@ class SourceSpec:
         if len(pos) != 3:
             raise ValidationError("source position must be a 3-vector")
         object.__setattr__(self, "position", pos)
+        if not (math.isfinite(self.azimuth) and math.isfinite(self.elevation)):
+            raise ValidationError(
+                f"source azimuth and elevation must be finite, got {self.azimuth}, {self.elevation}"
+            )
         if isinstance(self.directivity, str):
             object.__setattr__(self, "directivity", Directivity(self.directivity))
 

@@ -97,6 +97,22 @@ class ImageSynthesisConfig:
         if not (math.isfinite(self.highpass_hz) and self.highpass_hz >= 0):
             raise ValidationError(f"highpass_hz must be finite and >= 0, got {self.highpass_hz}")
 
+    def validate_rate(self, sample_rate: int) -> int:
+        """Check the config against ``sample_rate``; return the IR's length in samples.
+
+        Each message starts with the name of the field at fault.
+        """
+        n = round(self.ir_length * sample_rate)
+        if n < 1:
+            raise ValidationError(
+                f"ir_length {self.ir_length} s is shorter than one sample at {sample_rate} Hz"
+            )
+        if self.highpass_hz >= sample_rate / 2:
+            raise ValidationError(
+                f"highpass_hz {self.highpass_hz} Hz reaches Nyquist for sample rate {sample_rate}"
+            )
+        return n
+
 
 def reflectivity_from_t60(room: RoomSpec, t60: float) -> float:
     """Uniform wall reflection coefficient achieving the requested T60 (Eyring).
@@ -209,6 +225,8 @@ def synthesize_rirs(
     """Synthesize the impulse responses between ``source`` and each of ``mics``.
 
     Each IR is bit for bit the one ``synthesize_rir`` gives for that mic alone.
+    It carries the samples and the geometric ``direct_path_index``, and an empty
+    ``meta``, so an IR read back from the IR cache equals it in every field.
     """
     source.validate_in_room(room)
     for mic in mics:
@@ -220,9 +238,7 @@ def synthesize_rirs(
 
     c = room.speed_of_sound
     betas = _resolve_reflectivity(room)
-    n_out = int(round(config.ir_length * sample_rate))
-    if n_out < 1:
-        raise ValidationError("ir_length shorter than one sample")
+    n_out = config.validate_rate(sample_rate)
 
     total = lattice_image_count(room, config)
     if total > config.image_budget:
@@ -311,33 +327,11 @@ def synthesize_rirs(
         sos = butter(2, config.highpass_hz, btype="highpass", fs=sample_rate, output="sos")
         ir_samples = sosfilt(sos, ir_samples)
 
-    out = []
-    for mic, ir in zip(mics, ir_samples):
-        meta = {
-            "room": {
-                "dimensions": list(room.dimensions),
-                "reflectivity": list(betas),
-                "speed_of_sound": c,
-            },
-            "source": {
-                "position": list(source.position),
-                "azimuth": source.azimuth,
-                "elevation": source.elevation,
-                "directivity": pattern.pattern,
-            },
-            "mic": {"id": mic.id, "position": list(mic.position)},
-            "config": {
-                "ir_length": config.ir_length,
-                "max_reflection_order": config.max_reflection_order,
-                "fractional_delay": config.fractional_delay,
-                "highpass_hz": config.highpass_hz,
-                "negative_reflection": config.negative_reflection,
-            },
-            "sample_rate": sample_rate,
-        }
-        direct = direct_path_index(room, source, mic, sample_rate)
-        out.append(ImpulseResponse(sample_rate, ir, "image-method", direct, meta))
-    return out
+    return [
+        ImpulseResponse(sample_rate, ir, "image-method",
+                        direct_path_index(room, source, mic, sample_rate))
+        for mic, ir in zip(mics, ir_samples)
+    ]
 
 
 def synthesize_rir(

@@ -163,10 +163,14 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
     for name, mics in _field(doc, "arrays", "$", errors, "an object", {}).items():
         path = f"$.arrays.{name}"
         try:
-            layout = [MicSpec(id=m["id"], position=tuple(m["position"])) for m in mics]
+            layout = []
+            for j, m in enumerate(mics):
+                layout.append(MicSpec(id=m["id"], position=tuple(m["position"])))
             validate_mic_array(layout)
             arrays[name] = layout
-        except (ValueError, KeyError, TypeError) as exc:
+        except KeyError as exc:  # "id" or "position" of mic j, the keys read with []
+            errors.append((f"{path}[{j}].{exc.args[0]}", "missing required field"))
+        except (ValueError, TypeError) as exc:
             errors.append((path, str(exc)))
     if not arrays:
         errors.append(("$.arrays", "at least one microphone array is required"))
@@ -314,20 +318,20 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
                     f"exceeding the budget of {synthesis.image_budget}",
                 )
             )
-    if sample_rate in PIPELINE_SAMPLE_RATES:
-        n_ir = round(synthesis.ir_length * sample_rate)
-        for sess in synthesized:
-            for mic in arrays[sess.array]:
-                index = direct_path_index(rooms[sess.room], sess.source, mic, sample_rate)
-                if index >= n_ir:
-                    errors.append(
-                        (
-                            "$.synthesis.ir_length",
-                            f"session {sess.name!r}, mic {mic.id!r}: the direct path arrives "
-                            f"at sample {index}, past the end of the {n_ir}-sample IR "
-                            f"({synthesis.ir_length} s)",
-                        )
-                    )
+    if synthesized and sample_rate in PIPELINE_SAMPLE_RATES:
+        try:
+            n_ir = synthesis.validate_rate(sample_rate)
+        except ValidationError as exc:  # its message starts with the field at fault
+            errors.append((f"$.synthesis.{str(exc).split()[0]}", str(exc)))
+        else:
+            for sess in synthesized:
+                for mic in arrays[sess.array]:
+                    index = direct_path_index(rooms[sess.room], sess.source, mic, sample_rate)
+                    if index >= n_ir:
+                        errors.append(("$.synthesis.ir_length",
+                                       f"session {sess.name!r}, mic {mic.id!r}: the direct path "
+                                       f"arrives at sample {index}, past the end of the "
+                                       f"{n_ir}-sample IR ({synthesis.ir_length} s)"))
 
     if errors:
         raise ManifestError(errors)
@@ -388,8 +392,9 @@ class IrCache:
     Each synthesized IR is saved as a .npy file in ``directory`` (by default
     ``ROOMFORGE_CACHE_DIR``, if set), so later runs skip its synthesis; nothing
     is kept in memory.  Keys include ``SYNTHESIS_VERSION``, so files written by
-    an older engine are not reused.  A disk hit is built with the samples and the
-    geometric ``direct_path_index`` of a fresh synthesis, but no synthesis ``meta``.
+    an older engine are not reused.  A disk hit equals a fresh synthesis in every
+    field: the samples, the provenance, the geometric ``direct_path_index`` and an
+    empty ``meta``.
     """
 
     def __init__(self, directory: Optional[Union[str, Path]] = None):
@@ -427,17 +432,18 @@ class IrCache:
     ) -> List[ImpulseResponse]:
         """IRs for ``mics``: hits from disk, the misses from one batched synthesis, then saved.
 
-        A file that does not load as an IR of ``round(ir_length * fs)`` samples is
-        a miss: its IR is synthesized again and written over it.
+        A file that does not load as an IR of ``config.validate_rate(fs)`` samples
+        is a miss: its IR is synthesized again and written over it.
         """
         irs: List[Optional[ImpulseResponse]] = [None] * len(mics)
         files = []
         if self.directory:
+            n = config.validate_rate(fs)
             files = [self.directory / f"{self.key(room, source, mic, config, fs)}.npy" for mic in mics]
             for i, (f, mic) in enumerate(zip(files, mics)):
                 try:
                     samples = np.load(f)
-                    if samples.shape == (round(config.ir_length * fs),):
+                    if samples.shape == (n,):
                         irs[i] = ImpulseResponse(fs, samples, "image-method",
                                                  direct_path_index(room, source, mic, fs))
                 except (OSError, EOFError, ValueError):

@@ -81,6 +81,39 @@ class TestRirCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "h.wav").exists()
 
+    @pytest.mark.parametrize(
+        "walls, reflectivity",
+        [(["--t60", "0.3"], [0.8425884848480192] * 6), (["--beta", "0.8"], [0.8] * 6)],
+        ids=["t60", "beta"],
+    )
+    def test_sidecar_records_the_synthesis(self, tmp_path, walls, reflectivity):
+        out = tmp_path / "h.wav"
+        code = run_cli(
+            "rir", "--room", "5,4,3", *walls, "--source", "1.2,1.7,1.4", "--mic", "3.9,2.8,2.1",
+            "--azimuth", "30", "--elevation", "-10", "--directivity", "cardioid",
+            "--ir-length", "0.1", "--fractional-delay", "sinc", "--highpass", "60",
+            "--fs", str(FS), "-o", out,
+        )
+        assert code == EXIT_OK
+        assert json.loads(out.with_suffix(".json").read_text())["meta"] == {
+            "room": {"dimensions": [5.0, 4.0, 3.0], "reflectivity": reflectivity,
+                     "speed_of_sound": 343.0},
+            "source": {"position": [1.2, 1.7, 1.4], "azimuth": 0.5235987755982988,
+                       "elevation": -0.17453292519943295, "directivity": "cardioid"},
+            "mic": {"id": "mic", "position": [3.9, 2.8, 2.1]},
+            "config": {"ir_length": 0.1, "max_reflection_order": "auto",
+                       "fractional_delay": "sinc", "highpass_hz": 60.0,
+                       "negative_reflection": False},
+            "sample_rate": FS,
+        }
+
+    def test_highpass_past_nyquist_is_invalid(self, tmp_path, capsys):
+        out = tmp_path / "h.wav"
+        assert run_cli(*RIR, "--highpass", "30000", "--fs", "48000", "-o", out) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == "error: highpass_hz 30000.0 Hz reaches Nyquist for sample rate 48000\n"
+        assert not out.exists()
+
     def test_source_outside_room_is_invalid(self, tmp_path):
         code = run_cli(
             "rir", "--room", "5,4,3", "--beta", "0.8",
@@ -418,6 +451,35 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert f"  {path}: must be " in captured.err and "Traceback" not in captured.err
         assert "plan:" not in captured.out
+
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (lambda d: d["rooms"]["lab"].update(dimensions=[float("inf"), 4.0, 3.0]), "$.rooms.lab"),
+            (lambda d: d["rooms"].update(lab={"dimensions": [5.0, 4.0, 3.0], "t60": float("nan")}),
+             "$.rooms.lab"),
+            (lambda d: d["sessions"][0]["source"].update(azimuth_deg=float("nan"), directivity="cardioid"),
+             "$.sessions[0].source"),
+        ],
+        ids=["room-inf", "t60-nan", "azimuth-nan"],
+    )
+    def test_number_that_is_not_finite_is_invalid(self, tmp_path, capsys, recwarn, edit, path):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "max_order": 2})
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        assert run_cli("run", manifest, "--dry-run") == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"  {path}: " in err and "finite" in err and "Traceback" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_highpass_at_nyquist_is_invalid(self, tmp_path, capsys):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "highpass_hz": 9000})
+        assert run_cli("run", manifest) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "  $.synthesis.highpass_hz: highpass_hz 9000 Hz reaches Nyquist" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_manifest_that_is_not_utf8_is_invalid(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"

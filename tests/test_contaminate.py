@@ -10,9 +10,8 @@ from roomforge import (
     convolve,
     mix_noise,
     run_job,
-    validate_clean,
 )
-from roomforge.contaminate import _add_noise, _frame_energies, _tile_noise
+from roomforge.contaminate import _add_noise, _tile_noise
 
 FS = 16000
 
@@ -190,64 +189,6 @@ class TestTileNoise:
             got = _tile_noise(noise, length, offset, fade)
             assert got.shape == (length,)
             assert np.array_equal(got, loop_tile_noise(noise, length, offset, fade))
-
-
-def loop_frame_energies(sig, sample_rate):
-    """Reference: validate_clean's frame energies, one slice per frame."""
-    frame = max(int(round(0.025 * sample_rate)), 1)
-    hop = max(int(round(0.010 * sample_rate)), 1)
-    n_frames = max((sig.size - frame) // hop + 1, 1)
-    return np.array([np.mean(sig[i * hop : i * hop + frame] ** 2) for i in range(n_frames)])
-
-
-class TestValidateClean:
-    def test_frame_energies_match_loop_reference_bit_for_bit(self):
-        rng = np.random.default_rng(23)
-        cases = [(16000, 1), (16000, 399), (16000, 400), (16000, 401), (8000, 37), (48000, 5 * 48000)]
-        cases += [
-            (int(rng.choice([8000, 16000, 22050, 44100, 48000])), int(rng.integers(1, 3 * 48000)))
-            for _ in range(300)
-        ]
-        for fs, n in cases:
-            sig = 0.1 * rng.standard_normal(n)
-            assert np.array_equal(_frame_energies(sig, fs), loop_frame_energies(sig, fs))
-
-    def test_gated_tone_over_noise_floor(self):
-        # tone at -6 dBFS active 70% of the time, floor at -66 dBFS: 60 dB apart
-        rng = np.random.default_rng(9)
-        n = 10 * FS
-        t = np.arange(n) / FS
-        tone = 10 ** (-6 / 20) * np.sqrt(2) * np.sin(2 * np.pi * 440 * t)
-        gate = (t % 1.0) < 0.7
-        noise = 10 ** (-66 / 20) * rng.standard_normal(n)
-        report = validate_clean(AudioSignal(FS, tone * gate + noise), min_snr_db=50.0)
-        assert report.snr_db == pytest.approx(60.0, abs=2.0)
-        assert report.passed
-
-    def test_silent_signal_fails(self):
-        report = validate_clean(AudioSignal(FS, np.zeros(FS)), min_snr_db=50.0)
-        assert report.snr_db is None
-        assert not report.passed
-
-    def test_clipping_run_detected(self):
-        rng = np.random.default_rng(10)
-        x = 0.1 * rng.standard_normal(FS)
-        x[100:110] = 1.0
-        report = validate_clean(AudioSignal(FS, x))
-        assert report.clipping
-        assert not report.passed
-
-    def test_two_sample_run_is_not_clipping(self):
-        x = 0.1 * np.sin(np.arange(FS))
-        x[100:102] = 1.0
-        report = validate_clean(AudioSignal(FS, x))
-        assert not report.clipping
-
-    def test_dc_offset_reported(self):
-        rng = np.random.default_rng(11)
-        x = 0.1 * rng.standard_normal(FS) + 0.05
-        report = validate_clean(AudioSignal(FS, x))
-        assert report.dc_offset == pytest.approx(0.05, abs=0.01)
 
 
 class TestRunJob:

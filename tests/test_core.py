@@ -117,6 +117,15 @@ class TestRoomSpec:
         with pytest.raises(ValidationError):
             RoomSpec((5, 4, 3), target_t60=-1.0)
 
+    @pytest.mark.parametrize(
+        "dims, t60",
+        [((float("inf"), 4, 3), 0.5), ((5, float("nan"), 3), 0.5),
+         ((5, 4, 3), float("nan")), ((5, 4, 3), float("inf"))],
+    )
+    def test_non_finite_number_rejected(self, dims, t60):
+        with pytest.raises(ValidationError, match="finite"):
+            RoomSpec(dims, target_t60=t60)
+
     def test_speed_of_sound_sanity_bound(self):
         with pytest.raises(ValidationError):
             RoomSpec((5, 4, 3), reflectivity=(0.9,), speed_of_sound=500.0)
@@ -126,6 +135,13 @@ class TestRoomSpec:
         assert room.contains((2.5, 2, 1.5))
         assert not room.contains((5.0, 2, 1.5))  # on the wall is outside
         assert not room.contains((-1, 2, 1.5))
+
+
+class TestSourceSpec:
+    @pytest.mark.parametrize("angles", [(float("nan"), 0.0), (0.0, float("inf"))])
+    def test_non_finite_angle_rejected(self, angles):
+        with pytest.raises(ValidationError, match="must be finite"):
+            SourceSpec((1, 1, 1), azimuth=angles[0], elevation=angles[1], directivity="cardioid")
 
 
 class TestMicArray:

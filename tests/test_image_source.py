@@ -287,6 +287,14 @@ class TestEnergyAndModes:
         with pytest.raises(ValidationError):
             synthesize_rir(room, SourceSpec((1, 1, 1)), MicSpec("m", (1, 1, 1)), cfg)
 
+    def test_validate_rate_is_the_ir_length_in_samples(self):
+        assert ImageSynthesisConfig(ir_length=0.1, highpass_hz=7999.0).validate_rate(16000) == 1600
+        assert ImageSynthesisConfig(ir_length=1 / 16000).validate_rate(16000) == 1
+        with pytest.raises(ValidationError, match="^ir_length 1e-05 s is shorter than one sample"):
+            ImageSynthesisConfig(ir_length=1e-5).validate_rate(16000)
+        with pytest.raises(ValidationError, match="^highpass_hz 8000.0 Hz reaches Nyquist"):
+            ImageSynthesisConfig(ir_length=0.1, highpass_hz=8000.0).validate_rate(16000)
+
     def test_highpass_removes_dc(self):
         room = RoomSpec((5, 4, 3), reflectivity=(0.9,))
         src = SourceSpec((1.2, 1.7, 1.4))
@@ -382,7 +390,6 @@ class TestEngineAgainstReference:
         for a, b in zip(together, alone):
             assert np.array_equal(a.samples, b.samples)
             assert a.direct_path_index == b.direct_path_index
-            assert a.meta == b.meta
 
     def test_sinc_and_highpass_drift_within_bound_on_a_reverberant_room(self):
         room = RoomSpec((5, 4, 3), target_t60=0.5)

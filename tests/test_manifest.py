@@ -159,7 +159,8 @@ class TestParseManifest:
                 "room 'lab' needs 151428024 images, exceeding the budget of 10000000",
             )
         ]
-        # measured IRs need no synthesis, so the same budget does not apply
+        # measured IRs need no synthesis, so neither the budget nor the rate checks apply
+        doc["synthesis"]["highpass_hz"] = 9000
         (tmp_path / "m0.wav").touch()
         (tmp_path / "m1.wav").touch()
         doc["sessions"][0]["ir"] = {"mode": "load", "files": {"m0": "m0.wav", "m1": "m1.wav"}}
@@ -215,8 +216,24 @@ class TestParseManifest:
              ("$.rooms.lab.dimensions", "missing required field")),
             (lambda d: d["sessions"][0]["source"].pop("position"),
              ("$.sessions[0].source.position", "missing required field")),
+            (lambda d: d["rooms"]["lab"].update(dimensions=[float("inf"), 4.0, 3.0]),
+             ("$.rooms.lab", "room dimensions must be 3 finite positive lengths, got (inf, 4.0, 3.0)")),
+            (lambda d: d["rooms"].update(lab={"dimensions": [5.0, 4.0, 3.0], "t60": float("nan")}),
+             ("$.rooms.lab", "target T60 must be finite and positive, got nan")),
+            (lambda d: d["sessions"][0]["source"].update(azimuth_deg=float("nan"), directivity="cardioid"),
+             ("$.sessions[0].source", "source azimuth and elevation must be finite, got nan, 0.0")),
+            (lambda d: d["arrays"]["pair"][1].pop("id"),
+             ("$.arrays.pair[1].id", "missing required field")),
+            (lambda d: d["arrays"]["pair"][1].pop("position"),
+             ("$.arrays.pair[1].position", "missing required field")),
+            (lambda d: d["synthesis"].update(highpass_hz=8000),
+             ("$.synthesis.highpass_hz", "highpass_hz 8000 Hz reaches Nyquist for sample rate 16000")),
+            (lambda d: d["synthesis"].update(ir_length=1e-5),
+             ("$.synthesis.ir_length", "ir_length 1e-05 s is shorter than one sample at 16000 Hz")),
         ],
-        ids=["room", "mic", "source", "ir-length", "highpass", "no-dimensions", "no-position"],
+        ids=["room", "mic", "source", "ir-length", "highpass", "no-dimensions", "no-position",
+             "room-inf", "t60-nan", "azimuth-nan", "mic-no-id", "mic-no-position",
+             "highpass-nyquist", "ir-under-one-sample"],
     )
     def test_number_that_is_not_one_names_its_path(self, tmp_path, edit, error):
         doc = base_doc(tmp_path)
@@ -753,7 +770,7 @@ class TestIrCache:
         assert outputs[0] == outputs[1]
         assert list((tmp_path / "cache").glob("*.npy"))
 
-    def test_batched_misses_match_single_synthesis(self, tmp_path):
+    def test_batched_misses_match_single_synthesis(self, tmp_path, monkeypatch):
         from roomforge import MicSpec, RoomSpec, SourceSpec
         from roomforge.image_source import ImageSynthesisConfig, synthesize_rir
 
@@ -762,13 +779,16 @@ class TestIrCache:
         cfg = ImageSynthesisConfig(ir_length=0.1)
         mics = [MicSpec(id=f"m{i}", position=(1.0 + 0.1 * i, 1.0, 1.5)) for i in range(3)]
         cache = IrCache(tmp_path / "cache")
+        calls = hook_synthesis(monkeypatch, lambda: None)
         first = cache.get_or_synthesize(room, src, mics[:1], cfg, FS)
         irs = cache.get_or_synthesize(room, src, mics, cfg, FS)
-        assert not irs[0].meta and np.array_equal(irs[0].samples, first[0].samples)  # a disk hit
+        assert [ids for _, ids in calls] == [("m0",), ("m1", "m2")]  # m0 a disk hit
+        assert np.array_equal(irs[0].samples, first[0].samples)
         for mic, ir in zip(mics, irs):
             assert np.array_equal(ir.samples, synthesize_rir(room, src, mic, cfg, FS).samples)
         # a fresh cache on the same directory serves every mic from disk
         again = IrCache(tmp_path / "cache").get_or_synthesize(room, src, mics, cfg, FS)
+        assert len(calls) == 2
         for a, b in zip(irs, again):
             assert np.array_equal(a.samples, b.samples)
         assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(
@@ -795,7 +815,7 @@ class TestIrCache:
                 assert np.array_equal(a.samples, b.samples)
                 assert a.direct_path_index == b.direct_path_index
 
-    def test_disk_hit_keeps_geometric_direct_path(self, tmp_path):
+    def test_disk_hit_keeps_geometric_direct_path(self, tmp_path, monkeypatch):
         from roomforge import MicSpec, RoomSpec, SourceSpec
         from roomforge.image_source import ImageSynthesisConfig
 
@@ -804,11 +824,32 @@ class TestIrCache:
         src = SourceSpec(position=(3.0, 2.0, 1.5), azimuth=0.0, directivity="cardioid")
         mic = MicSpec(id="a", position=(1.0, 2.0, 1.5))
         cfg = ImageSynthesisConfig(ir_length=0.1)
+        calls = hook_synthesis(monkeypatch, lambda: None)
         (fresh,) = IrCache(tmp_path / "cache").get_or_synthesize(room, src, [mic], cfg, FS)
         (cached,) = IrCache(tmp_path / "cache").get_or_synthesize(room, src, [mic], cfg, FS)
-        assert not cached.meta  # served from disk
+        assert len(calls) == 1  # the second is served from disk
         assert np.array_equal(cached.samples, fresh.samples)
         assert fresh.direct_path_index == cached.direct_path_index == 93
+
+    @pytest.mark.parametrize(
+        "config", [{"fractional_delay": "nearest"}, {"fractional_delay": "sinc", "highpass_hz": 80.0}]
+    )
+    def test_disk_hit_equals_a_fresh_synthesis(self, tmp_path, config):
+        from roomforge import MicSpec, RoomSpec, SourceSpec
+        from roomforge.image_source import ImageSynthesisConfig
+
+        room = RoomSpec(dimensions=(5.0, 4.0, 3.0), target_t60=0.4)
+        src = SourceSpec(position=(3.0, 2.0, 1.5), azimuth=1.0, directivity="cardioid")
+        mics = [MicSpec(id=f"m{i}", position=(1.0 + 0.1 * i, 1.0, 1.5)) for i in range(2)]
+        cfg = ImageSynthesisConfig(ir_length=0.1, **config)
+        fresh = IrCache(tmp_path / "cache").get_or_synthesize(room, src, mics, cfg, FS)
+        cached = IrCache(tmp_path / "cache").get_or_synthesize(room, src, mics, cfg, FS)
+        for a, b in zip(fresh, cached):
+            assert np.array_equal(a.samples, b.samples)
+            assert (a.provenance, a.direct_path_index, a.meta) == (
+                b.provenance, b.direct_path_index, b.meta
+            )
+            assert a.meta == {}
 
     @pytest.mark.parametrize(
         "damage",
@@ -822,7 +863,7 @@ class TestIrCache:
         ],
         ids=["samples-cut", "header-cut", "empty", "not-npy", "wrong-length", "silent"],
     )
-    def test_unreadable_file_is_synthesized_again_and_overwritten(self, tmp_path, damage):
+    def test_unreadable_file_is_synthesized_again_and_overwritten(self, tmp_path, monkeypatch, damage):
         from roomforge import MicSpec, RoomSpec, SourceSpec
         from roomforge.image_source import ImageSynthesisConfig
 
@@ -834,8 +875,9 @@ class TestIrCache:
         damaged = tmp_path / "cache" / f"{IrCache.key(room, src, mics[1], cfg, FS)}.npy"
         good = damaged.read_bytes()
         damage(damaged)
+        calls = hook_synthesis(monkeypatch, lambda: None)
         irs = IrCache(tmp_path / "cache").get_or_synthesize(room, src, mics, cfg, FS)
-        assert not irs[0].meta and irs[1].meta  # a disk hit, then a new synthesis
+        assert [ids for _, ids in calls] == [("m1",)]  # m0 a disk hit, m1 a new synthesis
         for a, b in zip(fresh, irs):
             assert np.array_equal(a.samples, b.samples)
         assert damaged.read_bytes() == good
