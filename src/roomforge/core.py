@@ -90,7 +90,8 @@ class Directivity:
     """Angle-dependent source radiation gain.
 
     Either one of the built-in first-order patterns or a custom gain table:
-    sorted angles in [0, pi] with gains in [0, 1], linearly interpolated.
+    finite, strictly increasing angles in [0, pi] with finite gains in [0, 1],
+    linearly interpolated.
     """
 
     pattern: str = "omnidirectional"
@@ -104,6 +105,9 @@ class Directivity:
             gains = np.asarray(self.table[1], dtype=float)
             if angles.size != gains.size or angles.size < 2:
                 raise ValidationError("directivity table needs matching angle/gain arrays of length >= 2")
+            # NaN passes every order and range check below, each a comparison
+            if not (np.isfinite(angles).all() and np.isfinite(gains).all()):
+                raise ValidationError("directivity table angles and gains must be finite")
             if np.any(np.diff(angles) <= 0):
                 raise ValidationError("directivity table angles must be strictly increasing")
             if angles[0] < 0 or angles[-1] > np.pi:

@@ -45,11 +45,13 @@ def spectra_product(x_spectrum: np.ndarray, h_spectrum: np.ndarray, nfft: int, n
     return sp_fft.irfft(np.multiply(x_spectrum, h_spectrum, out=out), nfft)[:n]
 
 
-def fft_convolve_many(x: np.ndarray, hs: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+def fft_convolve_many(x: np.ndarray, hs: Iterable[np.ndarray], length: int = 0) -> Iterator[np.ndarray]:
     """Yield the full linear convolution of ``x`` with each filter of ``hs``, in order.
 
     ``rfft(x, nfft)`` is computed once per distinct ``nfft = fft_length(len(x)
-    + len(h) - 1)``; one output is held at a time.
+    + len(h) - 1)``; one output is held at a time.  An output shorter than
+    ``length`` is zero-padded to it, in place in its ``irfft`` buffer when that
+    is long enough, else in a copy.
     """
     x = _operand(x)
     from scipy import fft as sp_fft
@@ -57,15 +59,21 @@ def fft_convolve_many(x: np.ndarray, hs: Iterable[np.ndarray]) -> Iterator[np.nd
     spectra = {}
     for h in hs:
         h = _operand(h)
-        if x.size == 1 or h.size == 1:
-            yield x * h  # as in fftconvolve: a one-sample operand needs no transform
-            continue
         n = x.size + h.size - 1
-        nfft = fft_length(n)
-        if nfft not in spectra:
-            spectra[nfft] = sp_fft.rfft(x, nfft)
-        spectrum = sp_fft.rfft(h, nfft)
-        yield spectra_product(spectra[nfft], spectrum, nfft, n, out=spectrum)
+        size = max(n, length)
+        if x.size == 1 or h.size == 1:
+            y = x * h  # as in fftconvolve: a one-sample operand needs no transform
+        else:
+            nfft = fft_length(n)
+            if nfft not in spectra:
+                spectra[nfft] = sp_fft.rfft(x, nfft)
+            spectrum = sp_fft.rfft(h, nfft)
+            y = spectra_product(spectra[nfft], spectrum, nfft, min(size, nfft), out=spectrum)
+            del spectrum  # not held while the caller has the output
+            y[n:] = 0.0  # the circular tail past the linear convolution
+        if y.size < size:
+            y = np.concatenate((y, np.zeros(size - y.size)))
+        yield y
 
 
 def fft_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:

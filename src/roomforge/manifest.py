@@ -27,7 +27,11 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .contaminate import ContaminationJob, run_job
+from .contaminate import (
+    ContaminationJob,
+    job_channels,
+    run_job,  # noqa: F401 - kept as a module attribute: perfbench's tracer wraps it here
+)
 from .core import (
     AudioSignal,
     Directivity,
@@ -105,7 +109,9 @@ _KINDS = {
     "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
     "a string": lambda v: isinstance(v, str),
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    # an int is finite even when it is too large for a float, which math.isfinite cannot take
+    "a finite number": lambda v: isinstance(v, int) and not isinstance(v, bool)
+    or isinstance(v, float) and math.isfinite(v),
 }
 
 
@@ -192,7 +198,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
     noise = _field(doc, "noise", "$", errors, "an object", {})
     if noise:
         noise_name = _field(noise, "file", "$.noise", errors, "a string")
-        target_snr_db = _field(noise, "snr_db", "$.noise", errors, "a number")
+        target_snr_db = _field(noise, "snr_db", "$.noise", errors, "a finite number")
         if noise_name is not None:
             noise_file = base / noise_name
             if not noise_file.exists():
@@ -508,9 +514,14 @@ def _run_one(
 ) -> Tuple[List[str], int]:
     """Write one sentence's WAV per mic, then its sidecar; return the WAVs and the samples written.
 
+    Each channel of ``job_channels`` is written as it comes, before the next is
+    made, so a worker holds a few channel-sized buffers, not the whole job
+    (all of its channels with "peak" normalization, which needs the joint peak).
     The sidecar, ``<session>/<sentence>.json``, holds the job's fields once and a
     ``channels`` list in mic order: each WAV's file name, its mic and its IR's
-    provenance.  It comes last, so one on disk means that every WAV it lists is whole.
+    provenance.  Any earlier sidecar is removed first and the new one comes last,
+    so one on disk means that every WAV it lists is whole; a job that fails
+    midway, say at a silent channel, leaves the WAVs before it and no sidecar.
     """
     fs = manifest.sample_rate
     mics = manifest.arrays[session.array]
@@ -527,12 +538,13 @@ def _run_one(
         seed=seed,
         normalization=manifest.normalization,
     )
-    out = run_job(job)
     (manifest.output_dir / sidecar).parent.mkdir(parents=True, exist_ok=True)
     # an earlier run's sidecar would vouch for WAVs that this run may leave half rewritten
     (manifest.output_dir / sidecar).unlink(missing_ok=True)
-    for ch, wav in enumerate(wavs):
-        write_wav(manifest.output_dir / wav, out.channel(ch), fmt=manifest.output_format)
+    samples = 0
+    for wav, channel in zip(wavs, job_channels(job)):
+        write_wav(manifest.output_dir / wav, AudioSignal(fs, channel), fmt=manifest.output_format)
+        samples += channel.size
     source = session.source
     write_json(manifest.output_dir / sidecar, {
         "session": session.name,
@@ -553,7 +565,7 @@ def _run_one(
             for wav, mic, ir in zip(wavs, mics, irs)
         ],
     })
-    return [str(wav) for wav in wavs], out.num_samples * out.num_channels
+    return [str(wav) for wav in wavs], samples
 
 
 def _resolve_irs(

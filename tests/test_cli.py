@@ -460,11 +460,21 @@ class TestRunCommand:
              "$.rooms.lab"),
             (lambda d: d["sessions"][0]["source"].update(azimuth_deg=float("nan"), directivity="cardioid"),
              "$.sessions[0].source"),
+            (lambda d: d.update(noise={"file": "noise.wav", "snr_db": float("nan")}), "$.noise.snr_db"),
+            (lambda d: d.update(noise={"file": "noise.wav", "snr_db": float("inf")}), "$.noise.snr_db"),
+            (lambda d: d["sessions"][0]["source"].update(
+                directivity={"angles_deg": [0, 180], "gains": [1, float("nan")]}),
+             "$.sessions[0].source"),
+            (lambda d: d["sessions"][0]["source"].update(
+                directivity={"angles_deg": [0, float("nan")], "gains": [1, 0]}),
+             "$.sessions[0].source"),
         ],
-        ids=["room-inf", "t60-nan", "azimuth-nan"],
+        ids=["room-inf", "t60-nan", "azimuth-nan", "snr-nan", "snr-inf",
+             "directivity-gain-nan", "directivity-angle-nan"],
     )
     def test_number_that_is_not_finite_is_invalid(self, tmp_path, capsys, recwarn, edit, path):
         manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "max_order": 2})
+        (tmp_path / "noise.wav").touch()  # a dry run does not open it
         doc = json.loads(manifest.read_text())
         edit(doc)
         manifest.write_text(json.dumps(doc))

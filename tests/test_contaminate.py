@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
+from contaminate_reference import loop_tile_noise, whole_array_contaminate
 from roomforge import (
     AudioSignal,
     ContaminationJob,
@@ -11,7 +12,7 @@ from roomforge import (
     mix_noise,
     run_job,
 )
-from roomforge.contaminate import _add_noise, _tile_noise
+from roomforge.contaminate import _tile_noise, job_channels
 
 FS = 16000
 
@@ -132,32 +133,6 @@ class TestMixNoise:
         assert np.array_equal(a.data, b.data)
 
 
-def loop_tile_noise(noise, length, offset, fade):
-    """Reference: the crossfaded wrap written as a copy-per-wrap loop."""
-    n = noise.size
-    offset = offset % n
-    rolled = np.roll(noise, -offset)
-    if length <= n:
-        return rolled[:length].copy()
-    fade = min(fade, n // 2)
-    if fade > 0:
-        ramp = np.linspace(0.0, 1.0, fade, endpoint=False)
-        body = rolled.copy()
-        body[:fade] = ramp * body[:fade] + (1.0 - ramp) * rolled[n - fade :]
-        hop = n - fade
-    else:
-        body = rolled
-        hop = n
-    reps = int(np.ceil((length - n) / hop)) + 1
-    out = np.empty(n + (reps - 1) * hop)
-    out[:n] = rolled
-    pos = n - fade if fade > 0 else n
-    for _ in range(reps - 1):
-        out[pos : pos + n] = body if fade > 0 else rolled
-        pos += hop
-    return out[:length]
-
-
 class TestTileNoise:
     def test_matches_loop_reference_bit_for_bit(self):
         rng = np.random.default_rng(17)
@@ -167,9 +142,8 @@ class TestTileNoise:
             offset = int(rng.integers(0, 3 * n))
             fade = int(rng.integers(0, n + 5))  # up to past n // 2, where it is clamped
             noise = rng.standard_normal(n)
-            assert np.array_equal(
-                _tile_noise(noise, length, offset, fade), loop_tile_noise(noise, length, offset, fade)
-            )
+            got = _tile_noise(noise, np.empty(length), offset, fade)
+            assert np.array_equal(got, loop_tile_noise(noise, length, offset, fade))
 
     @pytest.mark.parametrize(
         "n, length, fade",
@@ -186,7 +160,7 @@ class TestTileNoise:
     def test_edge_cases(self, n, length, fade):
         noise = np.random.default_rng(n + length).standard_normal(n)
         for offset in (0, 1, n - 1, n + 3):
-            got = _tile_noise(noise, length, offset, fade)
+            got = _tile_noise(noise, np.empty(length), offset, fade)
             assert got.shape == (length,)
             assert np.array_equal(got, loop_tile_noise(noise, length, offset, fade))
 
@@ -305,13 +279,32 @@ class TestRunJob:
         irs = self._irs(5) + [delta_ir(delay=900), delta_ir()]
         irs.append(ImpulseResponse(FS, rng.standard_normal(2500)))
         noise = AudioSignal(FS, rng.standard_normal(FS))
-        expected = np.zeros((len(irs), x.num_samples + 2500 - 1))
-        for i, h in enumerate(irs):
-            y = fftconvolve(x.mono, h.samples)
-            expected[i, : y.size] = y
-        _add_noise(expected, noise, 12.0, 33, FS)
+        expected = whole_array_contaminate(x.mono, irs, noise, 12.0, 33)
         job = ContaminationJob(clean=x, irs=irs, noise=noise, target_snr_db=12.0, seed=33)
         assert run_job(job).data.tobytes() == expected.tobytes()
+
+    def test_peak_job_of_unequal_irs_equals_the_whole_array_formula(self):
+        # the joint peak is taken over every channel, each zero-padded to the longest
+        rng = np.random.default_rng(21)
+        x = self._speech(seconds=1.1)
+        irs = self._irs(2) + [ImpulseResponse(FS, 0.05 * rng.standard_normal(2500)), delta_ir(delay=30)]
+        noise = AudioSignal(FS, rng.standard_normal(FS // 3))
+        for mix in ({}, {"noise": noise, "target_snr_db": 9.0, "seed": 5}):
+            job = ContaminationJob(clean=x, irs=irs, normalization="peak", **mix)
+            expected = whole_array_contaminate(x.mono, irs, normalization="peak", **mix)
+            assert run_job(job).data.tobytes() == expected.tobytes()
+
+    def test_channels_are_made_one_at_a_time(self):
+        # every sample of clean * faint squares to below the least float64, so
+        # channel 1 is silent; it fails only when taken, after channel 0 came whole
+        x = AudioSignal(FS, np.random.default_rng(22).uniform(-0.4, 0.4, FS))
+        faint = ImpulseResponse(FS, 3.2e-162 * delta_ir(delay=10, length=50).samples)
+        job = ContaminationJob(clean=x, irs=[delta_ir(), faint, delta_ir()],
+                               noise=AudioSignal(FS, np.ones(100)), target_snr_db=10.0)
+        channels = job_channels(job)
+        assert next(channels).shape == (FS + 49,)
+        with pytest.raises(ValidationError, match="channel 1 is silent, cannot set SNR"):
+            next(channels)
 
     def test_silent_channel_rejected(self):
         job = ContaminationJob(

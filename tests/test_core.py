@@ -62,6 +62,17 @@ class TestDirectivityGain:
         with pytest.raises(ValidationError):
             Directivity("custom", table=((0.0, np.pi), (1.5, 0.5)))
 
+    @pytest.mark.parametrize(
+        "table",
+        [((0.0, np.pi), (1.0, float("nan"))), ((0.0, float("nan"), np.pi), (1.0, 0.5, 0.2)),
+         ((float("nan"), np.pi), (1.0, 0.2)), ((0.0, np.pi), (float("inf"), 0.2))],
+        ids=["gain-nan", "angle-nan", "first-angle-nan", "gain-inf"],
+    )
+    def test_custom_table_that_is_not_finite_rejected(self, table):
+        # NaN passes the order and range checks, which are comparisons
+        with pytest.raises(ValidationError, match="directivity table angles and gains must be finite"):
+            Directivity("custom", table=table)
+
     def test_angle_outside_range_rejected(self):
         with pytest.raises(ValidationError):
             directivity_gain("cardioid", -0.5)

@@ -85,6 +85,27 @@ def test_many_equals_fftconvolve_bytes(nx, nhs, seed):
         assert y.tobytes() == expected.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    nx=lengths,
+    nhs=st.lists(lengths, min_size=1, max_size=8),
+    extra=st.integers(min_value=0, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_many_zero_pads_each_output_to_length(nx, nhs, extra, seed):
+    # the longest output sets the length, as in a job; an output whose FFT buffer
+    # is shorter than that length is padded in a copy, the others in place
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(nx)
+    hs = [rng.standard_normal(n) for n in nhs]
+    length = nx + max(nhs) - 1 + extra
+    for h, y in zip(hs, fft_convolve_many(x, hs, length)):
+        expected = np.zeros(length)
+        full = fftconvolve(x, h)
+        expected[: full.size] = full
+        assert y.tobytes() == expected.tobytes()
+
+
 def test_signal_transformed_once_per_fft_length(monkeypatch):
     import scipy.fft
 

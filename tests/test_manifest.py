@@ -3,11 +3,14 @@ import json
 import sys
 import threading
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from roomforge import AudioSignal, ValidationError
+from contaminate_reference import whole_array_contaminate
+from roomforge import AudioSignal, ImpulseResponse, ValidationError
 from roomforge.manifest import (
     CACHE_ENV_VAR,
     IrCache,
@@ -17,7 +20,8 @@ from roomforge.manifest import (
     plan_and_run,
 )
 from roomforge.image_source import direct_path_index
-from roomforge.wavio import write_wav
+from roomforge.storage import load_ir, save_ir
+from roomforge.wavio import read_wav, write_wav
 
 FS = 16000
 THREE_MICS = [
@@ -230,10 +234,21 @@ class TestParseManifest:
              ("$.synthesis.highpass_hz", "highpass_hz 8000 Hz reaches Nyquist for sample rate 16000")),
             (lambda d: d["synthesis"].update(ir_length=1e-5),
              ("$.synthesis.ir_length", "ir_length 1e-05 s is shorter than one sample at 16000 Hz")),
+            (lambda d: d.update(noise={"file": "n.wav", "snr_db": float("nan")}),
+             ("$.noise.snr_db", "must be a finite number, got nan")),
+            (lambda d: d.update(noise={"file": "n.wav", "snr_db": float("-inf")}),
+             ("$.noise.snr_db", "must be a finite number, got -inf")),
+            (lambda d: d["sessions"][0]["source"].update(
+                directivity={"angles_deg": [0, 180], "gains": [1, float("nan")]}),
+             ("$.sessions[0].source", "directivity table angles and gains must be finite")),
+            (lambda d: d["sessions"][0]["source"].update(
+                directivity={"angles_deg": [0, float("nan"), 180], "gains": [1, 0.5, 0]}),
+             ("$.sessions[0].source", "directivity table angles and gains must be finite")),
         ],
         ids=["room", "mic", "source", "ir-length", "highpass", "no-dimensions", "no-position",
              "room-inf", "t60-nan", "azimuth-nan", "mic-no-id", "mic-no-position",
-             "highpass-nyquist", "ir-under-one-sample"],
+             "highpass-nyquist", "ir-under-one-sample", "snr-nan", "snr-inf",
+             "directivity-gain-nan", "directivity-angle-nan"],
     )
     def test_number_that_is_not_one_names_its_path(self, tmp_path, edit, error):
         doc = base_doc(tmp_path)
@@ -751,6 +766,100 @@ class TestPlanAndRun:
         sess_dir = tmp_path / "out" / "sessA"
         assert sorted(p.name for p in sess_dir.glob("*.json")) == ["s01.json"]
         assert json.loads((sess_dir / "s01.json").read_text())["seed"] == _job_seed(8, "sessA", "s01")
+
+    def test_silent_channel_fails_its_job_and_leaves_no_sidecar(self, tmp_path, monkeypatch):
+        from roomforge import manifest as manifest_module
+
+        doc = base_doc(tmp_path, sentences=("s01",), mics=THREE_MICS)
+        doc["noise"] = {"file": "noise.wav", "snr_db": 15}
+        rng = np.random.default_rng(66)
+        write_wav(tmp_path / "noise.wav", AudioSignal(FS, rng.standard_normal(FS)))
+        (tmp_path / "clean").mkdir()
+        write_wav(tmp_path / "clean" / "s01.wav", AudioSignal(FS, rng.uniform(-0.4, 0.4, FS // 2)))
+        cache = IrCache(directory=None)
+        assert plan_and_run(parse_manifest(json.dumps(doc), base_dir=tmp_path), cache=cache).ok
+        synthesize = manifest_module.synthesize_rirs
+
+        def faint_m1(room, source, mics, *args, **kwargs):
+            # one tap so faint that every sample of clean * IR squares to below the least float64
+            irs = synthesize(room, source, mics, *args, **kwargs)
+            for i, mic in enumerate(mics):
+                if mic.id == "m1":
+                    samples = np.zeros(irs[i].num_samples)
+                    samples[irs[i].direct_path_index] = 3.2e-162
+                    irs[i] = ImpulseResponse(FS, samples, "image-method", irs[i].direct_path_index)
+            return irs
+
+        monkeypatch.setattr(manifest_module, "synthesize_rirs", faint_m1)
+        report = plan_and_run(parse_manifest(json.dumps(doc), base_dir=tmp_path), cache=cache)
+        assert report.failures == [("sessA/s01", "channel 1 is silent, cannot set SNR")]
+        # the rerun wrote m0 before it made m1: the earlier sidecar no longer vouches for it
+        assert not (tmp_path / "out" / "sessA" / "s01.json").exists()
+
+    def test_peak_job_of_unequal_loaded_irs_is_the_whole_array_formula_at_any_worker_count(self, tmp_path):
+        from roomforge.manifest import _job_seed
+
+        doc = base_doc(tmp_path, sentences=("s01", "s02", "s03"), mics=THREE_MICS)
+        doc.update(normalization="peak", format="pcm24", noise={"file": "noise.wav", "snr_db": 12})
+        rng = np.random.default_rng(67)
+        for mic, n in zip(("m0", "m1", "m2"), (300, 1700, 900)):
+            save_ir(tmp_path / f"{mic}.wav",
+                    ImpulseResponse(FS, 0.3 * rng.standard_normal(n) * np.exp(-np.arange(n) / 200.0)))
+        doc["sessions"][0]["ir"] = {"mode": "load", "files": {m: f"{m}.wav" for m in ("m0", "m1", "m2")}}
+        write_wav(tmp_path / "noise.wav", AudioSignal(FS, 0.1 * rng.standard_normal(FS // 3)))
+        for i, seconds in enumerate((0.4, 0.7, 0.2)):
+            write_clean(tmp_path / "clean", [f"s0{i + 1}"], seconds=seconds, seed=70 + i)
+
+        trees = []
+        for workers in (1, 2):
+            doc["output_dir"] = f"out{workers}"
+            assert plan_and_run(parse_manifest(json.dumps(doc), base_dir=tmp_path), parallelism=workers).ok
+            out = tmp_path / f"out{workers}"
+            trees.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+        assert trees[0] == trees[1]
+
+        irs = [load_ir(tmp_path / f"{mic}.wav") for mic in ("m0", "m1", "m2")]
+        noise = read_wav(tmp_path / "noise.wav")
+        for sentence in ("s01", "s02", "s03"):
+            x = read_wav(tmp_path / "clean" / f"{sentence}.wav").mono
+            expected = whole_array_contaminate(x, irs, noise, 12, _job_seed(7, "sessA", sentence), "peak")
+            for mic, channel in zip(("m0", "m1", "m2"), expected):
+                write_wav(tmp_path / "expected.wav", AudioSignal(FS, channel), fmt="pcm24")
+                written = trees[0][Path("sessA", f"{sentence}_{mic}.wav")]
+                assert written == (tmp_path / "expected.wav").read_bytes()
+
+    def test_streamed_job_holds_a_few_channels(self, tmp_path):
+        # one 8-mic job of 10 s at 48 kHz with noise, written as pcm24; a job that
+        # holds all its channels at once peaks near 14.5 channel sizes, one that
+        # makes each channel after writing the previous near 6.6
+        fs = 48000
+        rng = np.random.default_rng(68)
+        mics = [{"id": f"m{j}", "position": [1.0 + 0.05 * j, 1.0, 1.5]} for j in range(8)]
+        doc = base_doc(tmp_path, sentences=("s01",), mics=mics)
+        doc.update(sample_rate=fs, format="pcm24", noise={"file": "noise.wav", "snr_db": 20})
+        n_ir = fs // 4
+        for mic in mics:
+            h = 0.1 * rng.standard_normal(n_ir) * np.exp(-np.arange(n_ir) / (0.05 * fs))
+            save_ir(tmp_path / f"{mic['id']}.wav", ImpulseResponse(fs, h))
+        doc["sessions"][0]["ir"] = {"mode": "load", "files": {m["id"]: f"{m['id']}.wav" for m in mics}}
+        write_wav(tmp_path / "noise.wav", AudioSignal(fs, 0.1 * rng.standard_normal(3 * fs)), fmt="pcm24")
+        (tmp_path / "clean").mkdir()
+        t = np.arange(10 * fs) / fs
+        speech = 0.1 * rng.standard_normal(t.size) * np.abs(np.sin(3.0 * t))
+        write_wav(tmp_path / "clean" / "s01.wav", AudioSignal(fs, speech), fmt="pcm24")
+        m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert plan_and_run(m, cache=IrCache(directory=None)).ok  # imports and FFT plans, once
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = plan_and_run(m, cache=IrCache(directory=None))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        channel_bytes = (t.size + n_ir - 1) * 8
+        assert peak < 9 * channel_bytes, f"peak {peak / channel_bytes:.1f} channel sizes"
 
 
 class TestIrCache:
