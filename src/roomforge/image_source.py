@@ -19,6 +19,17 @@ from every microphone, weighs the walls once, and adds every microphone's
 taps straight into that microphone's IR, so the working set is a few MB at
 any IR length.  Each microphone's IR is the same, bit for bit, as when it is
 synthesized alone.
+
+In sinc mode an image at ``d = r - delta`` samples (``r = round(d)``) puts a
+Hann-windowed sinc tap on each of the 2W + 1 samples around ``r``.  Each tap is
+a fixed Chebyshev series in ``delta`` (``_SINC_CHEB``, within about 1.8e-15 of
+the exact kernel), so an image adds only its ``_CHEB_TERMS`` weights
+``amp * T_m(2 * delta)`` to a per-microphone table at ``r``, and each
+microphone's table becomes taps in one product with ``_SINC_CHEB`` at the end:
+the 2W + 1 taps are paid once per IR sample, not once per image.  An image at
+a whole sample keeps its exact single tap.  The tables take 160 bytes per IR
+sample and microphone; an array whose tables pass ``_WEIGHT_BYTES`` walks the
+lattice once per group of microphones whose tables fit.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import (
     Directivity,
@@ -42,23 +54,36 @@ from .core import (
 DEFAULT_IMAGE_BUDGET = 10_000_000
 SINC_HALF_WIDTH = 32  # taps on each side in fractional-delay mode
 # Changes whenever synthesized samples may change in any bit; part of IR cache keys.
-SYNTHESIS_VERSION = 3
+SYNTHESIS_VERSION = 4
 
 _CHUNK = 32768  # lattice points per chunk: the working set stays a few MB at any IR length
-# images per sinc block: its (2W + 1, block) temporaries stay in cache, and the
-# basis product is too small to wake BLAS threads
-_BLOCK = 2048
+_BLOCK = 2048  # images per sinc block: its (_CHEB_TERMS, block) weights stay in cache
+# Chebyshev terms per sinc kernel: each of the 2W + 1 taps is within about 1.8e-15 of
+# the windowed sinc over the whole half-sample range of fractional delays
+_CHEB_TERMS = 20
+# bytes of Chebyshev weights one lattice walk holds; an array whose weights need more is
+# synthesized a group of microphones at a time
+_WEIGHT_BYTES = 8 << 20
+# centres per kernel product: (2W + 1) * _CHEB_TERMS * _COLS stays under OpenBLAS's
+# 4 * 65536 multiply-adds, below which a product runs on the calling thread alone
+_COLS = 192
 _OFFSETS = np.arange(-SINC_HALF_WIDTH, SINC_HALF_WIDTH + 1)
-# Rows k = -W..W: (-1)^k * (cos(pi k / (W + 1)), -sin(pi k / (W + 1)), 1), so that
-# (_SINC_BASIS @ (cos b, sin b, 1))[k] = (-1)^k * (1 + cos(pi k / (W + 1) + b)).
-_SINC_BASIS = np.where(_OFFSETS % 2 == 0, 1.0, -1.0)[:, None] * np.stack(
-    [
-        np.cos(np.pi * _OFFSETS / (SINC_HALF_WIDTH + 1)),
-        -np.sin(np.pi * _OFFSETS / (SINC_HALF_WIDTH + 1)),
-        np.ones(_OFFSETS.size),
-    ],
-    axis=1,
-)
+
+
+def _sinc_kernel(t):
+    """Hann-windowed sinc at ``t`` samples from an image's delay, for |t| <= W + 1."""
+    return np.sinc(t) * 0.5 * (1.0 + np.cos(np.pi * t / (SINC_HALF_WIDTH + 1)))
+
+
+# Row k = -W..W: the Chebyshev series in x = 2 * delta, |x| <= 1, of the tap that an
+# image at d = r - delta samples puts on sample r + k, _sinc_kernel(k + delta); it
+# interpolates the tap at the Chebyshev nodes x_j = cos(theta_j), where T_m = cos(m theta)
+# (numpy.polynomial's chebinterpolate, for all taps at once and without its import time).
+_NODES = np.pi * (np.arange(_CHEB_TERMS) + 0.5) / _CHEB_TERMS
+_SINC_CHEB = _sinc_kernel(_OFFSETS[:, None] + np.cos(_NODES) / 2) @ np.cos(
+    np.outer(_NODES, np.arange(_CHEB_TERMS))
+) * (2.0 / _CHEB_TERMS)
+_SINC_CHEB[:, 0] /= 2.0
 
 
 class ResourceError(RuntimeError):
@@ -177,36 +202,57 @@ def _pattern_gain(pattern: Directivity, cos_theta: np.ndarray) -> np.ndarray:
     return _first_order_gain(pattern.pattern, cos_theta)
 
 
-def _sinc_taps(delays: np.ndarray, amps: np.ndarray, out: np.ndarray) -> None:
-    """Add Hann-windowed sinc kernels, one per (delay, amplitude) pair, into ``out``.
+def _add_sinc_weights(delays: np.ndarray, amps: np.ndarray, out: np.ndarray, weights: np.ndarray) -> None:
+    """Add the images at ``delays`` (in samples) with ``amps`` to one microphone's IR.
 
     An image at ``d = r - delta`` samples (``r = round(d)``) puts
-
-        amp * sinc(k + delta) * 0.5 * (1 + cos(pi * (k + delta) / (W + 1)))
-
-    on tap ``r + k`` for |k| <= W, which is ``out[r + k + W]``; ``out`` must
-    reach every such tap.  With sin(pi * (k + delta)) = (-1)^k sin(pi * delta)
-    and the angle-addition form of the Hann cosine, this is exact and takes
-    three trig calls per image instead of two per tap.
+    ``amp * _sinc_kernel(k + delta)`` on tap ``r + k`` for |k| <= W, which is
+    ``out[r + k + W]``.  An image at a whole sample (``delta`` 0) puts ``amp``
+    on that one tap of ``out``.  Any other adds ``amp * T_m(2 * delta)``,
+    m < _CHEB_TERMS, to row ``r`` of ``weights``, a (centres, _CHEB_TERMS) table
+    that ``_add_sinc_kernels`` turns into taps once every image is in.  Each entry
+    takes its images one at a time, in order.
     """
     w = SINC_HALF_WIDTH
+    terms = np.arange(_CHEB_TERMS)[:, None]
+    flat = weights.reshape(-1)
     for start in range(0, delays.size, _BLOCK):
         d = delays[start : start + _BLOCK]
         a = amps[start : start + _BLOCK]
         centers = np.round(d).astype(np.int64)
-        delta = centers - d
-        hann = np.pi * delta / (w + 1)
-        scale = (0.5 / np.pi) * a * np.sin(np.pi * delta)
-        # (2W + 1, block): tap offset major
-        taps = _SINC_BASIS @ np.stack([np.cos(hann) * scale, np.sin(hann) * scale, scale])
-        x = np.add.outer(_OFFSETS, delta)
-        exact = delta == 0.0  # the kernel is a unit impulse at k = 0, where x = 0
-        x[w, exact] = 1.0
-        taps /= x
-        taps[w, exact] = a[exact]
-        # out[0] is tap -W, so every index is >= 0
-        shifted = np.add.outer(_OFFSETS + w, centers)
-        out += np.bincount(shifted.ravel(), weights=taps.ravel(), minlength=out.size)
+        x = 2.0 * (centers - d)
+        exact = x == 0.0
+        if exact.any():
+            np.add.at(out, centers[exact] + w, a[exact])
+            centers, x, a = centers[~exact], x[~exact], a[~exact]
+        # a * T_m(x) by the recurrence T_m = 2x T_(m-1) - T_(m-2), one row per m
+        rows = np.empty((_CHEB_TERMS, a.size))
+        rows[0] = a
+        rows[1] = a * x
+        x *= 2.0
+        for m in range(2, _CHEB_TERMS):
+            np.multiply(x, rows[m - 1], out=rows[m])
+            rows[m] -= rows[m - 2]
+        # a flat index keeps np.add.at on its fast one-dimensional path
+        np.add.at(flat, (centers * _CHEB_TERMS + terms).ravel(), rows.ravel())
+
+
+def _add_sinc_kernels(weights: np.ndarray, out: np.ndarray) -> None:
+    """Add the taps of every centre in ``weights`` to ``out``, _COLS centres at a time.
+
+    Centres j..j + _COLS - 1 give the (2W + 1, _COLS) product P = _SINC_CHEB @ weights.T,
+    whose row k belongs on out[j + k : j + k + _COLS].  The product is written into a
+    zeroed frame of rows _COLS + 2W long whose row stride is one element longer, so
+    that row k starts k columns to the right; the frame's column sums are then the
+    block's taps on out[j : j + _COLS + 2W].
+    """
+    taps = 2 * SINC_HALF_WIDTH + 1
+    span = _COLS + taps - 1
+    frame = np.zeros((taps, span))
+    shifted = as_strided(frame, shape=(taps, _COLS), strides=((span + 1) * frame.itemsize, frame.itemsize))
+    for j in range(0, weights.shape[0], _COLS):
+        np.matmul(_SINC_CHEB, weights[j : j + _COLS].T, out=shifted)
+        out[j : j + span] += frame.sum(axis=0)
 
 
 def direct_path_index(room: RoomSpec, source: SourceSpec, mic: MicSpec, sample_rate: int) -> int:
@@ -249,33 +295,17 @@ def synthesize_rirs(
     per_axis = [
         _axis_images(source.position[d], room.dimensions[d], n_maxes[d]) for d in range(3)
     ]
-
-    # Keep the images that can land a tap inside the IR for some mic: within
-    # reach samples (plus one for rounding) of the array's centroid, widened by
-    # the array's extent.  A kept image is within radius + extent of every mic,
-    # so its taps, shifted by W, fall inside each mic's accumulator.
-    mic_pos = np.array([m.position for m in mics])
-    centroid = mic_pos.mean(axis=0)
-    extent = float(np.max(np.linalg.norm(mic_pos - centroid, axis=1)))
     nearest = config.fractional_delay == "nearest"
     reach = n_out - 0.5 if nearest else n_out + SINC_HALF_WIDTH
-    radius = (reach + 1.0) * c / sample_rate + extent
     w = SINC_HALF_WIDTH
-    acc = np.zeros((len(mics), int((radius + extent) / c * sample_rate) + 2 * w + 2))
 
     # Per-axis factors of each image's values; a lattice point combines its
     # three as (x . y) . z, the same bits as an (x*y, z) table would hold.
-    to_centroid = [(centroid[d] - per_axis[d][0]) ** 2 for d in range(3)]
     wall_att = [betas[2 * d] ** per_axis[d][1] * betas[2 * d + 1] ** per_axis[d][2] for d in range(3)]
     reflections = [per_axis[d][1] + per_axis[d][2] for d in range(3)]
     pattern = source.directivity
     directive = pattern.pattern != "omnidirectional"
     ori = source.orientation
-    per_mic = []
-    for pos in mic_pos:
-        rel = [pos[d] - per_axis[d][0] for d in range(3)]  # mic minus image
-        # squared distance and boresight projection
-        per_mic.append(([r * r for r in rel], [ori[d] * per_axis[d][3] * rel[d] for d in range(3)]))
 
     # The lattice is walked in chunks of (x, y) rows, x-major, each with every
     # z; np.nonzero keeps C order, so every mic adds its images in lattice
@@ -285,40 +315,76 @@ def synthesize_rirs(
     n_rows = per_axis[0][0].size * n_y
     rows_per_chunk = max(1, _CHUNK // n_z)
 
-    def kept(ufunc, f):
-        """Per-axis values ``f`` combined as (x . y) . z, for the chunk's kept images."""
-        return ufunc(ufunc(f[0][ix], f[1][iy])[row], f[2][iz])
+    def array_sphere(mic_pos):
+        """Pruning centre and radius for an array, and its accumulator length: 2W past a multiple of _COLS."""
+        centroid = mic_pos.mean(axis=0)
+        extent = float(np.max(np.linalg.norm(mic_pos - centroid, axis=1)))
+        radius = (reach + 1.0) * c / sample_rate + extent
+        centres = int((radius + extent) / c * sample_rate) + 2
+        return centroid, radius, -(-centres // _COLS) * _COLS + 2 * w
 
-    for first in range(0, n_rows, rows_per_chunk):
-        ix, iy = np.divmod(np.arange(first, min(first + rows_per_chunk, n_rows)), n_y)
-        row, iz = np.nonzero(
-            np.add.outer(to_centroid[0][ix] + to_centroid[1][iy], to_centroid[2]) <= radius * radius
-        )
-        if not iz.size:
-            continue
-        att = kept(np.multiply, wall_att)
-        if config.negative_reflection or order_cap is not None:
-            counts = kept(np.add, reflections)
-            if config.negative_reflection:
-                att = att * np.where(counts % 2 == 0, 1.0, -1.0)
-            if order_cap is not None:
-                att = np.where(counts <= order_cap, att, 0.0)
+    def walk(mic_pos):
+        """One walk of the lattice: the IR samples of the mics at ``mic_pos``."""
+        # Keep the images that can land a tap inside the IR for some mic: within
+        # reach samples (plus one for rounding) of the array's centroid, widened by
+        # the array's extent.  A kept image is within radius + extent of every mic,
+        # so its taps, shifted by W, fall inside each mic's accumulator.
+        centroid, radius, size = array_sphere(mic_pos)
+        acc = np.zeros((len(mic_pos), size))
+        weights = None if nearest else np.zeros((len(mic_pos), size - 2 * w, _CHEB_TERMS))
+        to_centroid = [(centroid[d] - per_axis[d][0]) ** 2 for d in range(3)]
+        per_mic = []
+        for pos in mic_pos:
+            rel = [pos[d] - per_axis[d][0] for d in range(3)]  # mic minus image
+            # squared distance and boresight projection
+            per_mic.append(([r * r for r in rel], [ori[d] * per_axis[d][3] * rel[d] for d in range(3)]))
 
-        for out, (sq, proj) in zip(acc, per_mic):
-            dist = np.sqrt(kept(np.add, sq))
-            gain = att
-            if directive:
-                gain = gain * _pattern_gain(pattern, kept(np.add, proj) / dist)
-            amps = gain / (4.0 * np.pi * dist)
-            delays = dist / c * sample_rate
-            if nearest:
-                # unbuffered, in image order: the same sums as one bincount over the
-                # lattice; zero amplitudes add +-0.0, which leaves every bin's bits unchanged
-                np.add.at(out[w:], np.round(delays).astype(np.int64), amps)
-            else:
-                keep = (delays < n_out + w) & (amps != 0.0)
-                _sinc_taps(delays[keep], amps[keep], out)
-    ir_samples = acc[:, w : w + n_out]
+        def kept(ufunc, f):
+            """Per-axis values ``f`` combined as (x . y) . z, for the chunk's kept images."""
+            return ufunc(ufunc(f[0][ix], f[1][iy])[row], f[2][iz])
+
+        for first in range(0, n_rows, rows_per_chunk):
+            ix, iy = np.divmod(np.arange(first, min(first + rows_per_chunk, n_rows)), n_y)
+            row, iz = np.nonzero(
+                np.add.outer(to_centroid[0][ix] + to_centroid[1][iy], to_centroid[2]) <= radius * radius
+            )
+            if not iz.size:
+                continue
+            att = kept(np.multiply, wall_att)
+            if config.negative_reflection or order_cap is not None:
+                counts = kept(np.add, reflections)
+                if config.negative_reflection:
+                    att = att * np.where(counts % 2 == 0, 1.0, -1.0)
+                if order_cap is not None:
+                    att = np.where(counts <= order_cap, att, 0.0)
+
+            for m, (sq, proj) in enumerate(per_mic):
+                dist = np.sqrt(kept(np.add, sq))
+                gain = att
+                if directive:
+                    gain = gain * _pattern_gain(pattern, kept(np.add, proj) / dist)
+                amps = gain / (4.0 * np.pi * dist)
+                delays = dist / c * sample_rate
+                if nearest:
+                    # unbuffered, in image order: the same sums as one bincount over the
+                    # lattice; zero amplitudes add +-0.0, which leaves every bin's bits unchanged
+                    np.add.at(acc[m, w:], np.round(delays).astype(np.int64), amps)
+                else:
+                    keep = (delays < n_out + w) & (amps != 0.0)
+                    _add_sinc_weights(delays[keep], amps[keep], acc[m], weights[m])
+        if not nearest:
+            for out, table in zip(acc, weights):
+                _add_sinc_kernels(table, out)
+        return acc[:, w : w + n_out]
+
+    # Sinc mode holds a table of Chebyshev weights per mic; the mics whose tables
+    # fit in _WEIGHT_BYTES share a walk.  Nearest mode walks once for the array.
+    mic_pos = np.array([m.position for m in mics])
+    group = len(mics)
+    if not nearest:
+        table_bytes = (array_sphere(mic_pos)[2] - 2 * w) * _CHEB_TERMS * 8
+        group = max(1, _WEIGHT_BYTES // table_bytes)
+    ir_samples = np.concatenate([walk(mic_pos[i : i + group]) for i in range(0, len(mics), group)])
 
     if config.highpass_hz > 0:
         # deferred: importing scipy.signal costs about a second, and only this branch needs it

@@ -160,7 +160,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
             )
         except KeyError as exc:  # "dimensions", the one key read with []
             errors.append((f"{path}.{exc.args[0]}", "missing required field"))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             errors.append((path, str(exc)))
     if not rooms:
         errors.append(("$.rooms", "at least one room is required"))
@@ -176,7 +176,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
             arrays[name] = layout
         except KeyError as exc:  # "id" or "position" of mic j, the keys read with []
             errors.append((f"{path}[{j}].{exc.args[0]}", "missing required field"))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             errors.append((path, str(exc)))
     if not arrays:
         errors.append(("$.arrays", "at least one microphone array is required"))
@@ -189,7 +189,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
             fractional_delay=syn.get("fractional_delay", "nearest"),
             highpass_hz=syn.get("highpass_hz", 0.0),
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         errors.append(("$.synthesis", str(exc)))
         synthesis = ImageSynthesisConfig()
 
@@ -199,6 +199,15 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
     if noise:
         noise_name = _field(noise, "file", "$.noise", errors, "a string")
         target_snr_db = _field(noise, "snr_db", "$.noise", errors, "a finite number")
+        if target_snr_db is not None:
+            # the noise gain divides by this amplitude ratio
+            try:
+                ratio = 10.0 ** (target_snr_db / 20.0)
+            except OverflowError:
+                ratio = math.inf
+            if not 0.0 < ratio < math.inf:
+                errors.append(("$.noise.snr_db", f"{reprlib.repr(target_snr_db)} dB is out of range: "
+                               "10 ** (snr_db / 20) is not a positive finite float"))
         if noise_name is not None:
             noise_file = base / noise_name
             if not noise_file.exists():
@@ -249,7 +258,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
             )
         except KeyError as exc:  # "position", the one key read with []
             errors.append((f"{path}.source.{exc.args[0]}", "missing required field"))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             errors.append((f"{path}.source", str(exc)))
 
         room = rooms.get(room_name)

@@ -462,6 +462,9 @@ class TestRunCommand:
              "$.sessions[0].source"),
             (lambda d: d.update(noise={"file": "noise.wav", "snr_db": float("nan")}), "$.noise.snr_db"),
             (lambda d: d.update(noise={"file": "noise.wav", "snr_db": float("inf")}), "$.noise.snr_db"),
+            # finite, but 10 ** (snr_db / 20) overflows or underflows to 0
+            (lambda d: d.update(noise={"file": "noise.wav", "snr_db": 1e300}), "$.noise.snr_db"),
+            (lambda d: d.update(noise={"file": "noise.wav", "snr_db": -1e300}), "$.noise.snr_db"),
             (lambda d: d["sessions"][0]["source"].update(
                 directivity={"angles_deg": [0, 180], "gains": [1, float("nan")]}),
              "$.sessions[0].source"),
@@ -469,8 +472,8 @@ class TestRunCommand:
                 directivity={"angles_deg": [0, float("nan")], "gains": [1, 0]}),
              "$.sessions[0].source"),
         ],
-        ids=["room-inf", "t60-nan", "azimuth-nan", "snr-nan", "snr-inf",
-             "directivity-gain-nan", "directivity-angle-nan"],
+        ids=["room-inf", "t60-nan", "azimuth-nan", "snr-nan", "snr-inf", "snr-overflow",
+             "snr-underflow", "directivity-gain-nan", "directivity-angle-nan"],
     )
     def test_number_that_is_not_finite_is_invalid(self, tmp_path, capsys, recwarn, edit, path):
         manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "max_order": 2})
@@ -482,6 +485,30 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert f"  {path}: " in err and "finite" in err and "Traceback" not in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (lambda d: d["rooms"]["lab"].update(dimensions=[5.0, 10**400, 3.0]), "$.rooms.lab"),
+            (lambda d: d["rooms"].update(lab={"dimensions": [5.0, 4.0, 3.0], "t60": 10**400}),
+             "$.rooms.lab"),
+            (lambda d: d["arrays"]["solo"][0].update(position=[10**400, 1.0, 1.5]), "$.arrays.solo"),
+            (lambda d: d["sessions"][0]["source"].update(position=[3.0, 10**400, 1.5]),
+             "$.sessions[0].source"),
+            (lambda d: d["sessions"][0]["source"].update(azimuth_deg=-(10**400)),
+             "$.sessions[0].source"),
+            (lambda d: d["synthesis"].update(ir_length=10**400), "$.synthesis"),
+        ],
+        ids=["dimensions", "t60", "mic-position", "source-position", "azimuth", "ir-length"],
+    )
+    def test_integer_too_large_for_a_float_is_invalid(self, tmp_path, capsys, edit, path):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "max_order": 2})
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        assert run_cli("run", manifest, "--dry-run") == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"  {path}: int too large to convert to float" in err and "Traceback" not in err
 
     def test_highpass_at_nyquist_is_invalid(self, tmp_path, capsys):
         manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "highpass_hz": 9000})

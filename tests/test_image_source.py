@@ -24,6 +24,7 @@ from roomforge import (
     reflectivity_from_t60,
     synthesize_rir,
 )
+from roomforge import image_source
 from roomforge.image_source import direct_path_index, lattice_image_count, synthesize_rirs
 
 C = 343.0
@@ -315,15 +316,19 @@ class TestEnergyAndModes:
 
 
 @st.composite
-def synthesis_case(draw, n_mics=1):
-    """Random shoebox, source, mics, config and rate; the engine's input space."""
+def synthesis_case(draw, n_mics=1, omni=False):
+    """Random shoebox, source, mics, config and rate; the engine's input space.
+
+    With ``omni`` the source is omnidirectional.
+    """
     dims = tuple(draw(st.floats(2.0, 6.0)) for _ in range(3))
     if draw(st.booleans()):
         room = RoomSpec(dims, reflectivity=tuple(draw(st.floats(0.0, 1.0)) for _ in range(6)))
     else:
         room = RoomSpec(dims, target_t60=draw(st.floats(0.2, 1.0)))
     inside = st.floats(0.05, 0.95)
-    kind = draw(st.sampled_from(["omnidirectional", "cardioid", "subcardioid", "hypercardioid", "custom"]))
+    kinds = ["omnidirectional"] if omni else ["omnidirectional", "cardioid", "subcardioid", "hypercardioid", "custom"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "custom":
         angles = sorted(set(draw(st.lists(st.floats(0.0, math.pi), min_size=2, max_size=6))))
         assume(len(angles) >= 2)
@@ -390,6 +395,54 @@ class TestEngineAgainstReference:
         for a, b in zip(together, alone):
             assert np.array_equal(a.samples, b.samples)
             assert a.direct_path_index == b.direct_path_index
+
+    @settings(max_examples=100, deadline=None)
+    @given(synthesis_case(omni=True))
+    def test_swapping_source_and_mic_gives_the_same_ir(self, case):
+        # The image of the source seen from the mic and that of the mic seen from
+        # the source lie at the same distances after the same wall hits, but the
+        # distances round differently and the sums run in another order.  Measured
+        # over 393 random cases of this input space: nearest at most 3.3e-16 of the
+        # peak; sinc at most 2.4e-13, where an IR of about 2900 samples at 48 kHz
+        # turns one ulp of delay into about 1e-13 of a tap.
+        room, source, (mic,), config, fs = case
+        swapped = (SourceSpec(mic.position), MicSpec("m", source.position))
+        try:
+            ir = synthesize_rir(room, source, mic, config, sample_rate=fs)
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                synthesize_rir(room, *swapped, config, sample_rate=fs)
+            return
+        back = synthesize_rir(room, *swapped, config, sample_rate=fs)
+        assert back.direct_path_index == ir.direct_path_index
+        bound = 1e-14 if config.fractional_delay == "nearest" else 1e-12
+        assert np.max(np.abs(back.samples - ir.samples)) <= bound * np.max(np.abs(ir.samples))
+
+    @pytest.mark.parametrize(
+        "budget, groups",
+        [(1, [1, 1, 1, 1, 1]), (2 * 1152 * 20 * 8, [2, 2, 2, 2, 1])],
+        ids=["one-mic-per-walk", "two-mics-per-walk"],
+    )
+    def test_mic_groups_give_the_bits_of_one_walk(self, monkeypatch, budget, groups):
+        # the array's tables hold 1152 rows of 20 weights per mic
+        room = RoomSpec((4.1, 3.4, 2.5), target_t60=0.5)
+        mics = [MicSpec(f"m{i}", (2.0 + (i - 2) * 0.3, 0.4, 1.1)) for i in range(5)]
+        src = SourceSpec((2.6, 2.3, 1.5), azimuth=-1.9, directivity="cardioid")
+        cfg = ImageSynthesisConfig(ir_length=0.06, fractional_delay="sinc")
+        together = synthesize_rirs(room, src, mics, cfg, 16000)
+        sizes = []  # per mic, the number of mics in its walk
+        real = image_source._add_sinc_kernels
+
+        def recorded(weights, out):
+            sizes.append(weights.base.shape[0])
+            real(weights, out)
+
+        monkeypatch.setattr(image_source, "_WEIGHT_BYTES", budget)
+        monkeypatch.setattr(image_source, "_add_sinc_kernels", recorded)
+        grouped = synthesize_rirs(room, src, mics, cfg, 16000)
+        assert sizes == groups
+        for a, b in zip(together, grouped):
+            assert np.array_equal(a.samples, b.samples)
 
     def test_sinc_and_highpass_drift_within_bound_on_a_reverberant_room(self):
         room = RoomSpec((5, 4, 3), target_t60=0.5)

@@ -39,6 +39,9 @@ def write_clean(directory, names, seconds=0.5, seed=50):
         write_wav(directory / f"{name}.wav", AudioSignal(FS, x), fmt="float32")
 
 
+SNR_OUT_OF_RANGE = "is out of range: 10 ** (snr_db / 20) is not a positive finite float"
+
+
 def base_doc(tmp_path, sentences=("s01", "s02"), mics=None):
     mics = mics or [
         {"id": "m0", "position": [1.0, 1.0, 1.5]},
@@ -244,11 +247,32 @@ class TestParseManifest:
             (lambda d: d["sessions"][0]["source"].update(
                 directivity={"angles_deg": [0, float("nan"), 180], "gains": [1, 0.5, 0]}),
              ("$.sessions[0].source", "directivity table angles and gains must be finite")),
+            (lambda d: d["rooms"]["lab"].update(dimensions=[10**400, 4.0, 3.0]),
+             ("$.rooms.lab", "int too large to convert to float")),
+            (lambda d: d["rooms"].update(lab={"dimensions": [5.0, 4.0, 3.0], "t60": 10**400}),
+             ("$.rooms.lab", "int too large to convert to float")),
+            (lambda d: d["arrays"]["pair"][1].update(position=[1.0, 10**400, 1.5]),
+             ("$.arrays.pair", "int too large to convert to float")),
+            (lambda d: d["sessions"][0]["source"].update(position=[3.0, 2.0, 10**400]),
+             ("$.sessions[0].source", "int too large to convert to float")),
+            (lambda d: d["sessions"][0]["source"].update(azimuth_deg=10**400),
+             ("$.sessions[0].source", "int too large to convert to float")),
+            (lambda d: d["synthesis"].update(ir_length=10**400),
+             ("$.synthesis", "int too large to convert to float")),
+            # the noise gain divides by 10 ** (snr_db / 20), which overflows or underflows to 0
+            (lambda d: d.update(noise={"file": "n.wav", "snr_db": 1e300}),
+             ("$.noise.snr_db", f"1e+300 dB {SNR_OUT_OF_RANGE}")),
+            (lambda d: d.update(noise={"file": "n.wav", "snr_db": -1e300}),
+             ("$.noise.snr_db", f"-1e+300 dB {SNR_OUT_OF_RANGE}")),
+            (lambda d: d.update(noise={"file": "n.wav", "snr_db": -(10**400)}),
+             ("$.noise.snr_db", f"-10000000000000000...0000000000000000000 dB {SNR_OUT_OF_RANGE}")),
         ],
         ids=["room", "mic", "source", "ir-length", "highpass", "no-dimensions", "no-position",
              "room-inf", "t60-nan", "azimuth-nan", "mic-no-id", "mic-no-position",
              "highpass-nyquist", "ir-under-one-sample", "snr-nan", "snr-inf",
-             "directivity-gain-nan", "directivity-angle-nan"],
+             "directivity-gain-nan", "directivity-angle-nan", "dimensions-huge", "t60-huge",
+             "mic-position-huge", "source-position-huge", "azimuth-huge", "ir-length-huge",
+             "snr-overflow", "snr-underflow", "snr-huge-int"],
     )
     def test_number_that_is_not_one_names_its_path(self, tmp_path, edit, error):
         doc = base_doc(tmp_path)
@@ -256,6 +280,13 @@ class TestParseManifest:
         with pytest.raises(ManifestError) as exc_info:
             parse_manifest(json.dumps(doc), base_dir=tmp_path)
         assert exc_info.value.errors[0] == error
+
+    @pytest.mark.parametrize("snr_db", [20, 20.0, 300, -300])
+    def test_snr_in_range_is_kept(self, tmp_path, snr_db):
+        (tmp_path / "n.wav").touch()
+        doc = base_doc(tmp_path)
+        doc["noise"] = {"file": "n.wav", "snr_db": snr_db}
+        assert parse_manifest(json.dumps(doc), base_dir=tmp_path).target_snr_db == snr_db
 
     def test_sentences_string_is_not_three_sentences(self, tmp_path):
         doc = base_doc(tmp_path)

@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from roomforge import AudioSignal, ValidationError
 from roomforge import wavio
@@ -26,6 +29,27 @@ def test_round_trip(tmp_path, signal, fmt, tol):
     assert back.num_channels == 2
     assert back.num_samples == 4800
     np.testing.assert_allclose(back.data, signal.data, atol=tol)
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even-frames", "odd-frames"])
+@pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "float32"])
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=st.tuples(st.integers(1, 8), st.integers(1, 40)), data=st.data())
+def test_round_trip_returns_the_quantized_samples(tmp_path, fmt, parity, shape, data):
+    channels, half = shape
+    frames = 2 * half - 1 + parity
+    x = data.draw(arrays(np.float64, (channels, frames), elements=st.floats(-1.25, 1.25)))
+    if fmt == "float32":
+        expected = x.astype(np.float32).astype(np.float64)
+    else:
+        # scaled by 2**(bits - 1), rounded half to even and clipped to the integer range
+        full = 2.0 ** (int(fmt[3:]) - 1)
+        expected = np.clip(np.round(x * full), -full, full - 1) / full
+    path = tmp_path / "x.wav"
+    write_wav(path, AudioSignal(22050, x), fmt=fmt)
+    back = read_wav(path)
+    assert back.sample_rate == 22050
+    assert np.array_equal(back.data, expected)
 
 
 def test_mono_round_trip(tmp_path):
