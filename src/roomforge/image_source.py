@@ -35,6 +35,7 @@ lattice once per group of microphones whose tables fit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Sequence, Union
 
@@ -112,11 +113,12 @@ class ImageSynthesisConfig:
     def __post_init__(self):
         if not (math.isfinite(self.ir_length) and self.ir_length > 0):
             raise ValidationError(f"ir_length must be finite and positive, got {self.ir_length}")
-        if isinstance(self.max_reflection_order, str):
-            if self.max_reflection_order != "auto":
-                raise ValidationError(f"max_reflection_order must be an integer or 'auto'")
-        elif self.max_reflection_order < 0:
-            raise ValidationError("max_reflection_order must be >= 0")
+        order = self.max_reflection_order
+        if order != "auto" and (isinstance(order, bool) or not isinstance(order, numbers.Integral)
+                                or order < 0):
+            raise ValidationError(
+                f"max_reflection_order must be 'auto' or an integer >= 0, got {order!r}"
+            )
         if self.fractional_delay not in ("nearest", "sinc"):
             raise ValidationError(f"unknown fractional_delay mode {self.fractional_delay!r}")
         if not (math.isfinite(self.highpass_hz) and self.highpass_hz >= 0):

@@ -8,7 +8,7 @@ job per (session, sentence) and runs it on one worker pool.  The pool
 first makes each distinct IR of the run once, whatever the room, array and
 session names (``_resolve_irs``).  Then it runs the jobs, longest first.  The
 corpus is reproducible: the same manifest and seed yield byte-identical
-outputs whatever the worker count, the mic groups and the job order.
+outputs whatever the worker count and the job order.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import reprlib
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
@@ -578,25 +579,21 @@ def _run_one(
 
 
 def _resolve_irs(
-    manifest: ScenarioManifest, cache: IrCache, pool: ThreadPoolExecutor, parallelism: int
+    manifest: ScenarioManifest, cache: IrCache, pool: ThreadPoolExecutor
 ) -> List[List[ImpulseResponse]]:
     """Each session's IRs in mic order, each distinct IR made once on ``pool``.
 
     A table maps each IR to the task that makes it and its index in that task's
     result: a loaded IR by its file path, a synthesized one by (room, source, mic
     position), as config and rate are fixed for the run.  A session's new files
-    are read in one task, each at the manifest's rate; its new synthesized mics
-    become ``min(parallelism, new)`` contiguous groups, one ``get_or_synthesize``
-    each (``synthesize_rirs`` gives a mic the same bits in any group).  Results
-    are taken in session order: the first session that fails raises, with the
-    queued tasks cancelled.
+    are read in one task, each at the manifest's rate, and its new synthesized
+    mics are made in one ``get_or_synthesize`` task, so distinct placements
+    overlap and one placement's lattice is walked once.  Results are taken in
+    session order: the first session that fails raises, with the queued tasks
+    cancelled.
     """
     fs = manifest.sample_rate
     table: Dict[Hashable, Tuple[Future, int]] = {}
-
-    def submit(keys, fn, *args):
-        future = pool.submit(fn, *args)
-        table.update((key, (future, i)) for i, key in enumerate(keys))
 
     def load(paths):
         return [_at_rate(p, load_ir(p), fs) for p in paths]
@@ -606,18 +603,17 @@ def _resolve_irs(
         mics = manifest.arrays[sess.array]
         if sess.ir_mode == "load":
             keys = [sess.ir_files[mic.id] for mic in mics]
-            new = list(dict.fromkeys(key for key in keys if key not in table))
-            if new:
-                submit(new, load, new)
+            new = {key: key for key in keys if key not in table}
+            task = load
         else:
             room = manifest.rooms[sess.room]
             keys = [(room, sess.source, mic.position) for mic in mics]
-            new = list({key: mic for key, mic in zip(keys, mics) if key not in table}.items())
-            groups = min(parallelism, len(new))
-            for g in range(groups):
-                group = new[len(new) * g // groups : len(new) * (g + 1) // groups]
-                submit([key for key, _ in group], cache.get_or_synthesize, room, sess.source,
-                       [mic for _, mic in group], manifest.synthesis, fs)
+            new = {key: mic for key, mic in zip(keys, mics) if key not in table}
+            task = partial(cache.get_or_synthesize, room, sess.source,
+                           config=manifest.synthesis, fs=fs)
+        if new:
+            future = pool.submit(task, list(new.values()))
+            table.update((key, (future, i)) for i, key in enumerate(new))
         session_keys.append(keys)
     try:
         return [[future.result()[i] for future, i in (table[key] for key in keys)]
@@ -639,13 +635,14 @@ def plan_and_run(
     the jobs: it reads no audio, resolves no IR and writes nothing, not even
     to the IR cache.  A real run reads the noise file, then uses one bounded
     thread pool of ``parallelism`` workers.  It first makes each distinct IR
-    once (``_resolve_irs``); a failure there raises before any job starts or
-    ``output_dir`` exists.  Then the pool runs the jobs, longest first: by the
-    clean file's size times the mic count, ties in manifest order.  Neither the groups nor the
-    order change a byte of the corpus.  Each job writes one mono WAV per
-    microphone, then one JSON sidecar for the job (see ``_run_one``); a
-    top-level ``corpus.json`` indexes everything.  A job that fails is
-    reported in ``failures`` and ``corpus.json``, and the others still run.
+    once, in one task per placement (``_resolve_irs``); a failure there raises
+    before any job starts or ``output_dir`` exists.  Then the pool runs the
+    jobs, longest first: by the clean file's size times the mic count, ties in
+    manifest order.  Neither the worker count nor the order change a byte of
+    the corpus.  Each job writes one mono WAV per microphone, then one JSON
+    sidecar for the job (see ``_run_one``); a top-level ``corpus.json``
+    indexes everything.  A job that fails is reported in ``failures`` and
+    ``corpus.json``, and the others still run.
     """
     if parallelism < 1:
         raise ValidationError(f"worker count must be at least 1, got {parallelism}")
@@ -659,7 +656,7 @@ def plan_and_run(
         cache = cache or IrCache()
 
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            session_irs = _resolve_irs(manifest, cache, pool, parallelism)
+            session_irs = _resolve_irs(manifest, cache, pool)
             manifest.output_dir.mkdir(parents=True, exist_ok=True)
             jobs = [
                 (sess, sentence, irs)

@@ -137,8 +137,9 @@ def deconvolve_ir(
     ``ir_length`` seconds.  Distortion products land at negative lag and are
     dropped.  The sweep counts as found when the peak stands
     ``PEAK_OVER_FLOOR_DB`` above the rms of everything before the guard.
-    ``ir_length`` must be longer than the guard, in samples at the recording's
-    rate.  The result is peak-normalized; the scale is stored in ``meta``.
+    ``ir_length`` and ``pre_peak_guard`` must be finite, and ``ir_length``
+    longer than the guard, in samples at the recording's rate.  The result is
+    peak-normalized; the scale is stored in ``meta``.
 
     The convolution is one ``rfft`` of the recording times the inverse
     filter's spectrum, which is cached per ``(spec, sample_rate, nfft)``, one
@@ -147,6 +148,9 @@ def deconvolve_ir(
     recording of its own length, 47 MB with a 2 s tail).  The samples equal
     ``fftconvolve(recording, inverse)`` bit for bit.
     """
+    for name, seconds in (("ir_length", ir_length), ("pre_peak_guard", pre_peak_guard)):
+        if not math.isfinite(seconds):
+            raise ValidationError(f"{name} must be finite, got {seconds}")
     fs = recording.sample_rate
     sweep_len = spec.validate_rate(fs)
     guard = int(round(pre_peak_guard * fs))

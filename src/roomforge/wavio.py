@@ -112,7 +112,11 @@ def read_wav(path: Union[str, Path]) -> AudioSignal:
 
 
 def write_wav(path: Union[str, Path], signal: AudioSignal, fmt: str = "float32") -> None:
-    """Write an AudioSignal as PCM16, PCM24 or float32 WAV, whole or not at all."""
+    """Write an AudioSignal as PCM16, PCM24 or float32 WAV, whole or not at all.
+
+    Integer formats clip to their range; a float32 sample past float32's range
+    is a ``ValidationError``, and no file is written.
+    """
     if fmt not in _FORMATS:
         raise ValidationError(f"unknown WAV format {fmt!r}, expected one of {sorted(_FORMATS)}")
     audio_format, bits = _FORMATS[fmt]
@@ -146,5 +150,10 @@ def write_wav(path: Union[str, Path], signal: AudioSignal, fmt: str = "float32")
     data = bytearray(len(header) + payload_size)
     data[: len(header)] = header
     # stored straight into the file's bytes, with no payload copy to join to the header
-    np.frombuffer(data, stored, offset=len(header)).reshape(interleaved.shape)[...] = samples
+    payload = np.frombuffer(data, stored, offset=len(header))
+    with np.errstate(over="ignore"):  # a sample past float32's range becomes inf, caught below
+        payload.reshape(interleaved.shape)[...] = samples
+    # the extremes show a stored inf without the temporary array of a sum or an isinf
+    if fmt == "float32" and (np.isinf(payload.max(initial=0)) or np.isinf(payload.min(initial=0))):
+        raise ValidationError(f"{path}: samples past float32's range (about 3.4e38) cannot be written")
     atomic_write(path, data)

@@ -51,6 +51,8 @@ class TestRirCommand:
         assert ir.sample_rate == FS
         assert ir.provenance == "image-method"
         assert ir.direct_path_index is not None
+        assert json.loads(out.with_suffix(".json").read_text())["meta"]["config"][
+            "max_reflection_order"] == 3
 
     def test_t60_mode(self, tmp_path):
         out = tmp_path / "h.wav"
@@ -185,6 +187,17 @@ class TestSweepCommands:
         err = capsys.readouterr().err
         assert ("error: ir_length of 0.001 s (16 samples) must exceed "
                 "the 0.005 s pre-peak guard (80 samples)") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ir_length", ["nan", "inf"])
+    def test_deconv_ir_length_that_is_not_finite_is_invalid(self, tmp_path, capsys, ir_length):
+        rec = tmp_path / "rec.wav"
+        write_wav(rec, AudioSignal(FS, np.zeros(3 * FS)), fmt="float32")
+        out = tmp_path / "ir.wav"
+        code = run_cli("sweep", "deconv", "--f-start", "50", "--f-end", "7000", "--duration", "2",
+                       rec, "--ir-length", ir_length, "-o", out)
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: ir_length must be finite, got {ir_length}\n"
         assert not out.exists()
 
     def test_deconv_of_noise_is_invalid(self, tmp_path):
@@ -509,6 +522,16 @@ class TestRunCommand:
         assert run_cli("run", manifest, "--dry-run") == EXIT_INVALID
         err = capsys.readouterr().err
         assert f"  {path}: int too large to convert to float" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("max_order", [float("inf"), float("nan"), 2.5, True],
+                             ids=["inf", "nan", "fraction", "bool"])
+    def test_max_order_that_is_not_an_integer_is_invalid(self, tmp_path, capsys, max_order):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "max_order": max_order})
+        assert run_cli("run", manifest, "--dry-run") == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert (f"  $.synthesis: max_reflection_order must be 'auto' or an integer >= 0, "
+                f"got {max_order!r}") in err
+        assert "Traceback" not in err
 
     def test_highpass_at_nyquist_is_invalid(self, tmp_path, capsys):
         manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "highpass_hz": 9000})

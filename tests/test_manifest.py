@@ -40,6 +40,7 @@ def write_clean(directory, names, seconds=0.5, seed=50):
 
 
 SNR_OUT_OF_RANGE = "is out of range: 10 ** (snr_db / 20) is not a positive finite float"
+MAX_ORDER_INVALID = "max_reflection_order must be 'auto' or an integer >= 0"
 
 
 def base_doc(tmp_path, sentences=("s01", "s02"), mics=None):
@@ -266,13 +267,22 @@ class TestParseManifest:
              ("$.noise.snr_db", f"-1e+300 dB {SNR_OUT_OF_RANGE}")),
             (lambda d: d.update(noise={"file": "n.wav", "snr_db": -(10**400)}),
              ("$.noise.snr_db", f"-10000000000000000...0000000000000000000 dB {SNR_OUT_OF_RANGE}")),
+            (lambda d: d["synthesis"].update(max_order=float("inf")),
+             ("$.synthesis", f"{MAX_ORDER_INVALID}, got inf")),
+            (lambda d: d["synthesis"].update(max_order=float("nan")),
+             ("$.synthesis", f"{MAX_ORDER_INVALID}, got nan")),
+            (lambda d: d["synthesis"].update(max_order=2.5),
+             ("$.synthesis", f"{MAX_ORDER_INVALID}, got 2.5")),
+            (lambda d: d["synthesis"].update(max_order=True),
+             ("$.synthesis", f"{MAX_ORDER_INVALID}, got True")),
         ],
         ids=["room", "mic", "source", "ir-length", "highpass", "no-dimensions", "no-position",
              "room-inf", "t60-nan", "azimuth-nan", "mic-no-id", "mic-no-position",
              "highpass-nyquist", "ir-under-one-sample", "snr-nan", "snr-inf",
              "directivity-gain-nan", "directivity-angle-nan", "dimensions-huge", "t60-huge",
              "mic-position-huge", "source-position-huge", "azimuth-huge", "ir-length-huge",
-             "snr-overflow", "snr-underflow", "snr-huge-int"],
+             "snr-overflow", "snr-underflow", "snr-huge-int", "max-order-inf", "max-order-nan",
+             "max-order-fraction", "max-order-bool"],
     )
     def test_number_that_is_not_one_names_its_path(self, tmp_path, edit, error):
         doc = base_doc(tmp_path)
@@ -506,7 +516,7 @@ class TestPlanAndRun:
             return out
 
         # three placements, one of them repeated, on three mics, and sentences
-        # of uneven length, so that both the mic groups and the job order vary
+        # of uneven length, so that both the synthesis order and the job order vary
         doc = placement_doc(
             tmp_path,
             [[3.0, 2.0, 1.5], [4.0, 3.0, 1.5], [3.0, 2.0, 1.5], [2.0, 3.0, 2.0]],
@@ -564,14 +574,6 @@ class TestPlanAndRun:
         m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
         assert plan_and_run(m, parallelism=2, cache=IrCache(directory=None)).ok
 
-    def test_one_placement_synthesizes_its_mic_groups_concurrently(self, tmp_path, monkeypatch):
-        doc = placement_doc(tmp_path, [[3.0, 2.0, 1.5]])
-        barrier = threading.Barrier(2, timeout=10)
-        calls = hook_synthesis(monkeypatch, barrier.wait)  # breaks unless both groups run at once
-        m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
-        assert plan_and_run(m, parallelism=2, cache=IrCache(directory=None)).ok
-        assert sorted(calls) == [((3.0, 2.0, 1.5), ("m0",)), ((3.0, 2.0, 1.5), ("m1",))]
-
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_repeated_placement_is_synthesized_once(self, tmp_path, monkeypatch, workers):
         a, b, c = [3.0, 2.0, 1.5], [4.0, 3.0, 1.5], [2.0, 3.0, 2.0]
@@ -586,13 +588,9 @@ class TestPlanAndRun:
         finally:
             sys.setswitchinterval(interval)
         assert report.ok and report.jobs_done == 6
-        synthesized = [(position, mic) for position, mics in calls for mic in mics]
-        assert sorted(synthesized) == sorted(
-            (tuple(p), mic["id"]) for p in (a, b, c) for mic in THREE_MICS
-        )
-        # each placement in min(workers, mics) contiguous groups
-        assert len(calls) == 3 * min(workers, 3)
-        assert all(list(mics) == sorted(mics) for _, mics in calls)
+        # one synthesis per distinct placement, holding all of its mics in order
+        ids = tuple(mic["id"] for mic in THREE_MICS)
+        assert sorted(calls) == sorted((tuple(p), ids) for p in (a, b, c))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_each_distinct_ir_is_made_once(self, tmp_path, monkeypatch, workers):
@@ -690,6 +688,20 @@ class TestPlanAndRun:
         with pytest.raises(ValidationError, match=r"noise\.wav: sample rate 48000 != manifest"):
             plan_and_run(load_manifest(path))
 
+    def test_noise_past_float32_range_fails_the_job(self, tmp_path, recwarn):
+        # -6000 dB scales the noise by about 1e300: a valid gain, but past any float32
+        doc = base_doc(tmp_path, sentences=("s01",))
+        doc["noise"] = {"file": "noise.wav", "snr_db": -6000}
+        doc["format"] = "float32"
+        rng = np.random.default_rng(62)
+        write_wav(tmp_path / "noise.wav", AudioSignal(FS, rng.standard_normal(FS)), fmt="float32")
+        write_clean(tmp_path / "clean", ["s01"])
+        m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        report = plan_and_run(m, cache=IrCache(directory=None))
+        [(job, message)] = report.failures
+        assert job == "sessA/s01" and "past float32's range" in message
+        assert not list((tmp_path / "out").rglob("*.wav"))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_worker_count_below_one_rejected(self, tmp_path, monkeypatch, workers):

@@ -269,6 +269,27 @@ class TestDeconvolveIr:
         with pytest.raises(ValidationError, match="pre-peak guard"):
             deconvolve_ir(AudioSignal(FS, np.zeros(10 * FS)), self.SPEC, ir_length=ir_length)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"ir_length": float("nan")}, "ir_length must be finite, got nan"),
+            ({"ir_length": float("inf")}, "ir_length must be finite, got inf"),
+            ({"ir_length": 0.5, "pre_peak_guard": float("nan")}, "pre_peak_guard must be finite, got nan"),
+            ({"ir_length": 0.5, "pre_peak_guard": float("-inf")},
+             "pre_peak_guard must be finite, got -inf"),
+        ],
+        ids=["ir-length-nan", "ir-length-inf", "guard-nan", "guard-inf"],
+    )
+    def test_length_that_is_not_finite_rejected_before_any_fft(self, kwargs, message, monkeypatch):
+        from roomforge import sweep
+
+        def no_fft(*args):
+            raise AssertionError("deconvolve_ir transformed the recording")
+
+        monkeypatch.setattr(sweep, "_inverse_spectrum", no_fft)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            deconvolve_ir(AudioSignal(FS, np.zeros(10 * FS)), self.SPEC, **kwargs)
+
 
 class TestGateOnImageMethodIrs:
     """The sweep gate accepts reverberant rooms: the tail is no part of its floor."""

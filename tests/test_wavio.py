@@ -117,6 +117,21 @@ def test_non_finite_samples_not_written(tmp_path, fmt, bad):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("big", [1e39, -1e39])
+def test_float32_overflow_not_written(tmp_path, recwarn, big):
+    path = tmp_path / "big.wav"
+    with pytest.raises(ValidationError, match="big.wav.*past float32's range"):
+        write_wav(path, AudioSignal(16000, np.array([[0.1, 0.2], [0.3, big]])), fmt="float32")
+    assert not path.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_largest_float32_magnitudes_round_trip(tmp_path):
+    x = np.array([3.0e38, -3.0e38, float(np.finfo(np.float32).max)])
+    write_wav(tmp_path / "big.wav", AudioSignal(16000, x), fmt="float32")
+    np.testing.assert_array_equal(read_wav(tmp_path / "big.wav").mono, x.astype(np.float32))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_float32_rejected_on_read(tmp_path, bad):
     path = tmp_path / "nan.wav"
