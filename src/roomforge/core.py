@@ -144,10 +144,14 @@ def directivity_gain(pattern: Union[Directivity, str], angle) -> Union[float, np
     return out
 
 
-def _first_order_gain(pattern: str, cos_theta):
-    """Gain of the built-in ``pattern`` from the cosine of the off-boresight angle."""
+def _first_order_gain(pattern: str, cos_theta, out=None):
+    """Gain of the built-in ``pattern`` from the cosine of the off-boresight angle.
+
+    With ``out``, which may be ``cos_theta`` itself, the gain is computed in place.
+    """
     a = FIRST_ORDER_PATTERNS[pattern]
-    return np.maximum(a + (1.0 - a) * cos_theta, 0.0)
+    gain = np.multiply(1.0 - a, cos_theta, out=out)
+    return np.maximum(np.add(a, gain, out=out), 0.0, out=out)
 
 
 def orientation_vector(azimuth: float, elevation: float) -> np.ndarray:

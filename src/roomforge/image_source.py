@@ -17,8 +17,12 @@ along every axis with odd mirror parity, i.e. p = 1).
 array, about 32k images at a time.  Each chunk discards the images too far
 from every microphone, weighs the walls once, and adds every microphone's
 taps straight into that microphone's IR, so the working set is a few MB at
-any IR length.  Each microphone's IR is the same, bit for bit, as when it is
-synthesized alone.
+any IR length.  A microphone's per-image values (distance, gain, amplitude,
+delay, tap) go to a few chunk-sized buffers made once per walk; a per-axis
+table is gathered once per chunk for all the microphones that share that
+coordinate, as the microphones of a linear array share two; and a built-in
+pattern's gain is computed in place.  Each microphone's IR is the same, bit
+for bit, as when it is synthesized alone.
 
 In sinc mode an image at ``d = r - delta`` samples (``r = round(d)``) puts a
 Hann-windowed sinc tap on each of the 2W + 1 samples around ``r``.  Each tap is
@@ -196,12 +200,26 @@ def lattice_image_count(room: RoomSpec, config: ImageSynthesisConfig) -> int:
     return math.prod(2 * (2 * n + 1) for n in n_maxes)
 
 
+def image_count_text(count: int) -> str:
+    """``count`` for a message: in full below 10**15, else the power of ten it exceeds.
+
+    An integer reflection order makes a count of any size; this text stays short and
+    never needs the decimal digits, which Python refuses to make past 4300.
+    """
+    if count < 10**15:
+        return str(count)
+    return f"more than 10^{math.floor((count.bit_length() - 1) * math.log10(2))}"
+
+
 def _pattern_gain(pattern: Directivity, cos_theta: np.ndarray) -> np.ndarray:
-    """Directivity gain from the cosine of the off-boresight angle."""
-    cos_theta = np.clip(cos_theta, -1.0, 1.0)
+    """Directivity gain from the cosine of the off-boresight angle.
+
+    Clips ``cos_theta`` to [-1, 1] in place; a built-in pattern's gain is written over it.
+    """
+    np.clip(cos_theta, -1.0, 1.0, out=cos_theta)
     if pattern.pattern == "custom":
         return np.interp(np.arccos(cos_theta), *pattern.table)
-    return _first_order_gain(pattern.pattern, cos_theta)
+    return _first_order_gain(pattern.pattern, cos_theta, out=cos_theta)
 
 
 def _add_sinc_weights(delays: np.ndarray, amps: np.ndarray, out: np.ndarray, weights: np.ndarray) -> None:
@@ -291,7 +309,8 @@ def synthesize_rirs(
     total = lattice_image_count(room, config)
     if total > config.image_budget:
         raise ResourceError(
-            f"image enumeration needs {total} images, exceeding the budget of {config.image_budget}"
+            f"image enumeration needs {image_count_text(total)} images, "
+            f"exceeding the budget of {config.image_budget}"
         )
     n_maxes, order_cap = _lattice_orders(room, config)
     per_axis = [
@@ -335,45 +354,68 @@ def synthesize_rirs(
         acc = np.zeros((len(mic_pos), size))
         weights = None if nearest else np.zeros((len(mic_pos), size - 2 * w, _CHEB_TERMS))
         to_centroid = [(centroid[d] - per_axis[d][0]) ** 2 for d in range(3)]
-        per_mic = []
-        for pos in mic_pos:
-            rel = [pos[d] - per_axis[d][0] for d in range(3)]  # mic minus image
-            # squared distance and boresight projection
-            per_mic.append(([r * r for r in rel], [ori[d] * per_axis[d][3] * rel[d] for d in range(3)]))
+        # Per axis, the mics' distinct coordinates and, for each, the squared distance
+        # and boresight projection of every image coordinate: mics that share a
+        # coordinate share its gathers.
+        coords, which = zip(*(np.unique(mic_pos[:, d], return_inverse=True) for d in range(3)))
+        rel = [coords[d][:, None] - per_axis[d][0] for d in range(3)]  # mic minus image
+        sq = [r * r for r in rel]
+        proj = [ori[d] * per_axis[d][3] * rel[d] for d in range(3)]
+        by_z = [np.flatnonzero(which[2] == u) for u in range(coords[2].size)]
+        # per-image values go to buffers made once per walk, cut to each chunk's images
+        buffers = np.empty((5, rows_per_chunk * n_z))
+        tap_buffer = np.empty(rows_per_chunk * n_z, dtype=np.intp)
+        row_starts = np.arange(rows_per_chunk) * n_z
 
         def kept(ufunc, f):
             """Per-axis values ``f`` combined as (x . y) . z, for the chunk's kept images."""
-            return ufunc(ufunc(f[0][ix], f[1][iy])[row], f[2][iz])
+            combined = np.repeat(ufunc(f[0][ix], f[1][iy]), per_row)
+            return ufunc(combined, f[2][iz], out=combined)
 
         for first in range(0, n_rows, rows_per_chunk):
             ix, iy = np.divmod(np.arange(first, min(first + rows_per_chunk, n_rows)), n_y)
-            row, iz = np.nonzero(
-                np.add.outer(to_centroid[0][ix] + to_centroid[1][iy], to_centroid[2]) <= radius * radius
-            )
+            inside = np.add.outer(to_centroid[0][ix] + to_centroid[1][iy], to_centroid[2]) <= radius * radius
+            # flat indices keep C order, so every mic adds its images in lattice order
+            per_row = np.count_nonzero(inside, axis=1)
+            iz = np.flatnonzero(inside) - np.repeat(row_starts[: ix.size], per_row)
             if not iz.size:
                 continue
+            z_sq, z_proj, dist, cos, amps = buffers[:, : iz.size]
+            taps = tap_buffer[: iz.size]
             att = kept(np.multiply, wall_att)
             if config.negative_reflection or order_cap is not None:
                 counts = kept(np.add, reflections)
                 if config.negative_reflection:
-                    att = att * np.where(counts % 2 == 0, 1.0, -1.0)
+                    att *= np.where(counts % 2 == 0, 1.0, -1.0)
                 if order_cap is not None:
                     att = np.where(counts <= order_cap, att, 0.0)
 
-            for m, (sq, proj) in enumerate(per_mic):
-                dist = np.sqrt(kept(np.add, sq))
-                gain = att
+            rows_sq = [sq[0][:, ix], sq[1][:, iy]]
+            rows_proj = [proj[0][:, ix], proj[1][:, iy]]
+            for u, mics_at_z in enumerate(by_z):
+                # iz is in range; "clip" lets take write straight into out, where "raise" buffers
+                np.take(sq[2][u], iz, out=z_sq, mode="clip")
                 if directive:
-                    gain = gain * _pattern_gain(pattern, kept(np.add, proj) / dist)
-                amps = gain / (4.0 * np.pi * dist)
-                delays = dist / c * sample_rate
-                if nearest:
-                    # unbuffered, in image order: the same sums as one bincount over the
-                    # lattice; zero amplitudes add +-0.0, which leaves every bin's bits unchanged
-                    np.add.at(acc[m, w:], np.round(delays).astype(np.int64), amps)
-                else:
-                    keep = (delays < n_out + w) & (amps != 0.0)
-                    _add_sinc_weights(delays[keep], amps[keep], acc[m], weights[m])
+                    np.take(proj[2][u], iz, out=z_proj, mode="clip")
+                for m in mics_at_z:
+                    ux, uy = which[0][m], which[1][m]
+                    np.add(np.repeat(rows_sq[0][ux] + rows_sq[1][uy], per_row), z_sq, out=dist)
+                    np.sqrt(dist, out=dist)
+                    gain = att
+                    if directive:
+                        np.add(np.repeat(rows_proj[0][ux] + rows_proj[1][uy], per_row), z_proj, out=cos)
+                        np.divide(cos, dist, out=cos)
+                        gain = np.multiply(att, _pattern_gain(pattern, cos), out=cos)
+                    np.divide(gain, np.multiply(4.0 * np.pi, dist, out=amps), out=amps)
+                    delays = np.multiply(np.divide(dist, c, out=dist), sample_rate, out=dist)
+                    if nearest:
+                        # unbuffered, in image order: the same sums as one bincount over the
+                        # lattice; zero amplitudes add +-0.0, which leaves every bin's bits unchanged
+                        taps[:] = np.rint(delays, out=delays)
+                        np.add.at(acc[m, w:], taps, amps)
+                    else:
+                        keep = (delays < n_out + w) & (amps != 0.0)
+                        _add_sinc_weights(delays[keep], amps[keep], acc[m], weights[m])
         if not nearest:
             for out, table in zip(acc, weights):
                 _add_sinc_kernels(table, out)

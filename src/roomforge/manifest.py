@@ -49,6 +49,7 @@ from .image_source import (
     SYNTHESIS_VERSION,
     ImageSynthesisConfig,
     direct_path_index,
+    image_count_text,
     lattice_image_count,
     synthesize_rir,  # noqa: F401 - kept as a module attribute: perfbench's tracer wraps it here
     synthesize_rirs,
@@ -327,10 +328,12 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
     for room_name in sorted({s.room for s in synthesized}):
         count = lattice_image_count(rooms[room_name], synthesis)
         if count > synthesis.image_budget:
+            # an integer order sets the lattice; "auto" sizes it from the IR length
+            field_at_fault = "ir_length" if synthesis.max_reflection_order == "auto" else "max_order"
             errors.append(
                 (
-                    "$.synthesis.ir_length",
-                    f"room {room_name!r} needs {count} images, "
+                    f"$.synthesis.{field_at_fault}",
+                    f"room {room_name!r} needs {image_count_text(count)} images, "
                     f"exceeding the budget of {synthesis.image_budget}",
                 )
             )

@@ -138,7 +138,8 @@ def deconvolve_ir(
     dropped.  The sweep counts as found when the peak stands
     ``PEAK_OVER_FLOOR_DB`` above the rms of everything before the guard.
     ``ir_length`` and ``pre_peak_guard`` must be finite, and ``ir_length``
-    longer than the guard, in samples at the recording's rate.  The result is
+    longer than the guard, in samples at the recording's rate, and no longer
+    than the ``recording + sweep - 1`` samples of the deconvolution.  The result is
     peak-normalized; the scale is stored in ``meta``.
 
     The convolution is one ``rfft`` of the recording times the inverse
@@ -153,8 +154,15 @@ def deconvolve_ir(
             raise ValidationError(f"{name} must be finite, got {seconds}")
     fs = recording.sample_rate
     sweep_len = spec.validate_rate(fs)
+    n = recording.num_samples + sweep_len - 1  # samples of the deconvolution
+    # ir_length is bounded on both sides before it is rounded: past about 1e304 s,
+    # ir_length * fs overflows to infinity, which no sample count holds
+    if ir_length > n / fs:
+        raise ValidationError(
+            f"ir_length of {ir_length} s is longer than the deconvolution: {n} samples at {fs} Hz"
+        )
     guard = int(round(pre_peak_guard * fs))
-    n_out = int(round(ir_length * fs))
+    n_out = int(round(max(ir_length, 0.0) * fs))
     if n_out <= guard:
         raise ValidationError(
             f"ir_length of {ir_length} s ({n_out} samples) must exceed the "
@@ -165,7 +173,6 @@ def deconvolve_ir(
 
     from scipy import fft as sp_fft
 
-    n = recording.num_samples + sweep_len - 1
     nfft = fft_length(n)
     inverse = _inverse_spectrum(spec, fs, nfft)
     spectrum = sp_fft.rfft(recording.mono, nfft)

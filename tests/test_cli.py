@@ -189,6 +189,19 @@ class TestSweepCommands:
                 "the 0.005 s pre-peak guard (80 samples)") in err
         assert not out.exists()
 
+    def test_deconv_ir_longer_than_the_deconvolution_is_invalid(self, tmp_path, capsys):
+        # a 2 s sweep deconvolved from its own 2 s recording gives 4 s less one sample
+        args = ["--f-start", "50", "--f-end", "7000", "--duration", "2"]
+        sweep_wav = tmp_path / "sweep.wav"
+        assert run_cli("sweep", "gen", *args, "--fs", str(FS), "-o", sweep_wav) == EXIT_OK
+        out = tmp_path / "ir.wav"
+        code = run_cli("sweep", "deconv", *args, sweep_wav, "--ir-length", "1e300", "-o", out)
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == ("error: ir_length of 1e+300 s is longer than the deconvolution: "
+                       "63999 samples at 16000 Hz\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("ir_length", ["nan", "inf"])
     def test_deconv_ir_length_that_is_not_finite_is_invalid(self, tmp_path, capsys, ir_length):
         rec = tmp_path / "rec.wav"
@@ -531,6 +544,14 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert (f"  $.synthesis: max_reflection_order must be 'auto' or an integer >= 0, "
                 f"got {max_order!r}") in err
+        assert "Traceback" not in err
+
+    def test_max_order_past_the_image_budget_is_invalid(self, tmp_path, capsys):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "max_order": 10**6})
+        assert run_cli("run", manifest, "--dry-run") == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert ("  $.synthesis.max_order: room 'lab' needs more than 10^18 images, "
+                "exceeding the budget of 10000000") in err
         assert "Traceback" not in err
 
     def test_highpass_at_nyquist_is_invalid(self, tmp_path, capsys):

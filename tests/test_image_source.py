@@ -25,7 +25,8 @@ from roomforge import (
     synthesize_rir,
 )
 from roomforge import image_source
-from roomforge.image_source import direct_path_index, lattice_image_count, synthesize_rirs
+from roomforge.core import _first_order_gain
+from roomforge.image_source import _pattern_gain, direct_path_index, lattice_image_count, synthesize_rirs
 
 C = 343.0
 
@@ -353,6 +354,43 @@ def synthesis_case(draw, n_mics=1, omni=False):
     return room, source, mics, config, fs
 
 
+@st.composite
+def shared_coordinate_case(draw):
+    """``synthesis_case`` with an array whose mics share coordinates.
+
+    Collinear along an axis, a 2 x 2 grid in a plane, or two mics with one
+    coordinate equal: ``synthesize_rirs`` gathers a coordinate's per-axis values
+    once for all the mics at it, which independent random mics never exercise.
+    """
+    room, source, (mic,), config, fs = draw(synthesis_case())
+    layout = draw(st.sampled_from(["line", "grid", "pair"]))
+    axes = draw(st.permutations(range(3)))
+    # mics start from a point at least 0.1 m inside every wall, so steps up to
+    # 0.09 m in either direction stay inside the room
+    steps = st.floats(-0.09, 0.09)
+    positions = []
+    if layout == "line":  # equal along all but one axis
+        for _ in range(draw(st.integers(2, 4))):
+            p = list(mic.position)
+            p[axes[0]] += draw(steps)
+            positions.append(p)
+    elif layout == "grid":  # a 2 x 2 grid in the plane of two axes
+        a, b = draw(steps), draw(steps)
+        for da, db in itertools.product((0.0, a), (0.0, b)):
+            p = list(mic.position)
+            p[axes[0]] += da
+            p[axes[1]] += db
+            positions.append(p)
+    else:  # two mics with one coordinate equal
+        other = list(mic.position)
+        other[axes[0]] += draw(steps)
+        other[axes[1]] += draw(steps)
+        positions = [list(mic.position), other]
+    mics = [MicSpec(f"m{i}", tuple(p)) for i, p in enumerate(positions)]
+    assume(all(tuple(m.position) != tuple(source.position) for m in mics))
+    return room, source, mics, config, fs
+
+
 class TestEngineAgainstReference:
     """The pruned, batched engine against the full-lattice reference algorithm."""
 
@@ -395,6 +433,29 @@ class TestEngineAgainstReference:
         for a, b in zip(together, alone):
             assert np.array_equal(a.samples, b.samples)
             assert a.direct_path_index == b.direct_path_index
+
+    @settings(max_examples=40, deadline=None)
+    @given(shared_coordinate_case())
+    def test_mics_that_share_coordinates(self, case):
+        room, source, mics, config, fs = case
+        try:
+            alone = [synthesize_rirs(room, source, [m], config, fs)[0] for m in mics]
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                synthesize_rirs(room, source, mics, config, fs)
+            return
+        together = synthesize_rirs(room, source, mics, config, fs)
+        exact = config.fractional_delay == "nearest" and source.directivity.pattern in (
+            "omnidirectional",
+            "custom",
+        )
+        for mic, a, b in zip(mics, together, alone):
+            assert np.array_equal(a.samples, b.samples)
+            expected = reference_rir(room, source, mic, config, fs)
+            if exact:
+                assert np.array_equal(a.samples, expected)
+            else:
+                assert np.max(np.abs(a.samples - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @settings(max_examples=100, deadline=None)
     @given(synthesis_case(omni=True))
@@ -463,6 +524,37 @@ class TestEngineAgainstReference:
         tight = ImageSynthesisConfig(max_reflection_order=3, image_budget=10**3 - 1)
         with pytest.raises(ResourceError, match="1000 images"):
             synthesize_rir(room, src, mic, tight, sample_rate=16000)
+        # an integer order can ask for a count of any size; the message stays short
+        huge = ImageSynthesisConfig(max_reflection_order=10**6)
+        with pytest.raises(ResourceError, match=r"needs more than 10\^18 images"):
+            synthesize_rir(room, src, mic, huge, sample_rate=16000)
+
+
+@pytest.mark.parametrize("pattern", ["cardioid", "subcardioid", "hypercardioid"])
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["ahead", "behind"])
+def test_mic_on_the_boresight_line_gets_the_clipped_law(pattern, side):
+    # 1 m ahead of or behind this source on its boresight line, the cosine of the
+    # direct path, formed as the engine forms it, rounds to 1 + 2**-52 or -1 - 2**-52;
+    # unclipped, the hypercardioid gain ahead and the subcardioid gain behind are off by an ulp
+    room = RoomSpec((5.0, 4.0, 3.0), reflectivity=(0.9,))
+    source = SourceSpec((2.0, 1.5, 1.2), azimuth=-2.9, elevation=-0.4, directivity=pattern)
+    ori = source.orientation
+    mic = MicSpec("m", tuple(float(s + side * o) for s, o in zip(source.position, ori)))
+    rel = [m - s for m, s in zip(mic.position, source.position)]
+    dist = np.sqrt((rel[0] * rel[0] + rel[1] * rel[1]) + rel[2] * rel[2])
+    cos = np.array([(ori[0] * rel[0] + ori[1] * rel[1] + ori[2] * rel[2]) / dist])
+    assert side * cos[0] > 1.0
+    expected = _first_order_gain(pattern, np.clip(cos, -1.0, 1.0))
+    assert _pattern_gain(Directivity(pattern), cos.copy()).tobytes() == expected.tobytes()
+    # order 0 leaves the direct path alone in the IR
+    config = ImageSynthesisConfig(ir_length=0.01, max_reflection_order=0)
+    if expected[0] == 0.0:
+        with pytest.raises(ValidationError, match="nonzero energy"):
+            synthesize_rir(room, source, mic, config, sample_rate=16000)
+        return
+    ir = synthesize_rir(room, source, mic, config, sample_rate=16000)
+    assert np.flatnonzero(ir.samples).tolist() == [ir.direct_path_index]
+    assert ir.samples[ir.direct_path_index] == expected[0] / (4.0 * np.pi * dist)
 
 
 @pytest.mark.parametrize(

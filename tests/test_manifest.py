@@ -175,6 +175,25 @@ class TestParseManifest:
         parse_manifest(json.dumps(doc), base_dir=tmp_path)
 
     @pytest.mark.parametrize(
+        "max_order, count",
+        [
+            (106, "10360232"),  # (2 * (2 * 54 + 1)) ** 3 images
+            (10**6, "more than 10^18"),  # 8000072000216000216
+            (10**400, "more than 10^1200"),  # about 8e1200
+            (10**2000, "more than 10^6000"),  # past the 4300 digits Python turns into a string
+        ],
+        ids=["small", "1e6", "1e400", "1e2000"],
+    )
+    def test_integer_order_past_the_budget_names_max_order(self, tmp_path, max_order, count):
+        doc = base_doc(tmp_path)
+        doc["synthesis"] = {"ir_length": 0.1, "max_order": max_order}
+        with pytest.raises(ManifestError) as exc_info:
+            parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert exc_info.value.errors == [
+            ("$.synthesis.max_order", f"room 'lab' needs {count} images, exceeding the budget of 10000000")
+        ]
+
+    @pytest.mark.parametrize(
         "edit, path",
         [
             (lambda d: d.update(noise="n.wav"), "$.noise"),

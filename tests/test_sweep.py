@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -258,7 +260,8 @@ class TestDeconvolveIr:
         with pytest.raises(ValidationError, match=message):
             deconvolve_ir(self._record(h), self.SPEC, ir_length=0.001)
 
-    @pytest.mark.parametrize("ir_length", [0.005, 0.0])
+    # -1e305 s is -inf samples at 48 kHz, which rounding would overflow
+    @pytest.mark.parametrize("ir_length", [0.005, 0.0, -1e305])
     def test_ir_no_longer_than_the_guard_rejected_before_any_fft(self, ir_length, monkeypatch):
         from roomforge import sweep
 
@@ -267,6 +270,21 @@ class TestDeconvolveIr:
 
         monkeypatch.setattr(sweep, "_inverse_spectrum", no_fft)
         with pytest.raises(ValidationError, match="pre-peak guard"):
+            deconvolve_ir(AudioSignal(FS, np.zeros(10 * FS)), self.SPEC, ir_length=ir_length)
+
+    @pytest.mark.parametrize("ir_length", [15.0, 1e300, 1e305], ids=["one-sample", "1e300", "1e305"])
+    def test_ir_longer_than_the_deconvolution_rejected_before_any_fft(self, ir_length, monkeypatch):
+        # 10 s of recording and the 5 s sweep deconvolve to 15 s less one sample; 1e305 s
+        # overflows to infinity in samples, 1e300 s does not
+        from roomforge import sweep
+
+        def no_fft(*args):
+            raise AssertionError("deconvolve_ir transformed the recording")
+
+        monkeypatch.setattr(sweep, "_inverse_spectrum", no_fft)
+        n = 15 * FS - 1
+        message = f"ir_length of {ir_length} s is longer than the deconvolution: {n} samples at {FS} Hz"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             deconvolve_ir(AudioSignal(FS, np.zeros(10 * FS)), self.SPEC, ir_length=ir_length)
 
     @pytest.mark.parametrize(
@@ -345,6 +363,16 @@ class TestDeconvolveAgainstFftconvolve:
             sweep_len = generate_ess(spec, self.FS).num_samples
             nffts = {fft_length(2 * sweep_len + extra - 1) for extra in self.EXTRA}
             assert len(nffts) >= 2
+
+    def test_window_as_long_as_the_deconvolution_is_padded(self):
+        spec = self.SPECS[0]
+        recording = self._recording(spec, 713, 0)
+        n = recording.num_samples + generate_ess(spec, self.FS).num_samples - 1
+        ir = deconvolve_ir(recording, spec, ir_length=n / self.FS)
+        samples, direct, _ = fftconvolve_deconvolve(recording, spec, n / self.FS)
+        assert ir.num_samples == n
+        assert np.array_equal(ir.samples, samples)
+        assert ir.direct_path_index == direct
 
     @pytest.mark.parametrize("spec", SPECS, ids=["no-fade", "fade"])
     def test_bit_identical(self, spec):
