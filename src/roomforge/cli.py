@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import reprlib
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,10 +40,12 @@ EXIT_INVALID = 2
 
 
 def _vec3(text: str):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected x,y,z — got {text!r}")
-    return tuple(parts)
+    try:
+        x, y, z = (float(p) for p in text.split(","))
+    except ValueError:
+        # argparse echoes a ValueError's whole argument; reprlib keeps a long one short
+        raise argparse.ArgumentTypeError(f"expected x,y,z — got {reprlib.repr(text)}") from None
+    return x, y, z
 
 
 def _max_order(text: str):
@@ -51,7 +54,7 @@ def _max_order(text: str):
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'auto' or an integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected 'auto' or an integer, got {reprlib.repr(text)}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -51,16 +51,12 @@ def _tile_noise(noise: np.ndarray, out: np.ndarray, offset: int, fade: int) -> n
     ramp = np.linspace(0.0, 1.0, fade, endpoint=False)
     body = rolled.copy()
     body[:fade] = ramp * body[:fade] + (1.0 - ramp) * rolled[n - fade :]
-    hop = n - fade
-    reps = -(-(length - n) // hop)
-    # rolled[:hop], body[:hop] once per wrap, then the last copy's tail body[hop:]
-    out[:hop] = rolled[:hop]
-    end = min(length, hop * (reps + 1))
-    wraps = out[hop:end]
-    whole = wraps.size // hop
-    wraps[: whole * hop].reshape(whole, hop)[...] = body[:hop]
-    wraps[whole * hop :] = body[: wraps.size - whole * hop]
-    out[end:] = body[hop : hop + length - end]
+    # rolled, then body every n - fade samples: each copy's head overwrites the
+    # tail of the one before with the blend, and the last copy keeps its own tail
+    out[:n] = rolled
+    for start in range(n - fade, length - fade, n - fade):
+        copy = out[start : start + n]
+        copy[:] = body[: copy.size]
     return out
 
 

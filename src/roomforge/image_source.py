@@ -28,8 +28,8 @@ In sinc mode an image at ``d = r - delta`` samples (``r = round(d)``) puts a
 Hann-windowed sinc tap on each of the 2W + 1 samples around ``r``.  Each tap is
 a fixed Chebyshev series in ``delta`` (``_SINC_CHEB``, within about 1.8e-15 of
 the exact kernel), so an image adds only its ``_CHEB_TERMS`` weights
-``amp * T_m(2 * delta)`` to a per-microphone table at ``r``, and each
-microphone's table becomes taps in one product with ``_SINC_CHEB`` at the end:
+``amp * T_m(2 * delta)`` to column ``r`` of row m of a per-microphone table, and
+each microphone's table becomes taps in one product with ``_SINC_CHEB`` at the end:
 the 2W + 1 taps are paid once per IR sample, not once per image.  An image at
 a whole sample keeps its exact single tap.  The tables take 160 bytes per IR
 sample and microphone; an array whose tables pass ``_WEIGHT_BYTES`` walks the
@@ -62,7 +62,6 @@ SINC_HALF_WIDTH = 32  # taps on each side in fractional-delay mode
 SYNTHESIS_VERSION = 4
 
 _CHUNK = 32768  # lattice points per chunk: the working set stays a few MB at any IR length
-_BLOCK = 2048  # images per sinc block: its (_CHEB_TERMS, block) weights stay in cache
 # Chebyshev terms per sinc kernel: each of the 2W + 1 taps is within about 1.8e-15 of
 # the windowed sinc over the whole half-sample range of fractional delays
 _CHEB_TERMS = 20
@@ -228,50 +227,45 @@ def _add_sinc_weights(delays: np.ndarray, amps: np.ndarray, out: np.ndarray, wei
     An image at ``d = r - delta`` samples (``r = round(d)``) puts
     ``amp * _sinc_kernel(k + delta)`` on tap ``r + k`` for |k| <= W, which is
     ``out[r + k + W]``.  An image at a whole sample (``delta`` 0) puts ``amp``
-    on that one tap of ``out``.  Any other adds ``amp * T_m(2 * delta)``,
-    m < _CHEB_TERMS, to row ``r`` of ``weights``, a (centres, _CHEB_TERMS) table
-    that ``_add_sinc_kernels`` turns into taps once every image is in.  Each entry
-    takes its images one at a time, in order.
+    on that one tap of ``out``.  Any other adds ``amp * T_m(2 * delta)`` to
+    column ``r`` of row m < _CHEB_TERMS of ``weights``, a (_CHEB_TERMS, centres)
+    table that ``_add_sinc_kernels`` turns into taps once every image is in.  Each
+    entry takes its images one at a time, in order.
     """
-    w = SINC_HALF_WIDTH
-    terms = np.arange(_CHEB_TERMS)[:, None]
-    flat = weights.reshape(-1)
-    for start in range(0, delays.size, _BLOCK):
-        d = delays[start : start + _BLOCK]
-        a = amps[start : start + _BLOCK]
-        centers = np.round(d).astype(np.int64)
-        x = 2.0 * (centers - d)
-        exact = x == 0.0
-        if exact.any():
-            np.add.at(out, centers[exact] + w, a[exact])
-            centers, x, a = centers[~exact], x[~exact], a[~exact]
-        # a * T_m(x) by the recurrence T_m = 2x T_(m-1) - T_(m-2), one row per m
-        rows = np.empty((_CHEB_TERMS, a.size))
-        rows[0] = a
-        rows[1] = a * x
-        x *= 2.0
-        for m in range(2, _CHEB_TERMS):
-            np.multiply(x, rows[m - 1], out=rows[m])
-            rows[m] -= rows[m - 2]
-        # a flat index keeps np.add.at on its fast one-dimensional path
-        np.add.at(flat, (centers * _CHEB_TERMS + terms).ravel(), rows.ravel())
+    centers = np.round(delays).astype(np.intp)
+    x = 2.0 * (centers - delays)
+    exact = x == 0.0
+    if exact.any():
+        np.add.at(out, centers[exact] + SINC_HALF_WIDTH, amps[exact])
+        centers, x, amps = centers[~exact], x[~exact], amps[~exact]
+    # a * T_m(x) by the recurrence T_m = 2x T_(m-1) - T_(m-2), one row of weights per m
+    older, prev = amps, amps * x
+    np.add.at(weights[0], centers, older)
+    np.add.at(weights[1], centers, prev)
+    x *= 2.0
+    for row in weights[2:]:
+        term = x * prev
+        term -= older
+        np.add.at(row, centers, term)
+        older, prev = prev, term
 
 
 def _add_sinc_kernels(weights: np.ndarray, out: np.ndarray) -> None:
     """Add the taps of every centre in ``weights`` to ``out``, _COLS centres at a time.
 
-    Centres j..j + _COLS - 1 give the (2W + 1, _COLS) product P = _SINC_CHEB @ weights.T,
-    whose row k belongs on out[j + k : j + k + _COLS].  The product is written into a
-    zeroed frame of rows _COLS + 2W long whose row stride is one element longer, so
-    that row k starts k columns to the right; the frame's column sums are then the
-    block's taps on out[j : j + _COLS + 2W].
+    Centres j..j + _COLS - 1 give the (2W + 1, _COLS) product
+    P = _SINC_CHEB @ weights[:, j : j + _COLS], whose row k belongs on
+    out[j + k : j + k + _COLS].  The product is written into a zeroed frame of rows
+    _COLS + 2W long whose row stride is one element longer, so that row k starts k
+    columns to the right; the frame's column sums are then the block's taps on
+    out[j : j + _COLS + 2W].
     """
     taps = 2 * SINC_HALF_WIDTH + 1
     span = _COLS + taps - 1
     frame = np.zeros((taps, span))
     shifted = as_strided(frame, shape=(taps, _COLS), strides=((span + 1) * frame.itemsize, frame.itemsize))
-    for j in range(0, weights.shape[0], _COLS):
-        np.matmul(_SINC_CHEB, weights[j : j + _COLS].T, out=shifted)
+    for j in range(0, weights.shape[1], _COLS):
+        np.matmul(_SINC_CHEB, weights[:, j : j + _COLS], out=shifted)
         out[j : j + span] += frame.sum(axis=0)
 
 
@@ -352,7 +346,7 @@ def synthesize_rirs(
         # so its taps, shifted by W, fall inside each mic's accumulator.
         centroid, radius, size = array_sphere(mic_pos)
         acc = np.zeros((len(mic_pos), size))
-        weights = None if nearest else np.zeros((len(mic_pos), size - 2 * w, _CHEB_TERMS))
+        weights = None if nearest else np.zeros((len(mic_pos), _CHEB_TERMS, size - 2 * w))
         to_centroid = [(centroid[d] - per_axis[d][0]) ** 2 for d in range(3)]
         # Per axis, the mics' distinct coordinates and, for each, the squared distance
         # and boresight projection of every image coordinate: mics that share a

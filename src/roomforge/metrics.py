@@ -28,9 +28,6 @@ class DecayCurve:
     times: np.ndarray  # seconds
     level_db: np.ndarray  # 0 at t=0, non-increasing
 
-    def reaches(self, level: float) -> bool:
-        return bool(np.any(self.level_db <= level))
-
 
 def schroeder_curve(ir: ImpulseResponse) -> DecayCurve:
     """Backward-integrated energy decay, floor-clamped in dB."""

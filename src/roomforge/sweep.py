@@ -137,9 +137,9 @@ def deconvolve_ir(
     ``ir_length`` seconds.  Distortion products land at negative lag and are
     dropped.  The sweep counts as found when the peak stands
     ``PEAK_OVER_FLOOR_DB`` above the rms of everything before the guard.
-    ``ir_length`` and ``pre_peak_guard`` must be finite, and ``ir_length``
-    longer than the guard, in samples at the recording's rate, and no longer
-    than the ``recording + sweep - 1`` samples of the deconvolution.  The result is
+    ``ir_length`` and ``pre_peak_guard`` must be finite, the guard >= 0, and
+    ``ir_length`` longer than the guard, in samples at the recording's rate, and no
+    longer than the ``recording + sweep - 1`` samples of the deconvolution.  The result is
     peak-normalized; the scale is stored in ``meta``.
 
     The convolution is one ``rfft`` of the recording times the inverse
@@ -160,6 +160,12 @@ def deconvolve_ir(
     if ir_length > n / fs:
         raise ValidationError(
             f"ir_length of {ir_length} s is longer than the deconvolution: {n} samples at {fs} Hz"
+        )
+    # so is pre_peak_guard: a guard past the deconvolution is past ir_length too
+    if not 0.0 <= pre_peak_guard <= n / fs:
+        raise ValidationError(
+            f"pre_peak_guard must be in [0, ir_length), got {pre_peak_guard} s "
+            f"with an ir_length of {ir_length} s"
         )
     guard = int(round(pre_peak_guard * fs))
     n_out = int(round(max(ir_length, 0.0) * fs))

@@ -84,6 +84,31 @@ class TestRirCommand:
         assert not (tmp_path / "h.wav").exists()
 
     @pytest.mark.parametrize(
+        "option, value",
+        [("--max-order", "9" * 5000), ("--room", "," * 3000), ("--room", "a" * 5000)],
+        ids=["max-order-5000-digits", "room-3000-commas", "room-5000-letters"],
+    )
+    def test_long_invalid_argument_is_not_echoed_whole(self, tmp_path, capsys, option, value):
+        # argparse echoes a type function's whole argument unless the function shortens it
+        argv = {"--room": "5,4,3", "--source": "1,1,1", "--mic": "2,2,2", option: value}
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("rir", *(item for pair in argv.items() for item in pair), "--beta", "0.8",
+                    "-o", tmp_path / "h.wav")
+        assert exc_info.value.code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected" in err
+        assert len(err.encode()) < 1024
+        assert not (tmp_path / "h.wav").exists()
+
+    @pytest.mark.parametrize("value", ["1,2", "1,2,3,4", "1,x,3", ""])
+    def test_room_that_is_not_three_numbers_is_invalid(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("rir", "--room", value, "--beta", "0.8", "--source", "1,1,1", "--mic", "2,2,2",
+                    "-o", tmp_path / "h.wav")
+        assert exc_info.value.code == EXIT_INVALID
+        assert f"argument --room: expected x,y,z — got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "walls, reflectivity",
         [(["--t60", "0.3"], [0.8425884848480192] * 6), (["--beta", "0.8"], [0.8] * 6)],
         ids=["t60", "beta"],

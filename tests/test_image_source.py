@@ -485,7 +485,7 @@ class TestEngineAgainstReference:
         ids=["one-mic-per-walk", "two-mics-per-walk"],
     )
     def test_mic_groups_give_the_bits_of_one_walk(self, monkeypatch, budget, groups):
-        # the array's tables hold 1152 rows of 20 weights per mic
+        # the array's tables hold 20 weights for each of 1152 centres per mic
         room = RoomSpec((4.1, 3.4, 2.5), target_t60=0.5)
         mics = [MicSpec(f"m{i}", (2.0 + (i - 2) * 0.3, 0.4, 1.1)) for i in range(5)]
         src = SourceSpec((2.6, 2.3, 1.5), azimuth=-1.9, directivity="cardioid")
@@ -557,23 +557,58 @@ def test_mic_on_the_boresight_line_gets_the_clipped_law(pattern, side):
     assert ir.samples[ir.direct_path_index] == expected[0] / (4.0 * np.pi * dist)
 
 
+def test_sinc_weights_match_a_loop_over_the_images():
+    # each image in order, as scalars: the exact tap of a whole-sample delay, else
+    # amp * T_m(x) by the same recurrence added to row m of the table at its centre
+    w, terms = image_source.SINC_HALF_WIDTH, image_source._CHEB_TERMS
+    rng = np.random.default_rng(29)
+    n = 3000
+    # many images share a centre; a fifth sit on a whole sample, some on half samples
+    delays = rng.integers(40, 52, n) + rng.choice([0.0, 0.5, -0.5, 0.25], n, p=[0.2, 0.1, 0.1, 0.6])
+    delays[::3] += rng.uniform(-0.5, 0.5, delays[::3].size)
+    amps = rng.standard_normal(n)
+    size = 96
+    expected_out, expected = np.zeros(size + 2 * w), np.zeros((terms, size))
+    for d, a in zip(delays.tolist(), amps.tolist()):
+        r = round(d)
+        x = 2.0 * (r - d)
+        if x == 0.0:
+            expected_out[r + w] += a
+            continue
+        older, prev = a, a * x
+        expected[0, r] += older
+        expected[1, r] += prev
+        for m in range(2, terms):
+            older, prev = prev, 2.0 * x * prev - older
+            expected[m, r] += prev
+    out, weights = np.zeros(size + 2 * w), np.zeros((terms, size))
+    # two calls, as two chunks of one walk
+    for part in (slice(0, 1700), slice(1700, n)):
+        image_source._add_sinc_weights(delays[part], amps[part], out, weights)
+    assert out.tobytes() == expected_out.tobytes()
+    assert weights.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize(
-    "config, bound_mb",
+    "config, fs, bound_mb",
     [
         # with the whole lattice held at once this peaked at 39.6 MB (nearest) and 22.4 MB (sinc)
-        (ImageSynthesisConfig(ir_length=0.5), 8),
-        (ImageSynthesisConfig(ir_length=0.25, fractional_delay="sinc", highpass_hz=60.0), 10),
+        (ImageSynthesisConfig(ir_length=0.5), 16000, 8),
+        (ImageSynthesisConfig(ir_length=0.25, fractional_delay="sinc", highpass_hz=60.0), 16000, 10),
+        # the tables of four mics fill _WEIGHT_BYTES: two walks; scattering the images in
+        # blocks of 2048 into a (centres, terms) table, this peaked at 11.7 MB
+        (ImageSynthesisConfig(ir_length=0.25, fractional_delay="sinc"), 48000, 12),
     ],
-    ids=["nearest", "sinc"],
+    ids=["nearest", "sinc", "sinc-48k-two-walks"],
 )
-def test_array_working_set_is_a_few_chunks(config, bound_mb):
+def test_array_working_set_is_a_few_chunks(config, fs, bound_mb):
     room = RoomSpec((4.1, 3.4, 2.5), target_t60=0.5)
     mics = [MicSpec(f"m{i}", (2.0 + (i - 3.5) * 0.05, 0.4, 1.1)) for i in range(8)]
     src = SourceSpec((2.6, 2.3, 1.5), azimuth=-1.9, directivity="cardioid")
-    synthesize_rirs(room, src, mics, config, 16000)  # imports outside the trace
+    synthesize_rirs(room, src, mics, config, fs)  # imports outside the trace
     tracemalloc.start()
     try:
-        synthesize_rirs(room, src, mics, config, 16000)
+        synthesize_rirs(room, src, mics, config, fs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

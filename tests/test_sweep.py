@@ -308,6 +308,34 @@ class TestDeconvolveIr:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             deconvolve_ir(AudioSignal(FS, np.zeros(10 * FS)), self.SPEC, **kwargs)
 
+    @pytest.mark.parametrize(
+        "guard, message",
+        [
+            (-0.5, "pre_peak_guard must be in [0, ir_length), got -0.5 s with an ir_length of 0.5 s"),
+            (-1e305, "pre_peak_guard must be in [0, ir_length), got -1e+305 s with an ir_length of 0.5 s"),
+            # 1e305 s is inf samples at 48 kHz, which rounding would overflow
+            (1e305, "pre_peak_guard must be in [0, ir_length), got 1e+305 s with an ir_length of 0.5 s"),
+            (0.5, "ir_length of 0.5 s (24000 samples) must exceed the 0.5 s pre-peak guard (24000 samples)"),
+        ],
+        ids=["negative", "-1e305", "1e305", "ir-length"],
+    )
+    def test_guard_outside_the_ir_rejected_before_any_fft(self, guard, message, monkeypatch):
+        from roomforge import sweep
+
+        def no_fft(*args):
+            raise AssertionError("deconvolve_ir transformed the recording")
+
+        monkeypatch.setattr(sweep, "_inverse_spectrum", no_fft)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            deconvolve_ir(AudioSignal(FS, np.zeros(10 * FS)), SweepSpec(20, 20000, 2.0), 0.5, guard)
+
+    def test_guard_of_zero_starts_the_ir_at_the_peak(self):
+        h = np.zeros(FS)
+        h[0] = 1.0
+        ir = deconvolve_ir(self._record(h), self.SPEC, ir_length=0.1, pre_peak_guard=0.0)
+        assert ir.direct_path_index == 0
+        assert ir.samples[0] == 1.0
+
 
 class TestGateOnImageMethodIrs:
     """The sweep gate accepts reverberant rooms: the tail is no part of its floor."""
