@@ -192,11 +192,17 @@ def delay_and_sum(channels: AudioSignal, delays: Sequence[float]) -> AudioSignal
 
     Each channel is advanced by its delay; shifts are applied relative to
     the most-delayed channel so no leading samples are discarded.  Integer
-    delays use exact sample shifts, fractional ones a sinc (FFT) shift.
+    delays use exact sample shifts, fractional ones a sinc (FFT) shift.  The
+    delays may spread over no more than the signal's duration.
     """
     n_ch = channels.num_channels
     if len(delays) != n_ch:
         raise ValidationError(f"{len(delays)} delays for {n_ch} channels")
+    spread = max(delays) - min(delays)
+    if not spread <= channels.duration:  # the output is longer by the spread
+        raise ValidationError(
+            f"delays spread over {spread} s, longer than the {channels.duration} s signal"
+        )
     fs = channels.sample_rate
     shifts = (max(delays) - np.asarray(delays, dtype=float)) * fs
     max_shift = int(np.ceil(float(np.max(shifts)))) if n_ch else 0

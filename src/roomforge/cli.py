@@ -229,11 +229,15 @@ def _cmd_beamform(args) -> int:
             delays = json.loads(args.delays.read_text())
         except ValueError as exc:  # JSONDecodeError, or bytes that are not text
             raise ValidationError(f"{args.delays}: not a JSON file ({exc})") from None
+        # a finite float; the comparison also takes an int too large for one, unlike np.isfinite
         if not isinstance(delays, list) or not all(
-            type(d) in (int, float) and np.isfinite(d) for d in delays
+            type(d) in (int, float) and abs(d) <= sys.float_info.max for d in delays
         ):
             raise ValidationError(f"{args.delays}: expected a JSON list of finite delays in seconds")
-        out = delay_and_sum(channels, delays)
+        try:
+            out = delay_and_sum(channels, delays)
+        except ValidationError as exc:
+            raise ValidationError(f"{args.delays}: {exc}") from None
     else:
         result = steer_and_sum(
             channels, reference_channel=args.reference, max_delay=args.max_delay
@@ -322,10 +326,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ValidationError, ResourceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except FileNotFoundError as exc:
+    except (ValidationError, ResourceError, OSError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

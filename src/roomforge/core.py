@@ -185,10 +185,6 @@ class SourceSpec:
     def orientation(self) -> np.ndarray:
         return orientation_vector(self.azimuth, self.elevation)
 
-    def validate_in_room(self, room: RoomSpec) -> None:
-        if not room.contains(self.position):
-            raise ValidationError(f"source position {self.position} outside room {room.dimensions}")
-
 
 @dataclass(frozen=True)
 class MicSpec:
@@ -202,10 +198,6 @@ class MicSpec:
         if len(pos) != 3:
             raise ValidationError("mic position must be a 3-vector")
         object.__setattr__(self, "position", pos)
-
-    def validate_in_room(self, room: RoomSpec) -> None:
-        if not room.contains(self.position):
-            raise ValidationError(f"mic {self.id!r} position {self.position} outside room {room.dimensions}")
 
 
 def _is_path_component(name: str) -> bool:

@@ -40,8 +40,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -120,10 +121,10 @@ class ImageSynthesisConfig:
         if order != "auto" and (isinstance(order, bool) or not isinstance(order, numbers.Integral)
                                 or order < 0):
             raise ValidationError(
-                f"max_reflection_order must be 'auto' or an integer >= 0, got {order!r}"
+                f"max_reflection_order must be 'auto' or an integer >= 0, got {reprlib.repr(order)}"
             )
         if self.fractional_delay not in ("nearest", "sinc"):
-            raise ValidationError(f"unknown fractional_delay mode {self.fractional_delay!r}")
+            raise ValidationError(f"unknown fractional_delay mode {reprlib.repr(self.fractional_delay)}")
         if not (math.isfinite(self.highpass_hz) and self.highpass_hz >= 0):
             raise ValidationError(f"highpass_hz must be finite and >= 0, got {self.highpass_hz}")
 
@@ -199,15 +200,25 @@ def lattice_image_count(room: RoomSpec, config: ImageSynthesisConfig) -> int:
     return math.prod(2 * (2 * n + 1) for n in n_maxes)
 
 
-def image_count_text(count: int) -> str:
-    """``count`` for a message: in full below 10**15, else the power of ten it exceeds.
+def check_room(room: RoomSpec, config: ImageSynthesisConfig) -> np.ndarray:
+    """``room``'s six wall reflectivities, if the image method can synthesize it under ``config``.
 
-    An integer reflection order makes a count of any size; this text stays short and
-    never needs the decimal digits, which Python refuses to make past 4300.
+    Else raises ``ResourceError`` past the image budget, or ``ValidationError`` for a T60
+    the room cannot reach and a room whose image distances or Eyring's formula overflow.
     """
-    if count < 10**15:
-        return str(count)
-    return f"more than 10^{math.floor((count.bit_length() - 1) * math.log10(2))}"
+    total = lattice_image_count(room, config)
+    if total > config.image_budget:
+        # an integer order makes counts of any size; Python makes no more than 4300 digits
+        power = math.floor((total.bit_length() - 1) * math.log10(2))
+        count = str(total) if total < 10**15 else f"more than 10^{power}"
+        raise ResourceError(f"needs {count} images, exceeding the budget of {config.image_budget}")
+    betas = _resolve_reflectivity(room)
+    # the walk squares an image's offset from a mic: up to (2 n_max + 2) L along each axis
+    offsets = [(2 * n + 2) * length for n, length in zip(_lattice_orders(room, config)[0], room.dimensions)]
+    if not (math.isfinite(sum(x * x for x in offsets)) and np.isfinite(betas).all()):
+        raise ValidationError(f"room dimensions {room.dimensions} are too large for a float: "
+                              "squared image distances or Eyring's formula overflow")
+    return betas
 
 
 def _pattern_gain(pattern: Directivity, cos_theta: np.ndarray) -> np.ndarray:
@@ -275,6 +286,31 @@ def direct_path_index(room: RoomSpec, source: SourceSpec, mic: MicSpec, sample_r
     return int(round(distance / room.speed_of_sound * sample_rate))
 
 
+def placement_faults(room: RoomSpec, source: SourceSpec, mics: Sequence[MicSpec],
+                     config: Optional[ImageSynthesisConfig] = None, sample_rate: int = 48000):
+    """What keeps ``source`` and ``mics`` from synthesis in ``room``, as (culprit, message) pairs.
+
+    The culprit is the "source" or a "mic" outside the room, a "mic" at the source, or,
+    given ``config``, the "ir_length" that ends before a mic's direct path arrives; the
+    config must then pass ``validate_rate(sample_rate)``, whose error is raised.
+    """
+    faults = []
+    if not room.contains(source.position):
+        faults.append(("source", f"source position {source.position} outside room {room.dimensions}"))
+    n_ir = None if config is None else config.validate_rate(sample_rate)
+    for mic in mics:
+        if not room.contains(mic.position):
+            faults.append(("mic", f"mic {mic.id!r} position {mic.position} outside room {room.dimensions}"))
+        if mic.position == source.position:
+            faults.append(("mic", f"source and mic {mic.id!r} positions coincide"))
+        if n_ir is not None:
+            index = direct_path_index(room, source, mic, sample_rate)
+            if index >= n_ir:
+                faults.append(("ir_length", f"mic {mic.id!r}: the direct path arrives at sample "
+                               f"{index}, past the end of the {n_ir}-sample IR ({config.ir_length} s)"))
+    return faults
+
+
 def synthesize_rirs(
     room: RoomSpec,
     source: SourceSpec,
@@ -287,25 +323,17 @@ def synthesize_rirs(
     Each IR is bit for bit the one ``synthesize_rir`` gives for that mic alone.
     It carries the samples and the geometric ``direct_path_index``, and an empty
     ``meta``, so an IR read back from the IR cache equals it in every field.
+    It raises the first of ``placement_faults`` as a ``ValidationError``, then ``check_room``'s.
     """
-    source.validate_in_room(room)
-    for mic in mics:
-        mic.validate_in_room(room)
-        if tuple(source.position) == tuple(mic.position):
-            raise ValidationError(f"source and mic {mic.id!r} positions coincide")
+    faults = placement_faults(room, source, mics, config, sample_rate)
+    if faults:
+        raise ValidationError(faults[0][1])
     if not mics:
         return []
 
     c = room.speed_of_sound
-    betas = _resolve_reflectivity(room)
+    betas = check_room(room, config)
     n_out = config.validate_rate(sample_rate)
-
-    total = lattice_image_count(room, config)
-    if total > config.image_budget:
-        raise ResourceError(
-            f"image enumeration needs {image_count_text(total)} images, "
-            f"exceeding the budget of {config.image_budget}"
-        )
     n_maxes, order_cap = _lattice_orders(room, config)
     per_axis = [
         _axis_images(source.position[d], room.dimensions[d], n_maxes[d]) for d in range(3)

@@ -48,9 +48,10 @@ from .core import (
 from .image_source import (
     SYNTHESIS_VERSION,
     ImageSynthesisConfig,
+    ResourceError,
+    check_room,
     direct_path_index,
-    image_count_text,
-    lattice_image_count,
+    placement_faults,
     synthesize_rir,  # noqa: F401 - kept as a module attribute: perfbench's tracer wraps it here
     synthesize_rirs,
 )
@@ -117,18 +118,23 @@ _KINDS = {
 }
 
 
-def _field(doc: dict, key: str, path: str, errors: list, kind: str, default=None):
-    """``doc[key]`` if it is ``kind`` (a key of ``_KINDS``), else ``default``.
+def _field(doc: dict, key: str, path: str, errors: list, kind, default=None):
+    """``doc[key]`` if it is ``kind``, else ``default``.
 
-    A value of another kind is an error at ``path.key``, and so is an absent
-    or null key that has no default.
+    ``kind`` is a key of ``_KINDS`` or a tuple of the allowed values.  A value of
+    another kind is an error at ``path.key``, and so is an absent or null key that
+    has no default.
     """
     value = doc.get(key)
     if value is None:
         if default is None:
             errors.append((f"{path}.{key}", "missing required field"))
         return default
-    if not _KINDS[kind](value):
+    if isinstance(kind, tuple):
+        ok, kind = value in kind, " or ".join(map(repr, kind))
+    else:
+        ok = _KINDS[kind](value)
+    if not ok:
         errors.append((f"{path}.{key}", f"must be {kind}, got {reprlib.repr(value)}"))
         return default
     return value
@@ -140,7 +146,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
     errors: List[Tuple[str, str]] = []
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of more than 4300 digits
         raise ManifestError([("$", f"not valid JSON: {exc}")])
     if not isinstance(doc, dict):
         raise ManifestError([("$", "manifest root must be an object")])
@@ -215,14 +221,19 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
             if not noise_file.exists():
                 errors.append(("$.noise.file", f"noise file not found: {noise_file}"))
 
-    normalization = doc.get("normalization", "none")
-    if normalization not in ("none", "peak"):
-        errors.append(("$.normalization", f"must be 'none' or 'peak', got {normalization!r}"))
-    output_format = doc.get("format", "float32")
-    if output_format not in ("pcm16", "pcm24", "float32"):
-        errors.append(("$.format", f"unsupported output format {output_format!r}"))
+    normalization = _field(doc, "normalization", "$", errors, ("none", "peak"), "none")
+    output_format = _field(doc, "format", "$", errors, ("pcm16", "pcm24", "float32"), "float32")
     clean_dir = _field(doc, "clean_dir", "$", errors, "a string", ".")
     output_dir = _field(doc, "output_dir", "$", errors, "a string", "corpus_out")
+
+    # direct paths are checked if the config suits the rate, an error only if a session synthesizes
+    ir_config, rate_error = (), None
+    if sample_rate in PIPELINE_SAMPLE_RATES:
+        try:
+            synthesis.validate_rate(sample_rate)
+            ir_config = (synthesis, sample_rate)
+        except ValidationError as exc:  # its message starts with the field at fault
+            rate_error = (f"$.synthesis.{str(exc).split()[0]}", str(exc))
 
     sessions: List[SessionSpec] = []
     session_paths: Dict[str, str] = {}  # name -> JSON path of the session that has it
@@ -263,18 +274,6 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
         except (ValueError, TypeError, OverflowError) as exc:
             errors.append((f"{path}.source", str(exc)))
 
-        room = rooms.get(room_name)
-        if room is not None and source is not None and not room.contains(source.position):
-            errors.append(
-                (f"{path}.source.position", f"speaker position outside room {room_name!r}")
-            )
-        if room is not None and array_name in arrays:
-            for mic in arrays[array_name]:
-                if not room.contains(mic.position):
-                    errors.append(
-                        (f"{path}.array", f"mic {mic.id!r} outside room {room_name!r}")
-                    )
-
         sentences = _field(sess, "sentences", path, errors, "a list of strings")
         if sentences == []:
             errors.append((f"{path}.sentences", "session has no sentences"))
@@ -296,7 +295,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
                                    f"{(sentence, mic.id)} both write {wav.name}"))
 
         ir_doc = _field(sess, "ir", path, errors, "an object", {})
-        ir_mode = ir_doc.get("mode", "synthesize")
+        ir_mode = _field(ir_doc, "mode", f"{path}.ir", errors, ("synthesize", "load"), "synthesize")
         ir_files: Dict[str, str] = {}
         if ir_mode == "load":
             files = _field(ir_doc, "files", f"{path}.ir", errors, "an object of strings", {})
@@ -308,9 +307,15 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
                 if not full.exists():
                     errors.append((f"{path}.ir.files.{mic_id}", f"IR file not found: {full}"))
                 ir_files[mic_id] = str(full)
-        elif ir_mode != "synthesize":
-            errors.append((f"{path}.ir.mode", f"must be 'synthesize' or 'load', got {ir_mode!r}"))
 
+        if source is not None and room_name in rooms:
+            at = {"source": f"{path}.source.position", "mic": f"{path}.array"}
+            # a loaded IR is not synthesized, so its direct path may arrive anywhere
+            ir = ir_config if ir_mode == "synthesize" else ()
+            for culprit, message in placement_faults(rooms[room_name], source, mics, *ir):
+                # $.synthesis.ir_length does not name the session, so the message does
+                errors.append((at[culprit], message) if culprit in at
+                              else ("$.synthesis.ir_length", f"session {name!r}, {message}"))
         if source is not None and room_name in rooms and array_name in arrays:
             sessions.append(
                 SessionSpec(
@@ -326,31 +331,16 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
 
     synthesized = [s for s in sessions if s.ir_mode == "synthesize"]
     for room_name in sorted({s.room for s in synthesized}):
-        count = lattice_image_count(rooms[room_name], synthesis)
-        if count > synthesis.image_budget:
+        try:
+            check_room(rooms[room_name], synthesis)
+        except ResourceError as exc:
             # an integer order sets the lattice; "auto" sizes it from the IR length
             field_at_fault = "ir_length" if synthesis.max_reflection_order == "auto" else "max_order"
-            errors.append(
-                (
-                    f"$.synthesis.{field_at_fault}",
-                    f"room {room_name!r} needs {image_count_text(count)} images, "
-                    f"exceeding the budget of {synthesis.image_budget}",
-                )
-            )
-    if synthesized and sample_rate in PIPELINE_SAMPLE_RATES:
-        try:
-            n_ir = synthesis.validate_rate(sample_rate)
-        except ValidationError as exc:  # its message starts with the field at fault
-            errors.append((f"$.synthesis.{str(exc).split()[0]}", str(exc)))
-        else:
-            for sess in synthesized:
-                for mic in arrays[sess.array]:
-                    index = direct_path_index(rooms[sess.room], sess.source, mic, sample_rate)
-                    if index >= n_ir:
-                        errors.append(("$.synthesis.ir_length",
-                                       f"session {sess.name!r}, mic {mic.id!r}: the direct path "
-                                       f"arrives at sample {index}, past the end of the "
-                                       f"{n_ir}-sample IR ({synthesis.ir_length} s)"))
+            errors.append((f"$.synthesis.{field_at_fault}", f"room {room_name!r} {exc}"))
+        except ValidationError as exc:
+            errors.append((f"$.rooms.{room_name}", str(exc)))
+    if synthesized and rate_error:
+        errors.append(rate_error)
 
     if errors:
         raise ManifestError(errors)

@@ -183,6 +183,13 @@ class TestDelayAndSum:
         seg = out.mono[23 : 23 + base.size]
         np.testing.assert_allclose(seg, base, atol=1e-9)
 
+    def test_delay_spread_past_the_signal_rejected_before_any_allocation(self):
+        channels = AudioSignal(FS, np.ones((2, 100)))
+        assert delay_and_sum(channels, [0.0, 100 / FS]).num_samples == 200
+        for spread in (101 / FS, 1e10, 1e300):  # 1e10 s would take 1.14 PiB
+            with pytest.raises(ValidationError, match="longer than the 0.00625 s signal"):
+                delay_and_sum(channels, [spread, 0.0])
+
     def test_wrong_delay_count_rejected(self):
         with pytest.raises(ValidationError):
             delay_and_sum(AudioSignal(FS, np.ones((3, 100))), [0.0, 1e-4])

@@ -141,6 +141,52 @@ class TestRirCommand:
         assert err == "error: highpass_hz 30000.0 Hz reaches Nyquist for sample rate 48000\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["nearest", "sinc"])
+    def test_direct_path_past_the_ir_names_the_mic_and_the_sample(self, tmp_path, capsys, mode):
+        out = tmp_path / "h.wav"
+        code = run_cli("rir", "--room", "5,4,3", "--t60", "0.5", "--source", "1,1,1",
+                       "--mic", "3.9,2.8,2.1", "--ir-length", "0.002", "--fractional-delay", mode,
+                       "-o", out)
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "error: mic 'mic': the direct path arrives at sample 502, "
+            "past the end of the 96-sample IR (0.002 s)\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "room, walls, message",
+        [
+            ("1e200,5,3", ["--beta", "0.8"],
+             "room dimensions (1e+200, 5.0, 3.0) are too large for a float: "
+             "squared image distances or Eyring's formula overflow"),
+            ("1e308,1e308,1e308", ["--t60", "0.5"],
+             "room dimensions (1e+308, 1e+308, 1e+308) are too large for a float: "
+             "squared image distances or Eyring's formula overflow"),
+            ("1e110,1e110,1e110", ["--t60", "1e100"],
+             "room dimensions (1e+110, 1e+110, 1e+110) are too large for a float: "
+             "squared image distances or Eyring's formula overflow"),
+        ],
+        ids=["1e200-beta", "1e308-t60", "eyring-nan"],
+    )
+    def test_room_too_large_for_a_float_is_invalid(self, tmp_path, capsys, recwarn, room, walls, message):
+        out = tmp_path / "h.wav"
+        code = run_cli("rir", "--room", room, *walls, "--source", "1,1,1", "--mic", "2,2,2",
+                       "--ir-length", "0.01", "-o", out)
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    def test_output_that_is_a_directory_is_invalid(self, tmp_path, capsys):
+        out = tmp_path / "h.wav"
+        out.mkdir()
+        assert run_cli(*RIR, "--ir-length", "0.01", "-o", out) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno") and str(out) in err
+        assert [p.name for p in tmp_path.iterdir()] == ["h.wav"]  # no temporary file is left
+        assert list(out.iterdir()) == []
+
     def test_source_outside_room_is_invalid(self, tmp_path):
         code = run_cli(
             "rir", "--room", "5,4,3", "--beta", "0.8",
@@ -288,6 +334,18 @@ class TestBeamformCommand:
         assert "max_delay" in err and "Traceback" not in err
         assert not (tmp_path / "b.wav").exists()
 
+    @pytest.mark.parametrize("spread", [1e10, 1e300])
+    def test_delay_spread_longer_than_the_signal_is_invalid(self, tmp_path, capsys, spread):
+        path, _ = self._multichannel(tmp_path)
+        delays = tmp_path / "delays.json"
+        delays.write_text(json.dumps([0.0, 0.0, spread]))
+        code = run_cli("beamform", path, "--delays", delays, "-o", tmp_path / "b.wav")
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            f"error: {delays}: delays spread over {spread} s, longer than the 0.2505625 s signal\n"
+        )
+        assert not (tmp_path / "b.wav").exists()
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -298,6 +356,7 @@ class TestBeamformCommand:
             ("[0.0, NaN, 0.0]", "list of finite delays"),
             ("[0.0, Infinity, 0.0]", "list of finite delays"),
             ("[0.0, true, 0.0]", "list of finite delays"),
+            pytest.param(f"[0, 1{'0' * 400}, 0]", "list of finite delays", id="int-past-a-float"),
         ],
     )
     def test_malformed_delays_file_is_invalid(self, tmp_path, capsys, text, message):
@@ -593,6 +652,62 @@ class TestRunCommand:
         assert run_cli("run", manifest, "--dry-run") == EXIT_INVALID
         err = capsys.readouterr().err
         assert "  $: " in err and "not UTF-8" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda d: d["sessions"][0]["source"].update(position=[1.0, 1.0, 1.5]),
+             "$.sessions[0].array: source and mic 'm0' positions coincide"),
+            (lambda d: d["rooms"].update(lab={"dimensions": [5.0, 4.0, 3.0], "t60": 1e-6}),
+             "$.rooms.lab: room cannot achieve requested T60 of 1e-06 s"),
+            (lambda d: d["rooms"]["lab"].update(dimensions=[1e200, 4.0, 3.0]),
+             "$.rooms.lab: room dimensions (1e+200, 4.0, 3.0) are too large for a float: "
+             "squared image distances or Eyring's formula overflow"),
+        ],
+        ids=["mic-at-the-source", "t60-unreachable", "room-too-large"],
+    )
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+    def test_placement_or_room_that_cannot_be_synthesized_is_invalid(
+        self, tmp_path, capsys, edit, error, dry_run
+    ):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1})
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        assert run_cli("run", manifest, *["--dry-run"] * dry_run) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == f"invalid manifest (1 error(s)):\n  {error}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (lambda d, v: d.update(normalization=v), "$.normalization"),
+            (lambda d, v: d.update(format=v), "$.format"),
+            (lambda d, v: d["sessions"][0].update(ir={"mode": v}), "$.sessions[0].ir.mode"),
+            (lambda d, v: d["synthesis"].update(fractional_delay=v), "$.synthesis"),
+        ],
+        ids=["normalization", "format", "ir-mode", "fractional-delay"],
+    )
+    def test_long_value_outside_its_choices_is_not_echoed_whole(self, tmp_path, capsys, edit, path):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1})
+        doc = json.loads(manifest.read_text())
+        edit(doc, "x" * 3000)
+        manifest.write_text(json.dumps(doc))
+        assert run_cli("run", manifest, "--dry-run") == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"\n  {path}: " in err
+        assert len(err.encode()) < 1024
+
+    @pytest.mark.parametrize("cache", ["plain", "plain/sub"])
+    def test_cache_dir_that_cannot_be_made_is_invalid(self, tmp_path, capsys, monkeypatch, cache):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1})
+        (tmp_path / "plain").write_text("not a directory")
+        monkeypatch.setenv("ROOMFORGE_CACHE_DIR", str(tmp_path / cache))
+        assert run_cli("run", manifest) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno") and str(tmp_path / cache) in err
+        assert not (tmp_path / "out").exists()
 
     def test_ir_too_short_for_the_direct_path_is_invalid(self, tmp_path, capsys):
         synthesis = {"ir_length": 0.01, "fractional_delay": "sinc"}

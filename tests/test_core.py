@@ -15,6 +15,7 @@ from roomforge import (
     directivity_gain,
 )
 from roomforge.core import validate_mic_array
+from roomforge.image_source import placement_faults
 
 
 class TestDirectivityGain:
@@ -167,8 +168,9 @@ class TestMicArray:
 
     def test_out_of_room_rejected(self):
         room = RoomSpec((5, 4, 3), reflectivity=(0.9,))
-        with pytest.raises(ValidationError):
-            MicSpec("a", (6, 1, 1)).validate_in_room(room)
+        assert placement_faults(room, SourceSpec((1, 1, 1)), [MicSpec("a", (6, 1, 1))]) == [
+            ("mic", "mic 'a' position (6.0, 1.0, 1.0) outside room (5.0, 4.0, 3.0)")
+        ]
 
 
 class TestAudioSignal:

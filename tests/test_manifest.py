@@ -8,9 +8,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contaminate_reference import whole_array_contaminate
-from roomforge import AudioSignal, ImpulseResponse, ValidationError
+from roomforge import (
+    AudioSignal,
+    ImageSynthesisConfig,
+    ImpulseResponse,
+    MicSpec,
+    RoomSpec,
+    SourceSpec,
+    ValidationError,
+    angle_between,
+    directivity_gain,
+)
 from roomforge.manifest import (
     CACHE_ENV_VAR,
     IrCache,
@@ -19,7 +31,7 @@ from roomforge.manifest import (
     parse_manifest,
     plan_and_run,
 )
-from roomforge.image_source import direct_path_index
+from roomforge.image_source import ResourceError, direct_path_index, synthesize_rirs
 from roomforge.storage import load_ir, save_ir
 from roomforge.wavio import read_wav, write_wav
 
@@ -112,6 +124,13 @@ class TestParseManifest:
     def test_invalid_json_rejected(self):
         with pytest.raises(ManifestError):
             parse_manifest("{not json")
+
+    def test_integer_longer_than_python_parses_is_invalid_json(self):
+        # json.loads raises a plain ValueError past 4300 digits, not a JSONDecodeError
+        with pytest.raises(ManifestError) as exc_info:
+            parse_manifest('{"seed": 1' + "0" * 5000 + "}")
+        [(where, message)] = exc_info.value.errors
+        assert where == "$" and message.startswith("not valid JSON: Exceeds the limit (4300 digits)")
 
     def test_source_outside_room_names_the_session(self, tmp_path):
         doc = base_doc(tmp_path)
@@ -355,6 +374,57 @@ class TestParseManifest:
         doc["sessions"][0]["ir"] = {"mode": "load", "files": {"far": "far.wav"}}
         parse_manifest(json.dumps(doc), base_dir=tmp_path)
 
+    @pytest.mark.parametrize(
+        "room, error",
+        [
+            ({"dimensions": [5.0, 4.0, 3.0], "t60": 1e-6},
+             "room cannot achieve requested T60 of 1e-06 s"),
+            ({"dimensions": [1e200, 4.0, 3.0], "reflectivity": [0.8]},
+             "room dimensions (1e+200, 4.0, 3.0) are too large for a float: "
+             "squared image distances or Eyring's formula overflow"),
+            # the volume overflows, so Eyring's absorption is 1
+            ({"dimensions": [1e120, 1e120, 1e120], "t60": 0.5},
+             "room cannot achieve requested T60 of 0.5 s"),
+            # the volume and the surface area times the T60 overflow: Eyring's formula gives nan
+            ({"dimensions": [1e110, 1e110, 1e110], "t60": 1e100},
+             "room dimensions (1e+110, 1e+110, 1e+110) are too large for a float: "
+             "squared image distances or Eyring's formula overflow"),
+        ],
+        ids=["t60-unreachable", "too-large", "volume-overflows", "eyring-nan"],
+    )
+    def test_room_that_cannot_be_synthesized_names_the_room(self, tmp_path, room, error):
+        doc = base_doc(tmp_path)
+        doc["rooms"]["lab"] = room
+        with pytest.raises(ManifestError) as exc_info:
+            parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert exc_info.value.errors == [("$.rooms.lab", error)]
+        # a room whose IRs are all loaded is not synthesized
+        for mic in ("m0", "m1"):
+            (tmp_path / f"{mic}.wav").touch()
+        doc["sessions"][0]["ir"] = {"mode": "load", "files": {"m0": "m0.wav", "m1": "m1.wav"}}
+        parse_manifest(json.dumps(doc), base_dir=tmp_path)
+
+    def test_mic_at_the_source_names_the_array(self, tmp_path):
+        doc = base_doc(tmp_path)
+        doc["sessions"][0]["source"]["position"] = [1.2, 1.0, 1.5]
+        with pytest.raises(ManifestError) as exc_info:
+            parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert exc_info.value.errors == [("$.sessions[0].array", "source and mic 'm1' positions coincide")]
+
+    def test_loaded_session_is_checked_for_containment_but_not_for_the_direct_path(self, tmp_path):
+        doc = base_doc(tmp_path, mics=[{"id": "far", "position": [4.0, 3.0, 2.0]},
+                                       {"id": "out", "position": [4.0, 3.0, 3.0]}])
+        doc["sessions"][0]["source"]["position"] = [1.0, 1.0, 1.0]
+        doc["synthesis"] = {"ir_length": 0.01}
+        for mic in ("far", "out"):
+            (tmp_path / f"{mic}.wav").touch()
+        doc["sessions"][0]["ir"] = {"mode": "load", "files": {"far": "far.wav", "out": "out.wav"}}
+        with pytest.raises(ManifestError) as exc_info:
+            parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert exc_info.value.errors == [
+            ("$.sessions[0].array", "mic 'out' position (4.0, 3.0, 3.0) outside room (5.0, 4.0, 3.0)")
+        ]
+
     def test_duplicate_session_name_rejected_at_its_path(self, tmp_path):
         doc = base_doc(tmp_path)
         doc["sessions"].append(dict(doc["sessions"][0], source={"position": [4.0, 3.0, 1.5]}))
@@ -430,6 +500,87 @@ class TestParseManifest:
         assert m.job_count() == 12
         assert m.sessions[1].source.directivity.pattern == "cardioid"
         assert m.sessions[1].source.azimuth == pytest.approx(np.pi / 2)
+
+
+def _coordinate(length):
+    """A coordinate in a room ``length`` long: mostly inside, at times on a wall or outside."""
+    fraction = st.floats(0.02, 0.98) | st.sampled_from([0.0, 1.0, -0.05, 1.05])
+    return st.tuples(st.integers(0, 9), fraction, st.floats(0.02, 0.98)).map(
+        lambda t: (t[1] if t[0] == 0 else t[2]) * length
+    )
+
+
+@st.composite
+def synthesis_manifest(draw):
+    """A valid manifest doc of one room and one or two sessions, each synthesized."""
+    dims = [draw(st.sampled_from([0.6, 1.5, 4.0])) for _ in range(3)]
+    walls = draw(st.one_of(
+        st.builds(lambda b: {"reflectivity": [b]}, st.sampled_from([0.0, 0.5, 0.9])),
+        st.builds(lambda t: {"t60": t}, st.sampled_from([1e-6, 0.01, 0.3])),
+    ))
+    synthesis = {
+        "ir_length": draw(st.sampled_from([0.002, 0.012, 0.03])),
+        "max_order": draw(st.sampled_from(["auto", "auto", 0, 2, 10**6])),
+        "fractional_delay": draw(st.sampled_from(["nearest", "sinc"])),
+        "highpass_hz": draw(st.sampled_from([0.0, 0.0, 100.0, 8000.0])),
+    }
+
+    def position():
+        return [draw(_coordinate(length)) for length in dims]
+
+    mics = [{"id": f"m{i}", "position": position()} for i in range(draw(st.integers(1, 3)))]
+    sessions = []
+    for i in range(draw(st.integers(1, 2))):
+        # some sources sit at a mic
+        at_mic = draw(st.sampled_from([None, None, None, 0]))
+        sessions.append({
+            "name": f"sess{i}", "room": "lab", "array": "arr", "sentences": ["s01"],
+            "source": {
+                "position": position() if at_mic is None else list(mics[at_mic]["position"]),
+                "azimuth_deg": draw(st.sampled_from([0.0, 90.0, 180.0])),
+                "directivity": draw(st.sampled_from(["omnidirectional", "cardioid", "hypercardioid"])),
+            },
+        })
+    return {
+        "sample_rate": FS, "rooms": {"lab": dict(walls, dimensions=dims)},
+        "arrays": {"arr": mics}, "synthesis": synthesis, "sessions": sessions,
+    }
+
+
+@settings(max_examples=50, deadline=None)
+@given(synthesis_manifest())
+def test_a_manifest_that_parses_is_one_that_synthesizes(doc):
+    try:
+        parse_manifest(json.dumps(doc))
+        parsed = True
+    except ManifestError:
+        parsed = False
+    room_doc, syn = doc["rooms"]["lab"], doc["synthesis"]
+    room = RoomSpec(room_doc["dimensions"], reflectivity=room_doc.get("reflectivity"),
+                    target_t60=room_doc.get("t60"))
+    config = ImageSynthesisConfig(syn["ir_length"], syn["max_order"], syn["fractional_delay"],
+                                  syn["highpass_hz"])
+    mics = [MicSpec(m["id"], m["position"]) for m in doc["arrays"]["arr"]]
+    for sess in doc["sessions"]:
+        src = sess["source"]
+        source = SourceSpec(src["position"], np.radians(src["azimuth_deg"]),
+                            directivity=src["directivity"])
+        try:
+            synthesize_rirs(room, source, mics, config, FS)
+        except ResourceError:
+            assert not parsed
+            return
+        except ValidationError as exc:
+            if not parsed:
+                return
+            # The one failure no parse-time check can foresee: a directional source whose
+            # gain toward a mic is zero, in a room whose reflections miss the IR, gives an
+            # IR of zero energy.  Only the walk shows whether a reflection arrives in time.
+            assert "nonzero energy" in str(exc)
+            assert any(directivity_gain(source.directivity, angle_between(source, mic.position)) == 0.0
+                       for mic in mics)
+            return
+    assert parsed
 
 
 class TestPlanAndRun:
