@@ -26,13 +26,19 @@ import numpy as np
 
 from . import __version__
 from .array_dsp import delay_and_sum, oracle_select, steer_and_sum
-from .core import MicSpec, RoomSpec, SourceSpec, ValidationError
-from .image_source import ImageSynthesisConfig, ResourceError, _resolve_reflectivity, synthesize_rir
+from .core import FIRST_ORDER_PATTERNS, MicSpec, RoomSpec, SourceSpec, ValidationError
+from .image_source import (
+    FRACTIONAL_DELAYS,
+    ImageSynthesisConfig,
+    ResourceError,
+    _resolve_reflectivity,
+    synthesize_rir,
+)
 from .manifest import ManifestError, load_manifest, plan_and_run
-from .metrics import direct_to_reverberant_db, estimate_t60, schroeder_curve
+from .metrics import _FIT_RANGES, direct_to_reverberant_db, estimate_t60, schroeder_curve
 from .storage import load_ir, save_ir, write_json
 from .sweep import SweepSpec, deconvolve_ir, generate_ess, inverse_filter
-from .wavio import atomic_write, read_wav, write_wav
+from .wavio import _FORMATS, atomic_write, read_wav, write_wav
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -80,10 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--azimuth", type=float, default=0.0, help="source azimuth, degrees")
     p.add_argument("--elevation", type=float, default=0.0, help="source elevation, degrees")
     p.add_argument("--directivity", default="omnidirectional",
-                   choices=["omnidirectional", "cardioid", "subcardioid", "hypercardioid"])
+                   choices=list(FIRST_ORDER_PATTERNS))
     p.add_argument("--ir-length", type=float, default=0.5, help="seconds")
     p.add_argument("--max-order", type=_max_order, default="auto", help="'auto' or an integer")
-    p.add_argument("--fractional-delay", choices=["nearest", "sinc"], default="nearest")
+    p.add_argument("--fractional-delay", choices=FRACTIONAL_DELAYS, default="nearest")
     p.add_argument("--highpass", type=float, default=0.0, help="high-pass cutoff, Hz")
     p.add_argument("--fs", type=int, default=48000)
     p.add_argument("-o", "--output", type=Path, required=True)
@@ -103,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             sp.add_argument("--fs", type=int, default=48000)
         sp.add_argument("-o", "--output", type=Path, required=True)
-        sp.add_argument("--format", choices=["pcm16", "pcm24", "float32"], default="float32")
+        sp.add_argument("--format", choices=list(_FORMATS), default="float32")
 
     p = sub.add_parser("beamform", help="delay-and-sum a multichannel WAV")
     p.add_argument("input", type=Path)
@@ -112,13 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON file with per-channel delays in seconds; GCC-PHAT steering if omitted")
     p.add_argument("--reference", type=int, default=0, help="reference channel for steering")
     p.add_argument("--max-delay", type=float, default=0.010, help="TDOA search bound, seconds")
-    p.add_argument("--format", choices=["pcm16", "pcm24", "float32"], default="float32")
+    p.add_argument("--format", choices=list(_FORMATS), default="float32")
 
     p = sub.add_parser("metrics", help="acoustic metrics for an IR")
     p.add_argument("input", type=Path)
     p.add_argument("-o", "--output", type=Path, default=None, help="JSON report (stdout if omitted)")
     p.add_argument("--decay-csv", type=Path, default=None, help="write the decay curve as CSV")
-    p.add_argument("--t60-method", choices=["T20", "T30"], default="T20")
+    p.add_argument("--t60-method", choices=list(_FIT_RANGES), default="T20")
 
     p = sub.add_parser("select", help="oracle channel selection from a score table")
     p.add_argument("scores", type=Path, help="CSV: utterance_id, channel_id, score")

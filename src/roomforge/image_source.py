@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import numbers
 import reprlib
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
@@ -59,6 +60,7 @@ from .core import (
 
 DEFAULT_IMAGE_BUDGET = 10_000_000
 SINC_HALF_WIDTH = 32  # taps on each side in fractional-delay mode
+FRACTIONAL_DELAYS = ("nearest", "sinc")
 # Changes whenever synthesized samples may change in any bit; part of IR cache keys.
 SYNTHESIS_VERSION = 4
 
@@ -123,7 +125,7 @@ class ImageSynthesisConfig:
             raise ValidationError(
                 f"max_reflection_order must be 'auto' or an integer >= 0, got {reprlib.repr(order)}"
             )
-        if self.fractional_delay not in ("nearest", "sinc"):
+        if self.fractional_delay not in FRACTIONAL_DELAYS:
             raise ValidationError(f"unknown fractional_delay mode {reprlib.repr(self.fractional_delay)}")
         if not (math.isfinite(self.highpass_hz) and self.highpass_hz >= 0):
             raise ValidationError(f"highpass_hz must be finite and >= 0, got {self.highpass_hz}")
@@ -133,7 +135,13 @@ class ImageSynthesisConfig:
 
         Each message starts with the name of the field at fault.
         """
-        n = round(self.ir_length * sample_rate)
+        samples = self.ir_length * sample_rate
+        if not math.isfinite(samples):
+            raise ValidationError(
+                f"ir_length {self.ir_length} s is too long: its sample count at {sample_rate} Hz "
+                "is not a finite float"
+            )
+        n = round(samples)
         if n < 1:
             raise ValidationError(
                 f"ir_length {self.ir_length} s is shorter than one sample at {sample_rate} Hz"
@@ -189,7 +197,9 @@ def _lattice_orders(room: RoomSpec, config: ImageSynthesisConfig):
     """Per-axis lattice half-widths ``n_max`` and the reflection-order cap (or None)."""
     if config.max_reflection_order == "auto":
         max_dist = room.speed_of_sound * config.ir_length
-        return [int(math.ceil(max_dist / (2.0 * L))) + 1 for L in room.dimensions], None
+        # a half-width past the float range is infinite, which check_room reports
+        half = [max_dist / (2.0 * L) for L in room.dimensions]
+        return [math.ceil(h) + 1 if math.isfinite(h) else math.inf for h in half], None
     order = int(config.max_reflection_order)
     return [order // 2 + 1] * 3, order
 
@@ -208,8 +218,10 @@ def check_room(room: RoomSpec, config: ImageSynthesisConfig) -> np.ndarray:
     """
     total = lattice_image_count(room, config)
     if total > config.image_budget:
-        # an integer order makes counts of any size; Python makes no more than 4300 digits
-        power = math.floor((total.bit_length() - 1) * math.log10(2))
+        # an integer order makes counts of any size; Python makes no more than 4300 digits,
+        # and a half-width past the float range (an infinite count) makes more than 10^308
+        power = (sys.float_info.max_10_exp if total == math.inf
+                 else math.floor((total.bit_length() - 1) * math.log10(2)))
         count = str(total) if total < 10**15 else f"more than 10^{power}"
         raise ResourceError(f"needs {count} images, exceeding the budget of {config.image_budget}")
     betas = _resolve_reflectivity(room)

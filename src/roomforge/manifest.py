@@ -29,6 +29,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .contaminate import (
+    NORMALIZATIONS,
     ContaminationJob,
     job_channels,
     run_job,  # noqa: F401 - kept as a module attribute: perfbench's tracer wraps it here
@@ -56,7 +57,7 @@ from .image_source import (
     synthesize_rirs,
 )
 from .storage import load_ir, write_json
-from .wavio import atomic_write, read_wav, write_wav
+from .wavio import _FORMATS, atomic_write, read_wav, write_wav
 
 CACHE_ENV_VAR = "ROOMFORGE_CACHE_DIR"
 
@@ -221,8 +222,8 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
             if not noise_file.exists():
                 errors.append(("$.noise.file", f"noise file not found: {noise_file}"))
 
-    normalization = _field(doc, "normalization", "$", errors, ("none", "peak"), "none")
-    output_format = _field(doc, "format", "$", errors, ("pcm16", "pcm24", "float32"), "float32")
+    normalization = _field(doc, "normalization", "$", errors, NORMALIZATIONS, "none")
+    output_format = _field(doc, "format", "$", errors, tuple(_FORMATS), "float32")
     clean_dir = _field(doc, "clean_dir", "$", errors, "a string", ".")
     output_dir = _field(doc, "output_dir", "$", errors, "a string", "corpus_out")
 
@@ -482,10 +483,12 @@ def _at_rate(path, item, fs: int):
 
 
 def _read_mono(path: Path, fs: int) -> AudioSignal:
-    """The mono signal in ``path``; another sample rate or channel count is invalid."""
+    """The mono signal in ``path``; another sample rate or channel count, or no samples, is invalid."""
     signal = _at_rate(path, read_wav(path), fs)
     if signal.num_channels != 1:
         raise ValidationError(f"{path}: {signal.num_channels} channels, expected mono")
+    if signal.num_samples == 0:
+        raise ValidationError(f"{path}: no samples")
     return signal
 
 

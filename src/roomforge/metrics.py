@@ -45,7 +45,7 @@ def schroeder_curve(ir: ImpulseResponse) -> DecayCurve:
 
 def _fit_range(method: str):
     if method not in _FIT_RANGES:
-        raise ValidationError(f"unknown T60 method {method!r}, expected T20 or T30")
+        raise ValidationError(f"unknown T60 method {method!r}, expected {' or '.join(_FIT_RANGES)}")
     return _FIT_RANGES[method]
 
 

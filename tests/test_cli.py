@@ -178,6 +178,34 @@ class TestRirCommand:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "room, where, ir_length, message",
+        [
+            ("5,4,3", ["1,1,1", "2,2,2"], "1e307",
+             "ir_length 1e+307 s is too long: its sample count at 48000 Hz is not a finite float"),
+            # c * ir_length / (2 L) is past the float range: the lattice would be infinite
+            ("1e-308,4,3", ["5e-309,1,1", "5e-309,2,2"], "0.5",
+             "needs more than 10^308 images, exceeding the budget of 10000000"),
+        ],
+        ids=["ir-length", "lattice"],
+    )
+    def test_count_past_the_float_range_is_invalid(self, tmp_path, capsys, room, where, ir_length, message):
+        out = tmp_path / "x.wav"
+        code = run_cli("rir", "--room", room, "--beta", "0.8", "--source", where[0], "--mic", where[1],
+                       "--ir-length", ir_length, "-o", out)
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_directivity_outside_its_choices_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli(*RIR, "--directivity", "figure8", "-o", tmp_path / "x.wav")
+        assert exc_info.value.code == EXIT_INVALID
+        assert capsys.readouterr().err.endswith(
+            "forge rir: error: argument --directivity: invalid choice: 'figure8' "
+            "(choose from 'omnidirectional', 'cardioid', 'subcardioid', 'hypercardioid')\n"
+        )
+
     def test_output_that_is_a_directory_is_invalid(self, tmp_path, capsys):
         out = tmp_path / "h.wav"
         out.mkdir()
@@ -699,6 +727,28 @@ class TestRunCommand:
         assert f"\n  {path}: " in err
         assert len(err.encode()) < 1024
 
+    def test_ir_length_past_the_float_range_is_invalid(self, tmp_path, capsys):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 1e307})
+        assert run_cli("run", manifest, "--dry-run") == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "invalid manifest (2 error(s)):\n"
+            "  $.synthesis.ir_length: room 'lab' needs more than 10^308 images, "
+            "exceeding the budget of 10000000\n"
+            "  $.synthesis.ir_length: ir_length 1e+307 s is too long: its sample count at 16000 Hz "
+            "is not a finite float\n"
+        )
+
+    def test_format_outside_its_choices_is_invalid(self, tmp_path, capsys):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1})
+        doc = json.loads(manifest.read_text())
+        doc["format"] = "wav"
+        manifest.write_text(json.dumps(doc))
+        assert run_cli("run", manifest, "--dry-run") == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "invalid manifest (1 error(s)):\n"
+            "  $.format: must be 'pcm16' or 'pcm24' or 'float32', got 'wav'\n"
+        )
+
     @pytest.mark.parametrize("cache", ["plain", "plain/sub"])
     def test_cache_dir_that_cannot_be_made_is_invalid(self, tmp_path, capsys, monkeypatch, cache):
         manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1})
@@ -824,6 +874,24 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "FAILED sessA/s02" in err and "s02.wav" in err and "truncated" in err
         assert (tmp_path / "out" / "sessA" / "s01_m0.wav").exists()
+
+    def test_clean_file_with_no_samples_is_a_job_failure(self, tmp_path, capsys):
+        manifest = write_run_manifest(tmp_path, ["s01", "s02"], {"ir_length": 0.1, "max_order": 2})
+        wav = tmp_path / "clean" / "s02.wav"
+        write_wav(wav, AudioSignal(FS, np.zeros(0)), fmt="pcm16")
+        assert run_cli("run", manifest) == EXIT_PARTIAL
+        assert capsys.readouterr().err == f"FAILED sessA/s02: {wav}: no samples\n"
+        assert (tmp_path / "out" / "sessA" / "s01_m0.wav").exists()
+
+    def test_noise_file_with_no_samples_is_invalid(self, tmp_path, capsys):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "max_order": 2})
+        write_wav(tmp_path / "noise.wav", AudioSignal(FS, np.zeros(0)), fmt="pcm16")
+        doc = json.loads(manifest.read_text())
+        doc["noise"] = {"file": "noise.wav", "snr_db": 12}
+        manifest.write_text(json.dumps(doc))
+        assert run_cli("run", manifest) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {tmp_path / 'noise.wav'}: no samples\n"
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_clean_file_is_a_job_failure(self, tmp_path):
         manifest = write_run_manifest(tmp_path, ["s01", "s02"], {"ir_length": 0.1, "max_order": 2})

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
@@ -58,6 +60,13 @@ class TestConvolve:
         h = ImpulseResponse(48000, np.ones(4))
         with pytest.raises(ValidationError):
             convolve(x, h)
+
+    @pytest.mark.parametrize("nx, nh", [(1000, 1), (1, 300), (1, 1), (2, 2), (4801, 2500)])
+    def test_equals_fftconvolve_bit_for_bit(self, nx, nh):
+        rng = np.random.default_rng(nx + nh)
+        x, h = rng.standard_normal(nx), rng.standard_normal(nh)
+        got = convolve(AudioSignal(FS, x), ImpulseResponse(FS, h))
+        assert got.mono.tobytes() == fftconvolve(x, h).tobytes()
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
@@ -123,6 +132,14 @@ class TestMixNoise:
         y = AudioSignal(FS, np.ones(100))
         with pytest.raises(ValidationError):
             mix_noise(y, AudioSignal(FS, np.zeros(100)), 10.0, seed=0)
+
+    @pytest.mark.parametrize("seconds", [0.3, 3.0], ids=["tiled", "cropped"])
+    def test_equals_the_whole_array_formula_with_a_unit_ir(self, seconds):
+        rng = np.random.default_rng(int(10 * seconds))
+        y = AudioSignal(FS, rng.standard_normal(int(1.5 * FS)))
+        noise = AudioSignal(FS, rng.standard_normal(int(seconds * FS)))
+        expected = whole_array_contaminate(y.mono, [ImpulseResponse(FS, np.ones(1))], noise, 7.5, 31)
+        assert mix_noise(y, noise, 7.5, seed=31).data.tobytes() == expected.tobytes()
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(8)
@@ -315,3 +332,44 @@ class TestRunJob:
         )
         with pytest.raises(ValidationError, match="channel 0 is silent"):
             run_job(job)
+
+
+EMPTY = AudioSignal(FS, np.zeros(0))
+SOME = AudioSignal(FS, np.random.default_rng(23).standard_normal(200))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: convolve(EMPTY, delta_ir()), "clean signal has no samples"),
+        (lambda: mix_noise(EMPTY, SOME, 10.0, seed=0), "clean signal has no samples"),
+        (lambda: run_job(ContaminationJob(EMPTY, [delta_ir()])), "clean signal has no samples"),
+        (lambda: mix_noise(SOME, EMPTY, 10.0, seed=0), "noise signal has no samples"),
+        (lambda: ContaminationJob(SOME, [delta_ir()], noise=EMPTY, target_snr_db=10.0),
+         "noise signal has no samples"),
+    ],
+    ids=["convolve", "mix-noise", "run-job", "mix-noise-noise", "job-noise"],
+)
+def test_signal_with_no_samples_rejected(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("function, bound", [("mix_noise", 3.5), ("convolve", 3.1)])
+def test_peak_memory_is_a_few_signal_sizes(function, bound):
+    # 20 s at 48 kHz with a 0.5 s IR and 3 s of noise: noise mixing holds the output,
+    # the tile and its scratch row; convolution the output and the two spectra
+    fs = 48000
+    rng = np.random.default_rng(24)
+    x = AudioSignal(fs, rng.standard_normal(20 * fs))
+    h = ImpulseResponse(fs, 0.05 * rng.standard_normal(fs // 2))
+    noise = AudioSignal(fs, rng.standard_normal(3 * fs))
+    call = {"mix_noise": lambda: mix_noise(x, noise, 10.0, seed=1), "convolve": lambda: convolve(x, h)}
+    convolve(AudioSignal(fs, np.ones(8)), ImpulseResponse(fs, np.ones(8)))  # imports scipy.fft
+    tracemalloc.start()
+    try:
+        call[function]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * x.data.nbytes
