@@ -59,6 +59,10 @@ from .core import (
 )
 
 DEFAULT_IMAGE_BUDGET = 10_000_000
+# Samples in one IR: 87 s at 192 kHz, past the longest reverberation time on record (75 s,
+# in the Inchindown oil tanks), and 128 MB per mic as float64.  The image budget bounds the
+# lattice but not the IR, whose length an integer order leaves free.
+MAX_IR_SAMPLES = 1 << 24
 SINC_HALF_WIDTH = 32  # taps on each side in fractional-delay mode
 FRACTIONAL_DELAYS = ("nearest", "sinc")
 # Changes whenever synthesized samples may change in any bit; part of IR cache keys.
@@ -94,7 +98,7 @@ _SINC_CHEB[:, 0] /= 2.0
 
 
 class ResourceError(RuntimeError):
-    """Raised when a synthesis request exceeds the configured image budget."""
+    """Raised when synthesis lacks a resource: the configured image budget, or a worker process."""
 
 
 @dataclass(frozen=True)
@@ -136,10 +140,10 @@ class ImageSynthesisConfig:
         Each message starts with the name of the field at fault.
         """
         samples = self.ir_length * sample_rate
-        if not math.isfinite(samples):
+        if not samples <= MAX_IR_SAMPLES:  # an infinite count too
             raise ValidationError(
-                f"ir_length {self.ir_length} s is too long: its sample count at {sample_rate} Hz "
-                "is not a finite float"
+                f"ir_length {self.ir_length} s is too long: {samples:.4g} samples at {sample_rate} Hz, "
+                f"more than the {MAX_IR_SAMPLES} an IR may hold"
             )
         n = round(samples)
         if n < 1:

@@ -6,23 +6,26 @@ are authored in degrees and converted to radians internally; geometry is
 in meters.  ``plan_and_run`` expands the manifest into one contamination
 job per (session, sentence) and runs it on one worker pool.  The pool
 first makes each distinct IR of the run once, whatever the room, array and
-session names (``_resolve_irs``).  Then it runs the jobs, longest first.  The
+session names (``_resolve_irs``); at more than one worker, once the process
+has planned enough synthesis, the placements are synthesized in worker
+processes (``_SynthesisPool``).  Then it runs the jobs, longest first.  The
 corpus is reproducible: the same manifest and seed yield byte-identical
 outputs whatever the worker count and the job order.
 """
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import io
 import json
 import math
 import os
 import reprlib
+import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
@@ -52,6 +55,7 @@ from .image_source import (
     ResourceError,
     check_room,
     direct_path_index,
+    lattice_image_count,
     placement_faults,
     synthesize_rir,  # noqa: F401 - kept as a module attribute: perfbench's tracer wraps it here
     synthesize_rirs,
@@ -396,6 +400,105 @@ class CorpusReport:
         return not self.failures
 
 
+def _exit_with_parent() -> None:
+    """Start-up of a synthesis worker: end it when the process that started it ends.
+
+    A worker blocks on a queue whose write end it holds itself, so it would
+    outlive a parent that was killed, holding the parent's stdout and stderr.
+    """
+    from multiprocessing import parent_process
+    from multiprocessing.connection import wait
+
+    sentinel = parent_process().sentinel  # ready once the parent has ended
+
+    def watch():
+        wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+# Image-mic pairs (lattice images times mics) of synthesis that pay for the process
+# pool's start-up.  On a 2-core host, a fresh `forge run --jobs 2` of P placements of
+# 8 mics, with 0.5 s IRs at 16 kHz in a 5 x 4 x 2.7 m room (982,488 lattice images per
+# mic), was slower with the pool up to P = 12, level at 16 and 20, and faster from 24
+# (BENCH_26.json); 20 such placements are 1.57e8 pairs.
+POOL_BREAK_EVEN = 160_000_000
+
+
+class _SynthesisPool:
+    """Worker processes that synthesize placements, for runs at more than one worker.
+
+    Synthesis is numpy work that holds the interpreter lock for most of its
+    time, so a second thread gains little on it, while a second process
+    overlaps two placements.  But a worker costs about a third of a second to
+    start (a new interpreter that imports roomforge), so the pool is used only
+    once this process has planned ``POOL_BREAK_EVEN`` image-mic pairs of
+    synthesis, the current run's included (``pays``).  A one-off run uses it
+    only if it is that large itself; a process that runs many corpora starts
+    it once, and it lives as long as the process.  It has
+    ``ProcessPoolExecutor``'s default of a worker per CPU, spawned only when a
+    task finds none idle, so a run starts no more workers than it sends tasks
+    at once.  Workers start by ``spawn``: ``fork`` is unsafe in a process
+    that runs threads, and ``forkserver``'s workers are not this process's
+    children, which ``RUSAGE_CHILDREN`` would then not count.  At exit,
+    ``concurrent.futures`` stops and joins the workers.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._executor = None
+        self._work = 0  # image-mic pairs of synthesis planned by this process's runs
+        # let go of the executor before the interpreter's teardown: freed during it, the
+        # executor's weakref callback can run after ``concurrent.futures.process`` is
+        # cleared, and print an ignored AttributeError
+        atexit.register(self._release)
+
+    def _release(self):
+        self._executor = None
+
+    def pays(self, work: int) -> bool:
+        """Add a run's planned synthesis ``work``; whether this process has now planned enough for the pool."""
+        with self._lock:
+            self._work += work
+            return self._work >= POOL_BREAK_EVEN
+
+    def run(self, fn, *args):
+        """``fn(*args)`` in a worker process; ``fn`` and ``args`` must pickle."""
+        with self._lock:
+            if self._executor is None:
+                # deferred: runs that start no process do not import these
+                import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
+
+                self._executor = ProcessPoolExecutor(
+                    mp_context=multiprocessing.get_context("spawn"), initializer=_exit_with_parent
+                )
+            executor = self._executor
+        try:
+            return executor.submit(fn, *args).result()
+        except BrokenExecutor:
+            # a worker died, and with it the pool: each of its tasks fails, and the next run starts a new one
+            with self._lock:
+                if self._executor is executor:
+                    self._executor = None
+            raise ResourceError(
+                "a synthesis worker process ended abruptly: it was killed or ran out of memory, or it "
+                'could not start because the script that ran the manifest has no `if __name__ == "__main__":` guard'
+            ) from None
+
+
+_POOL = _SynthesisPool()
+
+
+def _synthesize(room: RoomSpec, source: SourceSpec, mics: Sequence[MicSpec],
+                config: ImageSynthesisConfig, fs: int, pooled: bool) -> List[ImpulseResponse]:
+    """``synthesize_rirs`` of one placement: in a worker process if ``pooled``, else in this one."""
+    if pooled:
+        return _POOL.run(synthesize_rirs, room, source, mics, config, fs)
+    return synthesize_rirs(room, source, mics, config, sample_rate=fs)
+
+
 class IrCache:
     """Disk mirror of synthesized IRs, keyed by a digest of the full geometry + config.
 
@@ -439,11 +542,15 @@ class IrCache:
         mics: Sequence[MicSpec],
         config: ImageSynthesisConfig,
         fs: int,
+        *,
+        _pooled: bool = False,
     ) -> List[ImpulseResponse]:
         """IRs for ``mics``: hits from disk, the misses from one batched synthesis, then saved.
 
         A file that does not load as an IR of ``config.validate_rate(fs)`` samples
-        is a miss: its IR is synthesized again and written over it.
+        is a miss: its IR is synthesized again and written over it.  ``plan_and_run``
+        sets ``_pooled`` to have the misses synthesized in one task of the process
+        pool; reads and writes stay in this process.
         """
         irs: List[Optional[ImpulseResponse]] = [None] * len(mics)
         files = []
@@ -460,7 +567,7 @@ class IrCache:
                     pass  # absent, truncated or not an IR: a miss
         missing = [i for i, ir in enumerate(irs) if ir is None]
         if missing:
-            fresh = synthesize_rirs(room, source, [mics[i] for i in missing], config, sample_rate=fs)
+            fresh = _synthesize(room, source, [mics[i] for i in missing], config, fs, _pooled)
             for i, ir in zip(missing, fresh):
                 irs[i] = ir
                 if files:
@@ -575,7 +682,7 @@ def _run_one(
 
 
 def _resolve_irs(
-    manifest: ScenarioManifest, cache: IrCache, pool: ThreadPoolExecutor
+    manifest: ScenarioManifest, cache: IrCache, pool: ThreadPoolExecutor, parallelism: int
 ) -> List[List[ImpulseResponse]]:
     """Each session's IRs in mic order, each distinct IR made once on ``pool``.
 
@@ -584,35 +691,47 @@ def _resolve_irs(
     position), as config and rate are fixed for the run.  A session's new files
     are read in one task, each at the manifest's rate, and its new synthesized
     mics are made in one ``get_or_synthesize`` task, so distinct placements
-    overlap and one placement's lattice is walked once.  Results are taken in
-    session order: the first session that fails raises, with the queued tasks
-    cancelled.
+    overlap and one placement's lattice is walked once.  The run's planned
+    synthesis, in image-mic pairs (disk hits included), counts towards the
+    process pool's break-even (``_SynthesisPool.pays``).  Once that is reached,
+    a run with two or more placements to synthesize at ``parallelism`` > 1, on
+    a host of two or more CPUs, has each task send its cache misses to the
+    process pool and wait for them; the task reads and writes the IR cache
+    itself.  Results are taken in session order: the first session that fails
+    raises, with the queued tasks cancelled.
     """
     fs = manifest.sample_rate
-    table: Dict[Hashable, Tuple[Future, int]] = {}
-
-    def load(paths):
-        return [_at_rate(p, load_ir(p), fs) for p in paths]
-
+    table: Dict[Hashable, Tuple[int, int]] = {}  # IR key -> (its task, its index in the task's result)
+    tasks: List[Tuple[SessionSpec, list]] = []  # a session and the files or mics of its new IRs
     session_keys = []
     for sess in manifest.sessions:
         mics = manifest.arrays[sess.array]
         if sess.ir_mode == "load":
             keys = [sess.ir_files[mic.id] for mic in mics]
             new = {key: key for key in keys if key not in table}
-            task = load
         else:
-            room = manifest.rooms[sess.room]
-            keys = [(room, sess.source, mic.position) for mic in mics]
+            keys = [(manifest.rooms[sess.room], sess.source, mic.position) for mic in mics]
             new = {key: mic for key, mic in zip(keys, mics) if key not in table}
-            task = partial(cache.get_or_synthesize, room, sess.source,
-                           config=manifest.synthesis, fs=fs)
         if new:
-            future = pool.submit(task, list(new.values()))
-            table.update((key, (future, i)) for i, key in enumerate(new))
+            table.update((key, (len(tasks), i)) for i, key in enumerate(new))
+            tasks.append((sess, list(new.values())))
         session_keys.append(keys)
+    config = manifest.synthesis
+    synthesized = [(manifest.rooms[sess.room], mics) for sess, mics in tasks if sess.ir_mode == "synthesize"]
+    # the budget bounds what synthesis walks, and a room past it fails in its task
+    work = sum(min(lattice_image_count(room, config), config.image_budget) * len(mics)
+               for room, mics in synthesized)
+    pooled = _POOL.pays(work) and parallelism > 1 and len(synthesized) > 1 and (os.cpu_count() or 1) > 1
+
+    def make(sess, items):
+        if sess.ir_mode == "load":
+            return [_at_rate(p, load_ir(p), fs) for p in items]
+        return cache.get_or_synthesize(manifest.rooms[sess.room], sess.source, items,
+                                       config, fs, _pooled=pooled)
+
+    futures = [pool.submit(make, *task) for task in tasks]
     try:
-        return [[future.result()[i] for future, i in (table[key] for key in keys)]
+        return [[futures[t].result()[i] for t, i in (table[key] for key in keys)]
                 for keys in session_keys]
     except BaseException:
         pool.shutdown(cancel_futures=True)
@@ -631,11 +750,15 @@ def plan_and_run(
     the jobs: it reads no audio, resolves no IR and writes nothing, not even
     to the IR cache.  A real run reads the noise file, then uses one bounded
     thread pool of ``parallelism`` workers.  It first makes each distinct IR
-    once, in one task per placement (``_resolve_irs``); a failure there raises
-    before any job starts or ``output_dir`` exists.  Then the pool runs the
-    jobs, longest first: by the clean file's size times the mic count, ties in
-    manifest order.  Neither the worker count nor the order change a byte of
-    the corpus.  Each job writes one mono WAV per microphone, then one JSON
+    once, in one task per placement (``_resolve_irs``).  At ``parallelism`` > 1
+    with two or more placements to synthesize, once this process has planned
+    enough synthesis to pay for their start-up, the tasks have them
+    synthesized in worker processes, which live as long as this process.  A
+    failure there, a dead worker included, raises before any job starts or
+    ``output_dir`` exists.  Then the thread pool runs the jobs, longest
+    first: by the clean file's size times the mic count, ties in manifest
+    order.  Neither the worker count nor the order change a byte of the
+    corpus.  Each job writes one mono WAV per microphone, then one JSON
     sidecar for the job (see ``_run_one``); a top-level ``corpus.json``
     indexes everything.  A job that fails is reported in ``failures`` and
     ``corpus.json``, and the others still run.
@@ -652,7 +775,7 @@ def plan_and_run(
         cache = cache or IrCache()
 
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            session_irs = _resolve_irs(manifest, cache, pool)
+            session_irs = _resolve_irs(manifest, cache, pool, parallelism)
             manifest.output_dir.mkdir(parents=True, exist_ok=True)
             jobs = [
                 (sess, sentence, irs)

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import roomforge
 from roomforge import AudioSignal, SweepSpec, generate_ess, inverse_filter
+from roomforge import manifest as manifest_module
 from roomforge.cli import EXIT_INVALID, EXIT_OK, EXIT_PARTIAL, main
 from roomforge.engine import fft_convolve
 from roomforge.storage import load_ir
@@ -182,7 +188,7 @@ class TestRirCommand:
         "room, where, ir_length, message",
         [
             ("5,4,3", ["1,1,1", "2,2,2"], "1e307",
-             "ir_length 1e+307 s is too long: its sample count at 48000 Hz is not a finite float"),
+             "ir_length 1e+307 s is too long: inf samples at 48000 Hz, more than the 16777216 an IR may hold"),
             # c * ir_length / (2 L) is past the float range: the lattice would be infinite
             ("1e-308,4,3", ["5e-309,1,1", "5e-309,2,2"], "0.5",
              "needs more than 10^308 images, exceeding the budget of 10000000"),
@@ -195,6 +201,17 @@ class TestRirCommand:
                        "--ir-length", ir_length, "-o", out)
         assert code == EXIT_INVALID
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_ir_length_past_the_sample_bound_is_invalid(self, tmp_path, capsys):
+        # an integer order bounds the lattice, not the IR: the walk would allocate 4.8e304 samples
+        out = tmp_path / "x.wav"
+        code = run_cli(*RIR, "--ir-length", "1e300", "--max-order", "2", "-o", out)
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "error: ir_length 1e+300 s is too long: 4.8e+304 samples at 48000 Hz, "
+            "more than the 16777216 an IR may hold\n"
+        )
         assert not out.exists()
 
     def test_directivity_outside_its_choices_is_a_usage_error(self, tmp_path, capsys):
@@ -734,8 +751,17 @@ class TestRunCommand:
             "invalid manifest (2 error(s)):\n"
             "  $.synthesis.ir_length: room 'lab' needs more than 10^308 images, "
             "exceeding the budget of 10000000\n"
-            "  $.synthesis.ir_length: ir_length 1e+307 s is too long: its sample count at 16000 Hz "
-            "is not a finite float\n"
+            "  $.synthesis.ir_length: ir_length 1e+307 s is too long: inf samples at 16000 Hz, "
+            "more than the 16777216 an IR may hold\n"
+        )
+
+    def test_ir_length_past_the_sample_bound_is_invalid(self, tmp_path, capsys):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 1e300, "max_order": 2})
+        assert run_cli("run", manifest, "--dry-run") == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "invalid manifest (1 error(s)):\n"
+            "  $.synthesis.ir_length: ir_length 1e+300 s is too long: 1.6e+304 samples at 16000 Hz, "
+            "more than the 16777216 an IR may hold\n"
         )
 
     def test_format_outside_its_choices_is_invalid(self, tmp_path, capsys):
@@ -937,3 +963,224 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "m0.json" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+def corpus_tree(out):
+    """Each file under ``out`` by its path in it, with its bytes."""
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def write_two_placement_manifest(tmp_path, output_dir="out"):
+    """``write_run_manifest`` with one sentence each from two source positions."""
+    manifest = write_run_manifest(tmp_path, ["s01", "s02"], {"ir_length": 0.1})
+    doc = json.loads(manifest.read_text())
+    first = doc["sessions"][0]
+    first["sentences"] = ["s01"]
+    doc["sessions"].append(dict(first, name="sessB", source={"position": [4.0, 3.0, 1.2]}, sentences=["s02"]))
+    doc["output_dir"] = output_dir
+    manifest.write_text(json.dumps(doc))
+    return manifest
+
+
+def serial_corpus(directory):
+    """The corpus of ``write_two_placement_manifest`` in the new ``directory``, made at --jobs 1."""
+    directory.mkdir()
+    assert run_cli("run", write_two_placement_manifest(directory), "--jobs", "1") == EXIT_OK
+    return corpus_tree(directory / "out")
+
+
+def run_python(tmp_path, *argv):
+    """Run ``python argv...`` in ``tmp_path`` with this roomforge; its output must end within 120 s.
+
+    ``subprocess.run`` returns when every process holding the child's stdout and
+    stderr has ended, so a worker process that outlived the child would time out.
+    """
+    src = str(Path(roomforge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, argv)], cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+
+
+# the pool's worker count is capped by the CPU count; with one CPU, nothing starts
+POOL_WORKERS = min(2, os.cpu_count() or 1)
+
+POOL_DIED = (
+    "error: a synthesis worker process ended abruptly: it was killed or ran out of memory, or it could not "
+    'start because the script that ran the manifest has no `if __name__ == "__main__":` guard\n'
+)
+
+COUNT_WORKERS = """
+import sys
+from roomforge import manifest
+from roomforge.cli import main
+imported = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
+manifest.POOL_BREAK_EVEN = int(sys.argv[1])
+code = main(sys.argv[2:])
+import multiprocessing
+print(imported, len(multiprocessing.active_children()))
+sys.exit(code)
+"""
+
+KILL_A_WORKER = """
+import os, signal, sys
+from roomforge import manifest
+from roomforge.cli import main
+
+
+def killed(*args):
+    os.kill(os.getpid(), signal.SIGKILL)  # as the out-of-memory killer would
+
+
+if __name__ == "__main__":
+    manifest.POOL_BREAK_EVEN = 0
+    synthesize = manifest.synthesize_rirs
+    manifest.synthesize_rirs = killed  # what the pool's workers run
+    first = main(["run", sys.argv[1], "--jobs", "2"])
+    manifest.synthesize_rirs = synthesize
+    print(first, main(["run", sys.argv[2], "--jobs", "2"]))
+"""
+
+KILL_THE_PARENT = """
+import os, signal
+from roomforge import manifest
+
+if __name__ == "__main__":
+    print(manifest._POOL.run(os.getpid), flush=True)  # a worker's process id
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+UNGUARDED = """
+import sys
+from roomforge import manifest
+from roomforge.cli import main
+
+manifest.POOL_BREAK_EVEN = 0
+print(main(["run", sys.argv[1], "--jobs", "2"]))
+"""
+
+
+class TestRunWorkerProcesses:
+    """At --jobs above 1, a run with two or more placements synthesizes them in worker processes,
+    once the process has planned enough synthesis to pay for their start-up."""
+
+    @pytest.mark.parametrize(
+        "break_even, jobs, workers",
+        [
+            # a small run in a fresh process: the pool would not pay for itself
+            (manifest_module.POOL_BREAK_EVEN, 2, 0),
+            (0, 2, POOL_WORKERS if POOL_WORKERS > 1 else 0),
+            (0, 64, POOL_WORKERS if POOL_WORKERS > 1 else 0),
+        ],
+        ids=["small", "pool", "pool-jobs-64"],
+    )
+    def test_run_starts_a_worker_per_placement_at_most_and_leaves_none(self, tmp_path, break_even, jobs,
+                                                                     workers):
+        manifest = write_two_placement_manifest(tmp_path)
+        proc = run_python(tmp_path, "-c", COUNT_WORKERS, break_even, "run", manifest, "--jobs", jobs)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        # importing roomforge imports no multiprocessing; two placements start two workers at most
+        assert proc.stdout.splitlines()[-1] == f"[] {workers}"
+        assert corpus_tree(tmp_path / "out") == serial_corpus(tmp_path / "j1")
+
+    @pytest.mark.skipif(POOL_WORKERS < 2, reason="one CPU: synthesis runs in the calling process")
+    def test_script_without_a_main_guard_fails_its_run_naming_the_guard(self, tmp_path):
+        # spawn imports the script again in each worker, which then tries to start workers of its own
+        manifest = write_two_placement_manifest(tmp_path)
+        (tmp_path / "unguarded.py").write_text(UNGUARDED)
+        proc = run_python(tmp_path, "unguarded.py", manifest)
+        assert (proc.returncode, proc.stdout) == (0, f"{EXIT_INVALID}\n")
+        assert proc.stderr.endswith(POOL_DIED)
+        assert "if __name__ == '__main__':" in proc.stderr  # multiprocessing's own words, from the worker
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(POOL_WORKERS < 2, reason="one CPU: synthesis runs in the calling process")
+    def test_killed_worker_fails_its_run_and_the_next_run_starts_a_new_pool(self, tmp_path):
+        first = write_two_placement_manifest(tmp_path, "out1")
+        second = tmp_path / "second.json"
+        second.write_text(first.read_text().replace('"out1"', '"out2"'))
+        (tmp_path / "kill.py").write_text(KILL_A_WORKER)
+        proc = run_python(tmp_path, "kill.py", first, second)
+        assert proc.stderr == POOL_DIED
+        assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, f"{EXIT_INVALID} {EXIT_OK}")
+        assert not (tmp_path / "out1").exists()
+        assert corpus_tree(tmp_path / "out2") == serial_corpus(tmp_path / "j1")
+
+    def test_workers_end_with_a_killed_parent(self, tmp_path):
+        (tmp_path / "parent.py").write_text(KILL_THE_PARENT)
+        proc = run_python(tmp_path, "parent.py")  # returns once the worker has let go of the pipes
+        assert proc.returncode == -9 and int(proc.stdout) > 0
+
+    def test_zero_energy_ir_made_in_a_worker_is_invalid(self, tmp_path, capsys, monkeypatch):
+        manifest = write_two_placement_manifest(tmp_path)
+        doc = json.loads(manifest.read_text())
+        # walls that reflect nothing and, in sessA, a hypercardioid facing away from the mic:
+        # its gain is zero past 109.5 degrees off its boresight
+        doc["rooms"]["lab"]["reflectivity"] = [0.0]
+        doc["sessions"][0]["source"]["directivity"] = "hypercardioid"
+        manifest.write_text(json.dumps(doc))
+        sent = []
+        dispatch = manifest_module._synthesize
+
+        def record(*args):
+            sent.append(args[-1])  # whether it goes to the process pool
+            return dispatch(*args)
+
+        monkeypatch.setattr(manifest_module, "_synthesize", record)
+        monkeypatch.setattr(manifest_module, "POOL_BREAK_EVEN", 0)
+        assert run_cli("run", manifest, "--dry-run") == EXIT_OK
+        assert run_cli("run", manifest, "--jobs", "2") == EXIT_INVALID
+        assert capsys.readouterr().err == "error: impulse response must have finite nonzero energy\n"
+        assert sent and set(sent) == {POOL_WORKERS > 1}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, wavs", [("grid", 16), ("peak", 12), ("oct", 32)])
+    def test_corpus_bytes_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, kind, wavs):
+        # grid: a 2 x 2 array, whose mics share x and y pairwise and so share their
+        #   gathers in synthesis, and a custom-directivity source;
+        # peak: "peak" normalization, which holds a job's channels for their joint peak,
+        #   at 48 kHz in pcm24 with noise;
+        # oct: an 8-mic array in sinc mode at 48 kHz, whose weight tables fill four walks
+        rng = np.random.default_rng(7)
+        for name in ("s01", "s02"):
+            write_wav(tmp_path / f"{name}.wav", AudioSignal(FS, np.clip(0.2 * rng.standard_normal(8000), -1, 1)),
+                      fmt="pcm16")
+        rng = np.random.default_rng(13)
+        for name, n in (("w0", 30000), ("w1", 52000), ("noise48", 20000)):
+            write_wav(tmp_path / f"{name}.wav", AudioSignal(48000, np.clip(0.2 * rng.standard_normal(n), -1, 1)),
+                      fmt="pcm24")
+        doc = {
+            "sample_rate": FS,
+            "rooms": {"lab": {"dimensions": [5, 4, 3], "t60": 0.4}},
+            "synthesis": {"ir_length": 0.2, "fractional_delay": "sinc"},
+            "sessions": [{"name": name, "room": "lab", "array": kind, "source": {"position": position},
+                          "sentences": ["s01", "s02"]}
+                         for name, position in (("a", [3, 2, 1.5]), ("b", [4, 3, 1.2]))],
+        }
+        if kind == "grid":
+            doc["synthesis"]["fractional_delay"] = "nearest"
+            doc["arrays"] = {"grid": [{"id": f"g{i}{j}", "position": [1 + 0.1 * i, 1 + 0.1 * j, 1.5]}
+                                      for i in range(2) for j in range(2)]}
+            for s in doc["sessions"]:
+                s["source"].update(azimuth_deg=-150, directivity={"angles_deg": [0, 90, 180],
+                                                                  "gains": [1.0, 0.6, 0.2]})
+        else:
+            doc.update(sample_rate=48000, format="pcm24", normalization="peak",
+                       noise={"file": "noise48.wav", "snr_db": 12})
+            for s in doc["sessions"]:
+                s["sentences"] = ["w0", "w1"]
+            if kind == "peak":
+                doc["arrays"] = {"peak": [{"id": f"m{i}", "position": [1 + 0.1 * i, 1, 1.5]} for i in range(3)]}
+                doc["synthesis"]["ir_length"] = 0.1
+            else:
+                doc["arrays"] = {"oct": [{"id": f"o{i}", "position": [1 + 0.05 * i, 1, 1.5]} for i in range(8)]}
+                doc["synthesis"]["ir_length"] = 0.5
+        monkeypatch.setattr(manifest_module, "POOL_BREAK_EVEN", 0)  # --jobs 2 and 3 use the pool
+        trees = []
+        for jobs in (1, 2, 3):
+            manifest = tmp_path / f"{kind}_j{jobs}.json"
+            manifest.write_text(json.dumps(dict(doc, output_dir=f"{kind}_j{jobs}")))
+            assert run_cli("run", manifest, "--jobs", jobs) == EXIT_OK
+            trees.append(corpus_tree(tmp_path / f"{kind}_j{jobs}"))
+        assert sum(path.suffix == ".wav" for path in trees[0]) == wavs
+        assert trees[0] == trees[1] == trees[2]

@@ -26,7 +26,13 @@ from roomforge import (
 )
 from roomforge import image_source
 from roomforge.core import _first_order_gain
-from roomforge.image_source import _pattern_gain, direct_path_index, lattice_image_count, synthesize_rirs
+from roomforge.image_source import (
+    MAX_IR_SAMPLES,
+    _pattern_gain,
+    direct_path_index,
+    lattice_image_count,
+    synthesize_rirs,
+)
 
 C = 343.0
 
@@ -293,6 +299,9 @@ class TestEnergyAndModes:
     def test_validate_rate_is_the_ir_length_in_samples(self):
         assert ImageSynthesisConfig(ir_length=0.1, highpass_hz=7999.0).validate_rate(16000) == 1600
         assert ImageSynthesisConfig(ir_length=1 / 16000).validate_rate(16000) == 1
+        assert ImageSynthesisConfig(ir_length=MAX_IR_SAMPLES / 16000).validate_rate(16000) == MAX_IR_SAMPLES
+        with pytest.raises(ValidationError, match=r"^ir_length \S+ s is too long: 1\.678e\+07 samples at 16000 Hz"):
+            ImageSynthesisConfig(ir_length=(MAX_IR_SAMPLES + 1) / 16000).validate_rate(16000)
         with pytest.raises(ValidationError, match="^ir_length 1e-05 s is shorter than one sample"):
             ImageSynthesisConfig(ir_length=1e-5).validate_rate(16000)
         with pytest.raises(ValidationError, match="^highpass_hz 8000.0 Hz reaches Nyquist"):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import sys
 import threading
 import time
@@ -31,7 +32,7 @@ from roomforge.manifest import (
     parse_manifest,
     plan_and_run,
 )
-from roomforge.image_source import ResourceError, direct_path_index, synthesize_rirs
+from roomforge.image_source import ResourceError, direct_path_index, lattice_image_count, synthesize_rirs
 from roomforge.storage import load_ir, save_ir
 from roomforge.wavio import read_wav, write_wav
 
@@ -93,22 +94,35 @@ def placement_doc(tmp_path, sources, mics=None):
 
 
 def hook_synthesis(monkeypatch, before):
-    """Make the manifest's synthesis call ``before()`` first.
+    """Make the manifest's dispatch of each synthesis call ``before()`` first.
 
-    Returns the calls it got, as (source position, mic ids) pairs.
+    The dispatch runs in the calling process, whether the placement is then
+    synthesized there or in a worker process.  Returns the calls it got, as
+    (source position, mic ids, whether it went to the process pool) triples.
     """
     from roomforge import manifest as manifest_module
 
     calls = []
-    synthesize = manifest_module.synthesize_rirs
+    synthesize = manifest_module._synthesize
 
-    def hooked(room, source, mics, *args, **kwargs):
-        calls.append((source.position, tuple(mic.id for mic in mics)))
+    def hooked(room, source, mics, config, fs, pooled):
+        calls.append((source.position, tuple(mic.id for mic in mics), pooled))
         before()
-        return synthesize(room, source, mics, *args, **kwargs)
+        return synthesize(room, source, mics, config, fs, pooled)
 
-    monkeypatch.setattr(manifest_module, "synthesize_rirs", hooked)
+    monkeypatch.setattr(manifest_module, "_synthesize", hooked)
     return calls
+
+
+def pool_from_the_first_run(monkeypatch):
+    """Have the process pool pay for itself from the first run, however small."""
+    from roomforge import manifest as manifest_module
+
+    monkeypatch.setattr(manifest_module, "POOL_BREAK_EVEN", 0)
+
+
+# with one CPU, a run synthesizes in the calling process
+MULTI_CPU = (os.cpu_count() or 1) > 1
 
 
 class TestParseManifest:
@@ -615,7 +629,7 @@ class TestPlanAndRun:
         def forbidden(*args, **kwargs):
             raise AssertionError("a dry run read or synthesized audio")
 
-        for name in ("synthesize_rirs", "load_ir", "read_wav"):
+        for name in ("_synthesize", "load_ir", "read_wav"):
             monkeypatch.setattr(manifest_module, name, forbidden)
         report = plan_and_run(m, dry_run=True)
         assert (report.jobs_planned, report.jobs_done, report.files_written) == (4, 0, 0)
@@ -740,9 +754,56 @@ class TestPlanAndRun:
         # one mic each, so that each placement is a single synthesis
         doc = placement_doc(tmp_path, [[3.0, 2.0, 1.5], [4.0, 3.0, 1.5]], mics=THREE_MICS[:1])
         barrier = threading.Barrier(2, timeout=10)
-        hook_synthesis(monkeypatch, barrier.wait)  # breaks unless both resolve at once
+        calls = hook_synthesis(monkeypatch, barrier.wait)  # breaks unless both are sent at once
+        pool_from_the_first_run(monkeypatch)
         m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
         assert plan_and_run(m, parallelism=2, cache=IrCache(directory=None)).ok
+        # each is sent to the process pool, which overlaps them
+        assert [pooled for *_, pooled in calls] == [MULTI_CPU] * 2
+
+    def test_pool_waits_until_the_process_has_planned_its_break_even(self, tmp_path, monkeypatch):
+        from roomforge import manifest as manifest_module
+
+        doc = placement_doc(tmp_path, [[3.0, 2.0, 1.5], [4.0, 3.0, 1.5]])
+        m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        # a run plans every lattice image for each mic of each placement: 2 x 2 x 10^3
+        assert lattice_image_count(m.rooms["lab"], m.synthesis) == 1000
+        monkeypatch.setattr(manifest_module, "POOL_BREAK_EVEN", 10_000)
+        monkeypatch.setattr(manifest_module._POOL, "_work", 0)
+        calls = hook_synthesis(monkeypatch, lambda: None)
+        for workers in (2, 1, 2):
+            assert plan_and_run(m, parallelism=workers, cache=IrCache(directory=None)).ok
+        # 4000 pairs, then 8000 (a --jobs 1 run counts too), then 12000, past the break-even
+        assert [pooled for *_, pooled in calls] == [False] * 4 + [MULTI_CPU] * 2
+
+    def test_runs_with_fewer_than_two_placements_or_workers_start_no_process(self, tmp_path, monkeypatch):
+        from roomforge import manifest as manifest_module
+
+        def forbidden(*args):
+            raise AssertionError("the run used the process pool")
+
+        monkeypatch.setattr(manifest_module._POOL, "run", forbidden)
+        pool_from_the_first_run(monkeypatch)
+        sources = [[3.0, 2.0, 1.5], [4.0, 3.0, 1.5], [2.0, 3.0, 2.0]]
+        doc = placement_doc(tmp_path, sources)
+        m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert plan_and_run(m, parallelism=2, dry_run=True).ok
+        assert plan_and_run(m, parallelism=1, cache=IrCache(tmp_path / "cache")).ok
+        # every placement a disk hit
+        assert plan_and_run(m, parallelism=2, cache=IrCache(tmp_path / "cache")).ok
+        # one placement, however many sessions and workers
+        doc["sessions"] = [dict(s, source={"position": sources[0]}) for s in doc["sessions"]]
+        m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert plan_and_run(m, parallelism=3, cache=IrCache(directory=None)).ok
+        # loaded IRs only
+        rng = np.random.default_rng(64)
+        for mic in ("m0", "m1"):
+            h = rng.standard_normal(400) * np.exp(-np.arange(400) / 50)
+            save_ir(tmp_path / f"{mic}.wav", ImpulseResponse(FS, h))
+        for s in doc["sessions"]:
+            s["ir"] = {"mode": "load", "files": {"m0": "m0.wav", "m1": "m1.wav"}}
+        m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert plan_and_run(m, parallelism=3).ok
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_repeated_placement_is_synthesized_once(self, tmp_path, monkeypatch, workers):
@@ -750,6 +811,7 @@ class TestPlanAndRun:
         doc = placement_doc(tmp_path, [a, a, b, a, b, c], mics=THREE_MICS)
         # long enough for a second worker to miss the cache too
         calls = hook_synthesis(monkeypatch, lambda: time.sleep(0.2))
+        pool_from_the_first_run(monkeypatch)
         m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # more workers than cores, switching often
@@ -758,9 +820,11 @@ class TestPlanAndRun:
         finally:
             sys.setswitchinterval(interval)
         assert report.ok and report.jobs_done == 6
-        # one synthesis per distinct placement, holding all of its mics in order
+        # one synthesis per distinct placement, holding all of its mics in order, sent to
+        # the process pool at more than one worker
         ids = tuple(mic["id"] for mic in THREE_MICS)
-        assert sorted(calls) == sorted((tuple(p), ids) for p in (a, b, c))
+        pooled = workers > 1 and MULTI_CPU
+        assert sorted(calls) == sorted((tuple(p), ids, pooled) for p in (a, b, c))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_each_distinct_ir_is_made_once(self, tmp_path, monkeypatch, workers):
@@ -803,7 +867,7 @@ class TestPlanAndRun:
         m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
         report = plan_and_run(m, parallelism=workers, cache=IrCache(directory=None))
         assert report.ok and report.jobs_done == 6
-        assert sorted(mic for _, mics in calls for mic in mics) == ["m0", "m1"]
+        assert sorted(mic for _, mics, _ in calls for mic in mics) == ["m0", "m1"]
         assert sorted(loads) == [str(tmp_path / "h0.wav"), str(tmp_path / "h1.wav")]
         # and each session still gets its own IRs, in mic order
         h0, h1 = (load_ir(tmp_path / f"{name}.wav").samples for name in ("h0", "h1"))
@@ -991,11 +1055,11 @@ class TestPlanAndRun:
         write_wav(tmp_path / "clean" / "s01.wav", AudioSignal(FS, rng.uniform(-0.4, 0.4, FS // 2)))
         cache = IrCache(directory=None)
         assert plan_and_run(parse_manifest(json.dumps(doc), base_dir=tmp_path), cache=cache).ok
-        synthesize = manifest_module.synthesize_rirs
+        synthesize = manifest_module._synthesize
 
-        def faint_m1(room, source, mics, *args, **kwargs):
+        def faint_m1(room, source, mics, *args):
             # one tap so faint that every sample of clean * IR squares to below the least float64
-            irs = synthesize(room, source, mics, *args, **kwargs)
+            irs = synthesize(room, source, mics, *args)
             for i, mic in enumerate(mics):
                 if mic.id == "m1":
                     samples = np.zeros(irs[i].num_samples)
@@ -1003,7 +1067,7 @@ class TestPlanAndRun:
                     irs[i] = ImpulseResponse(FS, samples, "image-method", irs[i].direct_path_index)
             return irs
 
-        monkeypatch.setattr(manifest_module, "synthesize_rirs", faint_m1)
+        monkeypatch.setattr(manifest_module, "_synthesize", faint_m1)
         report = plan_and_run(parse_manifest(json.dumps(doc), base_dir=tmp_path), cache=cache)
         assert report.failures == [("sessA/s01", "channel 1 is silent, cannot set SNR")]
         # the rerun wrote m0 before it made m1: the earlier sidecar no longer vouches for it
@@ -1104,7 +1168,7 @@ class TestIrCache:
         calls = hook_synthesis(monkeypatch, lambda: None)
         first = cache.get_or_synthesize(room, src, mics[:1], cfg, FS)
         irs = cache.get_or_synthesize(room, src, mics, cfg, FS)
-        assert [ids for _, ids in calls] == [("m0",), ("m1", "m2")]  # m0 a disk hit
+        assert [ids for _, ids, _ in calls] == [("m0",), ("m1", "m2")]  # m0 a disk hit
         assert np.array_equal(irs[0].samples, first[0].samples)
         for mic, ir in zip(mics, irs):
             assert np.array_equal(ir.samples, synthesize_rir(room, src, mic, cfg, FS).samples)
@@ -1199,7 +1263,7 @@ class TestIrCache:
         damage(damaged)
         calls = hook_synthesis(monkeypatch, lambda: None)
         irs = IrCache(tmp_path / "cache").get_or_synthesize(room, src, mics, cfg, FS)
-        assert [ids for _, ids in calls] == [("m1",)]  # m0 a disk hit, m1 a new synthesis
+        assert [ids for _, ids, _ in calls] == [("m1",)]  # m0 a disk hit, m1 a new synthesis
         for a, b in zip(fresh, irs):
             assert np.array_equal(a.samples, b.samples)
         assert damaged.read_bytes() == good
