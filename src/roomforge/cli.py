@@ -222,7 +222,10 @@ def _cmd_sweep(args) -> int:
         write_wav(args.output, inverse_filter(spec, args.fs), fmt=args.format)
     else:
         recording = read_wav(args.recording)
-        ir = deconvolve_ir(recording, spec, ir_length=args.ir_length)
+        try:
+            ir = deconvolve_ir(recording, spec, ir_length=args.ir_length)
+        except ValidationError as exc:
+            raise ValidationError(f"{args.recording}: {exc}") from None
         save_ir(args.output, ir)
     print(f"wrote {args.output}")
     return EXIT_OK
@@ -245,9 +248,12 @@ def _cmd_beamform(args) -> int:
         except ValidationError as exc:
             raise ValidationError(f"{args.delays}: {exc}") from None
     else:
-        result = steer_and_sum(
-            channels, reference_channel=args.reference, max_delay=args.max_delay
-        )
+        try:
+            result = steer_and_sum(
+                channels, reference_channel=args.reference, max_delay=args.max_delay
+            )
+        except ValidationError as exc:
+            raise ValidationError(f"{args.input}: {exc}") from None
         out = result.signal
         for i in result.low_confidence():
             est = result.tdoas[i]

@@ -698,13 +698,15 @@ def _resolve_irs(
     a host of two or more CPUs, has each task send its cache misses to the
     process pool and wait for them; the task reads and writes the IR cache
     itself.  Results are taken in session order: the first session that fails
-    raises, with the queued tasks cancelled.
+    raises, with the queued tasks cancelled; a ``ValidationError`` names the
+    session whose task raised it, by JSON path and name.
     """
     fs = manifest.sample_rate
     table: Dict[Hashable, Tuple[int, int]] = {}  # IR key -> (its task, its index in the task's result)
     tasks: List[Tuple[SessionSpec, list]] = []  # a session and the files or mics of its new IRs
+    task_sessions: List[int] = []  # each task's session, by its index in ``manifest.sessions``
     session_keys = []
-    for sess in manifest.sessions:
+    for index, sess in enumerate(manifest.sessions):
         mics = manifest.arrays[sess.array]
         if sess.ir_mode == "load":
             keys = [sess.ir_files[mic.id] for mic in mics]
@@ -715,6 +717,7 @@ def _resolve_irs(
         if new:
             table.update((key, (len(tasks), i)) for i, key in enumerate(new))
             tasks.append((sess, list(new.values())))
+            task_sessions.append(index)
         session_keys.append(keys)
     config = manifest.synthesis
     synthesized = [(manifest.rooms[sess.room], mics) for sess, mics in tasks if sess.ir_mode == "synthesize"]
@@ -729,10 +732,16 @@ def _resolve_irs(
         return cache.get_or_synthesize(manifest.rooms[sess.room], sess.source, items,
                                        config, fs, _pooled=pooled)
 
+    def result(t):
+        try:
+            return futures[t].result()
+        except ValidationError as exc:
+            index = task_sessions[t]
+            raise ValidationError(f"$.sessions[{index}] ({manifest.sessions[index].name!r}): {exc}") from None
+
     futures = [pool.submit(make, *task) for task in tasks]
     try:
-        return [[futures[t].result()[i] for t, i in (table[key] for key in keys)]
-                for keys in session_keys]
+        return [[result(t)[i] for t, i in (table[key] for key in keys)] for keys in session_keys]
     except BaseException:
         pool.shutdown(cancel_futures=True)
         raise

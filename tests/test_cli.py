@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,16 @@ def run_cli(*argv):
 
 
 RIR = ["rir", "--room", "5,4,3", "--beta", "0.8", "--source", "1,1,1", "--mic", "2,2,2"]
+
+
+def test_forge_script_is_the_cli_entry_point(tmp_path):
+    # `pip install .` makes pyproject.toml's [project.scripts] entry the `forge` command
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert 'forge = "roomforge.cli:main"' in scripts.splitlines()
+    assert f'version = "{roomforge.__version__}"' in pyproject.splitlines()
+    proc = run_python(tmp_path, "-m", "roomforge.cli", "--version")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, f"forge {roomforge.__version__}\n", "")
 
 
 @pytest.mark.parametrize(
@@ -102,7 +113,7 @@ class TestRirCommand:
                     "-o", tmp_path / "h.wav")
         assert exc_info.value.code == EXIT_INVALID
         err = capsys.readouterr().err
-        assert f"argument {option}: expected" in err
+        assert f"argument {option}: expected" in err and "Traceback" not in err
         assert len(err.encode()) < 1024
         assert not (tmp_path / "h.wav").exists()
 
@@ -228,7 +239,7 @@ class TestRirCommand:
         out.mkdir()
         assert run_cli(*RIR, "--ir-length", "0.01", "-o", out) == EXIT_INVALID
         err = capsys.readouterr().err
-        assert err.startswith("error: [Errno") and str(out) in err
+        assert err.startswith("error: [Errno") and str(out) in err and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["h.wav"]  # no temporary file is left
         assert list(out.iterdir()) == []
 
@@ -301,7 +312,7 @@ class TestSweepCommands:
         code = run_cli("sweep", "deconv", *args, sweep_wav, "--ir-length", "0.001", "-o", out)
         assert code == EXIT_INVALID
         err = capsys.readouterr().err
-        assert ("error: ir_length of 0.001 s (16 samples) must exceed "
+        assert (f"error: {sweep_wav}: ir_length of 0.001 s (16 samples) must exceed "
                 "the 0.005 s pre-peak guard (80 samples)") in err
         assert not out.exists()
 
@@ -314,7 +325,7 @@ class TestSweepCommands:
         code = run_cli("sweep", "deconv", *args, sweep_wav, "--ir-length", "1e300", "-o", out)
         assert code == EXIT_INVALID
         err = capsys.readouterr().err
-        assert err == ("error: ir_length of 1e+300 s is longer than the deconvolution: "
+        assert err == (f"error: {sweep_wav}: ir_length of 1e+300 s is longer than the deconvolution: "
                        "63999 samples at 16000 Hz\n")
         assert not out.exists()
 
@@ -326,7 +337,26 @@ class TestSweepCommands:
         code = run_cli("sweep", "deconv", "--f-start", "50", "--f-end", "7000", "--duration", "2",
                        rec, "--ir-length", ir_length, "-o", out)
         assert code == EXIT_INVALID
-        assert capsys.readouterr().err == f"error: ir_length must be finite, got {ir_length}\n"
+        assert capsys.readouterr().err == f"error: {rec}: ir_length must be finite, got {ir_length}\n"
+        assert not out.exists()
+
+    def test_deconvolved_sweep_is_a_delta_at_the_pre_peak_guard(self, tmp_path):
+        # the sweep's own recording deconvolves to one peak, which the IR keeps 5 ms (80 samples) in
+        args = ["--f-start", "50", "--f-end", "7000", "--duration", "2"]
+        sweep_wav, ir_wav, report = (tmp_path / n for n in ("sweep.wav", "ir.wav", "report.json"))
+        assert run_cli("sweep", "gen", *args, "--fs", str(FS), "-o", sweep_wav) == EXIT_OK
+        assert run_cli("sweep", "deconv", *args, sweep_wav, "--ir-length", "0.5", "-o", ir_wav) == EXIT_OK
+        assert run_cli("metrics", ir_wav, "-o", report) == EXIT_OK
+        assert json.loads(report.read_text())["direct_path_index"] == 80
+
+    def test_deconv_of_a_multichannel_recording_names_it(self, tmp_path, capsys):
+        args = ["--f-start", "50", "--f-end", "7000", "--duration", "2"]
+        sweep = generate_ess(SweepSpec(50.0, 7000.0, 2.0), FS).mono
+        rec, out = tmp_path / "stereo.wav", tmp_path / "ir.wav"
+        write_wav(rec, AudioSignal(FS, np.stack([sweep, sweep])), fmt="float32")
+        code = run_cli("sweep", "deconv", *args, rec, "--ir-length", "0.5", "-o", out)
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {rec}: expected mono signal, got 2 channels\n"
         assert not out.exists()
 
     def test_deconv_of_noise_is_invalid(self, tmp_path):
@@ -356,7 +386,8 @@ class TestBeamformCommand:
         out = tmp_path / "beam.wav"
         assert run_cli("beamform", path, "-o", out) == EXIT_OK
         beam = read_wav(out)
-        assert beam.num_channels == 1
+        # realigned, the sum is the 9-sample spread longer than the input
+        assert (beam.num_channels, beam.num_samples) == (1, base.size + 9 + 9)
         seg = beam.mono[9 : 9 + base.size]
         assert np.sqrt(np.mean((seg - base) ** 2)) <= 1e-5
 
@@ -370,6 +401,20 @@ class TestBeamformCommand:
     def test_missing_input_is_invalid(self, tmp_path):
         code = run_cli("beamform", tmp_path / "nope.wav", "-o", tmp_path / "b.wav")
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize(
+        "channels, message",
+        [(lambda data: data[1:2], "steer_and_sum needs at least 2 channels"),
+         (lambda data: data * [[1.0], [0.0], [1.0]], "no signal: silent input channel")],
+        ids=["mono", "silent-channel"],
+    )
+    def test_input_that_cannot_be_steered_is_invalid_naming_it(self, tmp_path, capsys, channels, message):
+        path, _ = self._multichannel(tmp_path)
+        write_wav(path, AudioSignal(FS, channels(read_wav(path).data)), fmt="float32")
+        out = tmp_path / "b.wav"
+        assert run_cli("beamform", path, "-o", out) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
 
     def test_negative_max_delay_is_invalid(self, tmp_path, capsys):
         path, _ = self._multichannel(tmp_path)
@@ -451,16 +496,22 @@ class TestMetricsCommand:
         err = capsys.readouterr().err
         assert "h.json" in err and "direct_path_index" in err
 
-    def test_report_names_the_geometric_direct_path(self, tmp_path):
+    @pytest.mark.parametrize(
+        # sinc: fractional delays through the Chebyshev kernel, then a high-pass filter
+        "mode", [[], ["--fractional-delay", "sinc", "--highpass", "60"]], ids=["nearest", "sinc-highpass"]
+    )
+    def test_report_names_the_geometric_direct_path(self, tmp_path, mode):
         # 3.0 m from source to mic is 419.6 samples at 48 kHz
         rir, report = tmp_path / "rir.wav", tmp_path / "report.json"
         assert run_cli(
             "rir", "--room", "5,4,3", "--t60", "0.5", "--source", "1.2,1.7,1.4",
-            "--mic", "3.9,2.8,2.1", "--ir-length", "0.5", "--fs", "48000", "-o", rir,
+            "--mic", "3.9,2.8,2.1", "--ir-length", "0.5", *mode, "--fs", "48000", "-o", rir,
         ) == EXIT_OK
         assert run_cli("metrics", rir, "-o", report) == EXIT_OK
         distance = np.linalg.norm(np.subtract((3.9, 2.8, 2.1), (1.2, 1.7, 1.4)))
-        assert json.loads(report.read_text())["direct_path_index"] == round(distance / 343.0 * 48000)
+        index = json.loads(report.read_text())["direct_path_index"]
+        assert index == round(distance / 343.0 * 48000)
+        assert np.argmax(np.abs(load_ir(rir).samples)) == index  # the direct path is the IR's peak
 
 
 class TestSelectCommand:
@@ -586,6 +637,41 @@ class TestRunCommand:
         assert run_cli("run", manifest, "--dry-run") == EXIT_OK
         assert list((tmp_path / "cache").glob("*")) == []
         assert not (tmp_path / "out").exists()
+
+    def test_run_writes_each_file_whole_with_the_mode_of_a_new_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ROOMFORGE_CACHE_DIR", str(tmp_path / "cache"))
+        manifest = write_run_manifest(tmp_path, ["s01", "s02"], {"ir_length": 0.2, "fractional_delay": "sinc"})
+        umask = os.umask(0o022)
+        try:
+            with open(tmp_path / "plain", "wb"):
+                pass
+            assert run_cli("run", manifest) == EXIT_OK
+        finally:
+            os.umask(umask)
+        # no hidden .<name>.<random>.tmp file is left beside any of them
+        assert sorted(map(str, corpus_tree(tmp_path / "out"))) == [
+            "corpus.json", "sessA/s01.json", "sessA/s01_m0.wav", "sessA/s02.json", "sessA/s02_m0.wav"
+        ]
+        [npy] = (tmp_path / "cache").iterdir()
+        assert npy.suffix == ".npy" and not npy.name.startswith(".")
+        files = [npy, *(p for p in (tmp_path / "out").rglob("*") if p.is_file())]
+        modes = {stat.S_IMODE(p.stat().st_mode) for p in files}
+        assert modes == {stat.S_IMODE((tmp_path / "plain").stat().st_mode)} == {0o644}
+
+    def test_truncated_cache_file_is_synthesized_again_with_the_same_corpus(self, tmp_path, capsys,
+                                                                            monkeypatch):
+        monkeypatch.setenv("ROOMFORGE_CACHE_DIR", str(tmp_path / "cache"))
+        manifest = write_run_manifest(tmp_path, ["s01", "s02"], {"ir_length": 0.2, "fractional_delay": "sinc"})
+        assert run_cli("run", manifest) == EXIT_OK
+        [npy] = (tmp_path / "cache").iterdir()
+        whole = npy.read_bytes()
+        npy.write_bytes(whole[:100])  # a cut within the .npy header
+        manifest.write_text(manifest.read_text().replace('"output_dir": "out"', '"output_dir": "again"'))
+        capsys.readouterr()
+        assert run_cli("run", manifest) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert npy.read_bytes() == whole
+        assert corpus_tree(tmp_path / "again") == corpus_tree(tmp_path / "out")
 
     @pytest.mark.parametrize(
         "edit, path",
@@ -1130,7 +1216,9 @@ class TestRunWorkerProcesses:
         monkeypatch.setattr(manifest_module, "POOL_BREAK_EVEN", 0)
         assert run_cli("run", manifest, "--dry-run") == EXIT_OK
         assert run_cli("run", manifest, "--jobs", "2") == EXIT_INVALID
-        assert capsys.readouterr().err == "error: impulse response must have finite nonzero energy\n"
+        assert capsys.readouterr().err == (
+            "error: $.sessions[0] ('sessA'): impulse response must have finite nonzero energy\n"
+        )
         assert sent and set(sent) == {POOL_WORKERS > 1}
         assert not (tmp_path / "out").exists()
 
@@ -1183,4 +1271,5 @@ class TestRunWorkerProcesses:
             assert run_cli("run", manifest, "--jobs", jobs) == EXIT_OK
             trees.append(corpus_tree(tmp_path / f"{kind}_j{jobs}"))
         assert sum(path.suffix == ".wav" for path in trees[0]) == wavs
+        assert sum(path.suffix == ".json" for path in trees[0]) == 4 + 1  # a sidecar per job, and corpus.json
         assert trees[0] == trees[1] == trees[2]
