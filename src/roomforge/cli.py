@@ -19,13 +19,13 @@ import io
 import json
 import reprlib
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .array_dsp import delay_and_sum, oracle_select, steer_and_sum
+from .array_dsp import DEFAULT_MAX_DELAY, delay_and_sum, oracle_select, steer_and_sum
 from .core import FIRST_ORDER_PATTERNS, MicSpec, RoomSpec, SourceSpec, ValidationError
 from .image_source import (
     FRACTIONAL_DELAYS,
@@ -87,10 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--elevation", type=float, default=0.0, help="source elevation, degrees")
     p.add_argument("--directivity", default="omnidirectional",
                    choices=list(FIRST_ORDER_PATTERNS))
-    p.add_argument("--ir-length", type=float, default=0.5, help="seconds")
-    p.add_argument("--max-order", type=_max_order, default="auto", help="'auto' or an integer")
-    p.add_argument("--fractional-delay", choices=FRACTIONAL_DELAYS, default="nearest")
-    p.add_argument("--highpass", type=float, default=0.0, help="high-pass cutoff, Hz")
+    p.add_argument("--ir-length", type=float, default=ImageSynthesisConfig.ir_length, help="seconds")
+    p.add_argument("--max-order", type=_max_order, default=ImageSynthesisConfig.max_reflection_order,
+                   help="'auto' or an integer")
+    p.add_argument("--fractional-delay", choices=FRACTIONAL_DELAYS,
+                   default=ImageSynthesisConfig.fractional_delay)
+    p.add_argument("--highpass", type=float, default=ImageSynthesisConfig.highpass_hz,
+                   help="high-pass cutoff, Hz")
     p.add_argument("--fs", type=int, default=48000)
     p.add_argument("-o", "--output", type=Path, required=True)
 
@@ -101,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--f-start", type=float, default=20.0)
         sp.add_argument("--f-end", type=float, default=20000.0)
         sp.add_argument("--duration", type=float, default=60.0, help="seconds")
-        sp.add_argument("--amplitude", type=float, default=0.9)
+        sp.add_argument("--amplitude", type=float, default=SweepSpec.amplitude)
         sp.add_argument("--fade", type=float, default=0.05, help="taper, seconds")
         if name == "deconv":
             sp.add_argument("recording", type=Path)
@@ -117,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delays", type=Path, default=None,
                    help="JSON file with per-channel delays in seconds; GCC-PHAT steering if omitted")
     p.add_argument("--reference", type=int, default=0, help="reference channel for steering")
-    p.add_argument("--max-delay", type=float, default=0.010, help="TDOA search bound, seconds")
+    p.add_argument("--max-delay", type=float, default=DEFAULT_MAX_DELAY, help="TDOA search bound, seconds")
     p.add_argument("--format", choices=list(_FORMATS), default="float32")
 
     p = sub.add_parser("metrics", help="acoustic metrics for an IR")
@@ -178,25 +181,11 @@ def _cmd_rir(args) -> int:
     )
     ir = synthesize_rir(room, source, mic, config, sample_rate=args.fs)
     meta = {
-        "room": {
-            "dimensions": list(room.dimensions),
-            "reflectivity": _resolve_reflectivity(room).tolist(),
-            "speed_of_sound": room.speed_of_sound,
-        },
-        "source": {
-            "position": list(source.position),
-            "azimuth": source.azimuth,
-            "elevation": source.elevation,
-            "directivity": source.directivity.pattern,
-        },
-        "mic": {"id": mic.id, "position": list(mic.position)},
-        "config": {
-            "ir_length": config.ir_length,
-            "max_reflection_order": config.max_reflection_order,
-            "fractional_delay": config.fractional_delay,
-            "highpass_hz": config.highpass_hz,
-            "negative_reflection": config.negative_reflection,
-        },
+        "room": asdict(room),
+        "wall_reflectivity": _resolve_reflectivity(room).tolist(),
+        "source": asdict(source),
+        "mic": asdict(mic),
+        "config": asdict(config),
         "sample_rate": args.fs,
     }
     save_ir(args.output, replace(ir, meta=meta))

@@ -65,10 +65,13 @@ class RoomSpec:
             if any(not (0.0 <= b <= 1.0) for b in betas):
                 raise ValidationError(f"reflection coefficients must lie in [0, 1], got {betas}")
             object.__setattr__(self, "reflectivity", betas)
-        if self.target_t60 is not None and not (math.isfinite(self.target_t60) and self.target_t60 > 0):
-            raise ValidationError(f"target T60 must be finite and positive, got {self.target_t60}")
+        if self.target_t60 is not None:
+            if not (math.isfinite(self.target_t60) and self.target_t60 > 0):
+                raise ValidationError(f"target T60 must be finite and positive, got {self.target_t60}")
+            object.__setattr__(self, "target_t60", float(self.target_t60))
         if not (300.0 <= self.speed_of_sound <= 360.0):
             raise ValidationError(f"speed_of_sound {self.speed_of_sound} outside sanity range [300, 360] m/s")
+        object.__setattr__(self, "speed_of_sound", float(self.speed_of_sound))
 
     @property
     def volume(self) -> float:

@@ -133,6 +133,8 @@ class ImageSynthesisConfig:
             raise ValidationError(f"unknown fractional_delay mode {reprlib.repr(self.fractional_delay)}")
         if not (math.isfinite(self.highpass_hz) and self.highpass_hz >= 0):
             raise ValidationError(f"highpass_hz must be finite and >= 0, got {self.highpass_hz}")
+        object.__setattr__(self, "ir_length", float(self.ir_length))
+        object.__setattr__(self, "highpass_hz", float(self.highpass_hz))
 
     def validate_rate(self, sample_rate: int) -> int:
         """Check the config against ``sample_rate``; return the IR's length in samples.

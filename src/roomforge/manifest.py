@@ -25,7 +25,7 @@ import reprlib
 import threading
 import time
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
@@ -38,6 +38,7 @@ from .contaminate import (
     run_job,  # noqa: F401 - kept as a module attribute: perfbench's tracer wraps it here
 )
 from .core import (
+    DEFAULT_SPEED_OF_SOUND,
     AudioSignal,
     Directivity,
     ImpulseResponse,
@@ -145,6 +146,14 @@ def _field(doc: dict, key: str, path: str, errors: list, kind, default=None):
     return value
 
 
+def _no_bool(value, name: str):
+    """``value``, unless it is a JSON true or false or a list holding one: Python reads those as 1 or 0."""
+    if isinstance(value, bool) or isinstance(value, list) and any(isinstance(v, bool) for v in value):
+        kind = "numbers" if isinstance(value, list) else "a number"
+        raise ValidationError(f"{name} must be {kind}, got {reprlib.repr(value)}")
+    return value
+
+
 def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManifest:
     """Parse and validate a manifest, reporting every error at once."""
     base = Path(base_dir)
@@ -166,10 +175,11 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
         path = f"$.rooms.{name}"
         try:
             rooms[name] = RoomSpec(
-                dimensions=tuple(spec["dimensions"]),
-                reflectivity=tuple(spec["reflectivity"]) if "reflectivity" in spec else None,
-                target_t60=spec.get("t60"),
-                speed_of_sound=spec.get("speed_of_sound", 343.0),
+                dimensions=tuple(_no_bool(spec["dimensions"], "dimensions")),
+                reflectivity=(tuple(_no_bool(spec["reflectivity"], "reflectivity"))
+                              if "reflectivity" in spec else None),
+                target_t60=_no_bool(spec.get("t60"), "t60"),
+                speed_of_sound=_no_bool(spec.get("speed_of_sound", DEFAULT_SPEED_OF_SOUND), "speed_of_sound"),
             )
         except KeyError as exc:  # "dimensions", the one key read with []
             errors.append((f"{path}.{exc.args[0]}", "missing required field"))
@@ -184,7 +194,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
         try:
             layout = []
             for j, m in enumerate(mics):
-                layout.append(MicSpec(id=m["id"], position=tuple(m["position"])))
+                layout.append(MicSpec(id=m["id"], position=tuple(_no_bool(m["position"], "position"))))
             validate_mic_array(layout)
             arrays[name] = layout
         except KeyError as exc:  # "id" or "position" of mic j, the keys read with []
@@ -197,10 +207,10 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
     syn = _field(doc, "synthesis", "$", errors, "an object", {})
     try:
         synthesis = ImageSynthesisConfig(
-            ir_length=syn.get("ir_length", 0.5),
-            max_reflection_order=syn.get("max_order", "auto"),
-            fractional_delay=syn.get("fractional_delay", "nearest"),
-            highpass_hz=syn.get("highpass_hz", 0.0),
+            ir_length=_no_bool(syn.get("ir_length", ImageSynthesisConfig.ir_length), "ir_length"),
+            max_reflection_order=syn.get("max_order", ImageSynthesisConfig.max_reflection_order),
+            fractional_delay=syn.get("fractional_delay", ImageSynthesisConfig.fractional_delay),
+            highpass_hz=_no_bool(syn.get("highpass_hz", ImageSynthesisConfig.highpass_hz), "highpass_hz"),
         )
     except (ValueError, TypeError, OverflowError) as exc:
         errors.append(("$.synthesis", str(exc)))
@@ -269,9 +279,9 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
         source = None
         try:
             source = SourceSpec(
-                position=tuple(src_doc["position"]),
-                azimuth=math.radians(src_doc.get("azimuth_deg", 0.0)),
-                elevation=math.radians(src_doc.get("elevation_deg", 0.0)),
+                position=tuple(_no_bool(src_doc["position"], "position")),
+                azimuth=math.radians(_no_bool(src_doc.get("azimuth_deg", 0.0), "azimuth_deg")),
+                elevation=math.radians(_no_bool(src_doc.get("elevation_deg", 0.0), "elevation_deg")),
                 directivity=_parse_directivity(src_doc.get("directivity", "omnidirectional")),
             )
         except KeyError as exc:  # "position", the one key read with []
@@ -370,8 +380,8 @@ def _parse_directivity(value) -> Directivity:
     if isinstance(value, str):
         return Directivity(value)
     if isinstance(value, dict) and value.keys() >= {"angles_deg", "gains"}:
-        angles = tuple(math.radians(a) for a in value["angles_deg"])
-        return Directivity("custom", table=(angles, tuple(value["gains"])))
+        angles = tuple(math.radians(a) for a in _no_bool(value["angles_deg"], "angles_deg"))
+        return Directivity("custom", table=(angles, tuple(_no_bool(value["gains"], "gains"))))
     raise ValidationError(f"cannot interpret directivity {value!r}")
 
 
@@ -470,7 +480,12 @@ class _SynthesisPool:
                 # deferred: runs that start no process do not import these
                 import multiprocessing
                 from concurrent.futures import ProcessPoolExecutor
+                from multiprocessing.spawn import _check_not_importing_main
 
+                # a worker still starting, as when spawn runs a script with no main guard again, fails
+                # here as spawn would fail it, before the pool makes any semaphore: the broken pool
+                # kills the other workers, and one killed holding semaphores leaves a warning on stderr
+                _check_not_importing_main()
                 self._executor = ProcessPoolExecutor(
                     mp_context=multiprocessing.get_context("spawn"), initializer=_exit_with_parent
                 )
@@ -500,7 +515,7 @@ def _synthesize(room: RoomSpec, source: SourceSpec, mics: Sequence[MicSpec],
 
 
 class IrCache:
-    """Disk mirror of synthesized IRs, keyed by a digest of the full geometry + config.
+    """Disk mirror of synthesized IRs, keyed by a digest of every field of the scene and config.
 
     Each synthesized IR is saved as a .npy file in ``directory`` (by default
     ``ROOMFORGE_CACHE_DIR``, if set), so later runs skip its synthesis; nothing
@@ -520,17 +535,8 @@ class IrCache:
     @staticmethod
     def key(room: RoomSpec, source: SourceSpec, mic: MicSpec, config: ImageSynthesisConfig, fs: int) -> str:
         payload = json.dumps(
-            {
-                "room": [room.dimensions, room.reflectivity, room.target_t60, room.speed_of_sound],
-                "source": [source.position, source.azimuth, source.elevation,
-                           source.directivity.pattern, source.directivity.table],
-                "mic": mic.position,
-                "config": [config.ir_length, config.max_reflection_order,
-                           config.fractional_delay, config.highpass_hz,
-                           config.negative_reflection],
-                "fs": fs,
-                "version": SYNTHESIS_VERSION,
-            },
+            {"room": asdict(room), "source": asdict(source), "mic": mic.position,
+             "config": asdict(config), "fs": fs, "version": SYNTHESIS_VERSION},
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode()).hexdigest()
@@ -658,23 +664,16 @@ def _run_one(
     for wav, channel in zip(wavs, job_channels(job)):
         write_wav(manifest.output_dir / wav, AudioSignal(fs, channel), fmt=manifest.output_format)
         samples += channel.size
-    source = session.source
     write_json(manifest.output_dir / sidecar, {
         "session": session.name,
         "sentence": sentence,
         "seed": seed,
         "snr_db": manifest.target_snr_db,
         "sample_rate": fs,
-        "source": {
-            "position": list(source.position),
-            "azimuth": source.azimuth,
-            "elevation": source.elevation,
-            "directivity": source.directivity.pattern,
-        },
-        "room": list(manifest.rooms[session.room].dimensions),
+        "source": asdict(session.source),
+        "room": asdict(manifest.rooms[session.room]),
         "channels": [
-            {"file": wav.name, "mic": {"id": mic.id, "position": list(mic.position)},
-             "ir_provenance": ir.provenance}
+            {"file": wav.name, "mic": asdict(mic), "ir_provenance": ir.provenance}
             for wav, mic, ir in zip(wavs, mics, irs)
         ],
     })

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -205,12 +205,6 @@ def deconvolve_ir(
         meta={
             "normalization_scale": scale,
             "pre_peak_guard": pre_peak_guard,
-            "sweep": {
-                "f_start": spec.f_start,
-                "f_end": spec.f_end,
-                "duration": spec.duration,
-                "amplitude": spec.amplitude,
-                "fade": spec.fade,
-            },
+            "sweep": asdict(spec),
         },
     )

@@ -83,6 +83,8 @@ def read_wav(path: Union[str, Path]) -> AudioSignal:
         )
     if n_channels < 1:
         raise ValidationError(f"{path}: invalid channel count {n_channels}")
+    if sample_rate < 1:
+        raise ValidationError(f"{path}: invalid sample rate {sample_rate}")
     frame_bytes = n_channels * bits // 8
     if len(data) % frame_bytes:
         raise ValidationError(

@@ -9,7 +9,17 @@ import numpy as np
 import pytest
 
 import roomforge
-from roomforge import AudioSignal, SweepSpec, generate_ess, inverse_filter
+from roomforge import (
+    AudioSignal,
+    Directivity,
+    ImageSynthesisConfig,
+    MicSpec,
+    RoomSpec,
+    SourceSpec,
+    SweepSpec,
+    generate_ess,
+    inverse_filter,
+)
 from roomforge import manifest as manifest_module
 from roomforge.cli import EXIT_INVALID, EXIT_OK, EXIT_PARTIAL, main
 from roomforge.engine import fft_convolve
@@ -21,6 +31,14 @@ FS = 16000
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def write_zero_rate_wav(path):
+    """A mono pcm16 WAV whose header gives a sample rate of 0."""
+    write_wav(path, AudioSignal(FS, np.linspace(-0.5, 0.5, FS // 10)), fmt="pcm16")
+    raw = bytearray(path.read_bytes())
+    raw[24:32] = bytes(8)  # the fmt chunk's sample rate and byte rate
+    path.write_bytes(bytes(raw))
 
 
 RIR = ["rir", "--room", "5,4,3", "--beta", "0.8", "--source", "1,1,1", "--mic", "2,2,2"]
@@ -126,11 +144,12 @@ class TestRirCommand:
         assert f"argument --room: expected x,y,z — got {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "walls, reflectivity",
-        [(["--t60", "0.3"], [0.8425884848480192] * 6), (["--beta", "0.8"], [0.8] * 6)],
+        "walls, walls_record, wall_reflectivity",
+        [(["--t60", "0.3"], {"reflectivity": None, "target_t60": 0.3}, [0.8425884848480192] * 6),
+         (["--beta", "0.8"], {"reflectivity": [0.8] * 6, "target_t60": None}, [0.8] * 6)],
         ids=["t60", "beta"],
     )
-    def test_sidecar_records_the_synthesis(self, tmp_path, walls, reflectivity):
+    def test_sidecar_records_the_synthesis(self, tmp_path, walls, walls_record, wall_reflectivity):
         out = tmp_path / "h.wav"
         code = run_cli(
             "rir", "--room", "5,4,3", *walls, "--source", "1.2,1.7,1.4", "--mic", "3.9,2.8,2.1",
@@ -139,17 +158,28 @@ class TestRirCommand:
             "--fs", str(FS), "-o", out,
         )
         assert code == EXIT_OK
-        assert json.loads(out.with_suffix(".json").read_text())["meta"] == {
-            "room": {"dimensions": [5.0, 4.0, 3.0], "reflectivity": reflectivity,
-                     "speed_of_sound": 343.0},
+        meta = json.loads(out.with_suffix(".json").read_text())["meta"]
+        assert meta == {
+            "room": {"dimensions": [5.0, 4.0, 3.0], **walls_record, "speed_of_sound": 343.0},
+            "wall_reflectivity": wall_reflectivity,
             "source": {"position": [1.2, 1.7, 1.4], "azimuth": 0.5235987755982988,
-                       "elevation": -0.17453292519943295, "directivity": "cardioid"},
+                       "elevation": -0.17453292519943295,
+                       "directivity": {"pattern": "cardioid", "table": None}},
             "mic": {"id": "mic", "position": [3.9, 2.8, 2.1]},
             "config": {"ir_length": 0.1, "max_reflection_order": "auto",
                        "fractional_delay": "sinc", "highpass_hz": 60.0,
-                       "negative_reflection": False},
+                       "negative_reflection": False, "image_budget": 10_000_000},
             "sample_rate": FS,
         }
+        # each record rebuilds the object that made the IR
+        assert RoomSpec(**meta["room"]) == RoomSpec((5, 4, 3), walls_record["reflectivity"],
+                                                    walls_record["target_t60"])
+        source = meta["source"]
+        assert SourceSpec(**{**source, "directivity": Directivity(**source["directivity"])}) == SourceSpec(
+            (1.2, 1.7, 1.4), np.radians(30.0), np.radians(-10.0), "cardioid")
+        assert MicSpec(**meta["mic"]) == MicSpec("mic", (3.9, 2.8, 2.1))
+        assert ImageSynthesisConfig(**meta["config"]) == ImageSynthesisConfig(
+            ir_length=0.1, fractional_delay="sinc", highpass_hz=60.0)
 
     def test_highpass_past_nyquist_is_invalid(self, tmp_path, capsys):
         out = tmp_path / "h.wav"
@@ -487,6 +517,12 @@ class TestMetricsCommand:
         err = capsys.readouterr().err
         assert "h.json" in err and "Traceback" not in err
 
+    def test_ir_with_a_sample_rate_of_zero_is_invalid_naming_it(self, tmp_path, capsys):
+        ir_path = tmp_path / "zero.wav"
+        write_zero_rate_wav(ir_path)
+        assert run_cli("metrics", ir_path) == EXIT_INVALID
+        assert capsys.readouterr() == ("", f"error: {ir_path}: invalid sample rate 0\n")
+
     @pytest.mark.parametrize("index", ["7", 3.5, True, -1, FS // 2, 10**9])
     def test_bad_sidecar_index_is_invalid(self, tmp_path, capsys, index):
         ir_path = tmp_path / "h.wav"
@@ -773,7 +809,7 @@ class TestRunCommand:
         manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "highpass_hz": 9000})
         assert run_cli("run", manifest) == EXIT_INVALID
         err = capsys.readouterr().err
-        assert "  $.synthesis.highpass_hz: highpass_hz 9000 Hz reaches Nyquist" in err
+        assert "  $.synthesis.highpass_hz: highpass_hz 9000.0 Hz reaches Nyquist" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -1003,6 +1039,16 @@ class TestRunCommand:
         manifest.write_text(json.dumps(doc))
         assert run_cli("run", manifest) == EXIT_INVALID
         assert capsys.readouterr().err == f"error: {tmp_path / 'noise.wav'}: no samples\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_noise_file_with_a_sample_rate_of_zero_is_invalid_naming_it(self, tmp_path, capsys):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "max_order": 2})
+        write_zero_rate_wav(tmp_path / "noise.wav")
+        doc = json.loads(manifest.read_text())
+        doc["noise"] = {"file": "noise.wav", "snr_db": 12}
+        manifest.write_text(json.dumps(doc))
+        assert run_cli("run", manifest) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {tmp_path / 'noise.wav'}: invalid sample rate 0\n"
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_clean_file_is_a_job_failure(self, tmp_path):

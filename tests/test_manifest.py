@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from contaminate_reference import whole_array_contaminate
 from roomforge import (
     AudioSignal,
+    Directivity,
     ImageSynthesisConfig,
     ImpulseResponse,
     MicSpec,
@@ -50,6 +52,16 @@ def write_clean(directory, names, seconds=0.5, seed=50):
     for name in names:
         x = 0.2 * rng.standard_normal(int(seconds * FS))
         write_wav(directory / f"{name}.wav", AudioSignal(FS, x), fmt="float32")
+
+
+KEY_ROOM = RoomSpec((5.0, 4.0, 3.0), reflectivity=(0.9, 0.9, 0.8, 0.8, 0.7, 0.7))
+KEY_SOURCE = SourceSpec((3.0, 2.0, 1.5), azimuth=0.5, elevation=-0.1,
+                        directivity=Directivity("custom", table=((0.0, 1.5, 3.0), (1.0, 0.5, 0.2))))
+
+
+def scene_key(room=KEY_ROOM, source=KEY_SOURCE, mic=MicSpec("a", (1.0, 1.0, 1.5)),
+              config=ImageSynthesisConfig(ir_length=0.1), fs=FS):
+    return IrCache.key(room, source, mic, config, fs)
 
 
 SNR_OUT_OF_RANGE = "is out of range: 10 ** (snr_db / 20) is not a positive finite float"
@@ -287,7 +299,7 @@ class TestParseManifest:
             (lambda d: d["arrays"]["pair"][1].pop("position"),
              ("$.arrays.pair[1].position", "missing required field")),
             (lambda d: d["synthesis"].update(highpass_hz=8000),
-             ("$.synthesis.highpass_hz", "highpass_hz 8000 Hz reaches Nyquist for sample rate 16000")),
+             ("$.synthesis.highpass_hz", "highpass_hz 8000.0 Hz reaches Nyquist for sample rate 16000")),
             (lambda d: d["synthesis"].update(ir_length=1e-5),
              ("$.synthesis.ir_length", "ir_length 1e-05 s is shorter than one sample at 16000 Hz")),
             (lambda d: d.update(noise={"file": "n.wav", "snr_db": float("nan")}),
@@ -327,6 +339,33 @@ class TestParseManifest:
              ("$.synthesis", f"{MAX_ORDER_INVALID}, got 2.5")),
             (lambda d: d["synthesis"].update(max_order=True),
              ("$.synthesis", f"{MAX_ORDER_INVALID}, got True")),
+            # JSON true and false are not the numbers 1 and 0 that Python takes them for
+            (lambda d: d["synthesis"].update(ir_length=True),
+             ("$.synthesis", "ir_length must be a number, got True")),
+            (lambda d: d["synthesis"].update(highpass_hz=True),
+             ("$.synthesis", "highpass_hz must be a number, got True")),
+            (lambda d: d["rooms"].update(lab={"dimensions": [5.0, 4.0, 3.0], "t60": True}),
+             ("$.rooms.lab", "t60 must be a number, got True")),
+            (lambda d: d["rooms"]["lab"].update(reflectivity=[True]),
+             ("$.rooms.lab", "reflectivity must be numbers, got [True]")),
+            (lambda d: d["rooms"]["lab"].update(dimensions=[5.0, True, 3.0]),
+             ("$.rooms.lab", "dimensions must be numbers, got [5.0, True, 3.0]")),
+            (lambda d: d["rooms"]["lab"].update(speed_of_sound=False),
+             ("$.rooms.lab", "speed_of_sound must be a number, got False")),
+            (lambda d: d["arrays"]["pair"][1].update(position=[1.0, True, 1.5]),
+             ("$.arrays.pair", "position must be numbers, got [1.0, True, 1.5]")),
+            (lambda d: d["sessions"][0]["source"].update(position=[3.0, 2.0, True]),
+             ("$.sessions[0].source", "position must be numbers, got [3.0, 2.0, True]")),
+            (lambda d: d["sessions"][0]["source"].update(azimuth_deg=True),
+             ("$.sessions[0].source", "azimuth_deg must be a number, got True")),
+            (lambda d: d["sessions"][0]["source"].update(elevation_deg=False),
+             ("$.sessions[0].source", "elevation_deg must be a number, got False")),
+            (lambda d: d["sessions"][0]["source"].update(
+                directivity={"angles_deg": [False, 180], "gains": [1, 0]}),
+             ("$.sessions[0].source", "angles_deg must be numbers, got [False, 180]")),
+            (lambda d: d["sessions"][0]["source"].update(
+                directivity={"angles_deg": [0, 180], "gains": [True, 0]}),
+             ("$.sessions[0].source", "gains must be numbers, got [True, 0]")),
         ],
         ids=["room", "mic", "source", "ir-length", "highpass", "no-dimensions", "no-position",
              "room-inf", "t60-nan", "azimuth-nan", "mic-no-id", "mic-no-position",
@@ -334,7 +373,10 @@ class TestParseManifest:
              "directivity-gain-nan", "directivity-angle-nan", "dimensions-huge", "t60-huge",
              "mic-position-huge", "source-position-huge", "azimuth-huge", "ir-length-huge",
              "snr-overflow", "snr-underflow", "snr-huge-int", "max-order-inf", "max-order-nan",
-             "max-order-fraction", "max-order-bool"],
+             "max-order-fraction", "max-order-bool", "ir-length-bool", "highpass-bool", "t60-bool",
+             "reflectivity-bool", "dimensions-bool", "speed-of-sound-bool", "mic-position-bool",
+             "source-position-bool", "azimuth-bool", "elevation-bool", "directivity-angle-bool",
+             "directivity-gain-bool"],
     )
     def test_number_that_is_not_one_names_its_path(self, tmp_path, edit, error):
         doc = base_doc(tmp_path)
@@ -986,13 +1028,40 @@ class TestPlanAndRun:
             "snr_db": 15,
             "sample_rate": FS,
             "source": {"position": [3.0, 2.0, 1.5], "azimuth": pytest.approx(np.pi / 2),
-                       "elevation": pytest.approx(-np.pi / 6), "directivity": "cardioid"},
-            "room": [5.0, 4.0, 3.0],
+                       "elevation": pytest.approx(-np.pi / 6),
+                       "directivity": {"pattern": "cardioid", "table": None}},
+            "room": {"dimensions": [5.0, 4.0, 3.0], "reflectivity": [0.8] * 6, "target_t60": None,
+                     "speed_of_sound": 343.0},
             "channels": [
                 {"file": f"s01_{mic['id']}.wav", "mic": mic, "ir_provenance": "image-method"}
                 for mic in THREE_MICS[::-1]
             ],
         }
+
+    def test_sidecars_of_two_conditions_differ_and_rebuild_their_objects(self, tmp_path):
+        doc = base_doc(tmp_path, sentences=("s01",))
+        doc["rooms"] = {"dry": {"dimensions": [5.0, 4.0, 3.0], "t60": 0.3},
+                        "wet": {"dimensions": [5.0, 4.0, 3.0], "t60": 0.9}}
+        dry = doc["sessions"][0]
+        dry.update(room="dry", source={"position": [3.0, 2.0, 1.5], "directivity": {
+            "angles_deg": [0, 90, 180], "gains": [1.0, 0.5, 0.1]}})
+        wet = dict(dry, name="sessB", room="wet", source={"position": [3.0, 2.0, 1.5], "directivity": {
+            "angles_deg": [0, 90, 180], "gains": [1.0, 0.6, 0.1]}})
+        doc["sessions"].append(wet)
+        doc["synthesis"] = {"ir_length": 0.5}
+        write_clean(tmp_path / "clean", ["s01"])
+        m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert plan_and_run(m, cache=IrCache(directory=None)).ok
+        sidecars = [json.loads((tmp_path / "out" / sess.name / "s01.json").read_text())
+                    for sess in m.sessions]
+        assert sidecars[0]["room"] != sidecars[1]["room"]
+        assert sidecars[0]["source"] != sidecars[1]["source"]
+        for sess, sidecar in zip(m.sessions, sidecars):
+            assert RoomSpec(**sidecar["room"]) == m.rooms[sess.room]
+            source = sidecar["source"]
+            directivity = Directivity(**source["directivity"])
+            assert SourceSpec(**{**source, "directivity": directivity}) == sess.source
+            assert [MicSpec(**c["mic"]) for c in sidecar["channels"]] == m.arrays[sess.array]
 
     def test_failed_wav_write_leaves_no_sidecar(self, tmp_path, monkeypatch):
         from roomforge import manifest as manifest_module
@@ -1314,3 +1383,72 @@ class TestIrCache:
         k1 = IrCache.key(room, src, MicSpec(id="a", position=(1.0, 1.0, 1.5)), cfg, FS)
         k2 = IrCache.key(room, src, MicSpec(id="a", position=(1.1, 1.0, 1.5)), cfg, FS)
         assert k1 != k2
+
+    def test_key_is_equal_for_equal_scenes(self):
+        # objects built apart, and a mic of another id at the same position
+        assert scene_key() == scene_key(
+            room=RoomSpec((5.0, 4.0, 3.0), reflectivity=(0.9, 0.9, 0.8, 0.8, 0.7, 0.7)),
+            source=SourceSpec((3.0, 2.0, 1.5), 0.5, -0.1, Directivity("custom", ((0.0, 1.5, 3.0),
+                                                                                 (1.0, 0.5, 0.2)))),
+            mic=MicSpec("b", (1.0, 1.0, 1.5)),
+            config=ImageSynthesisConfig(ir_length=0.1),
+        )
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ({}, {"room": replace(KEY_ROOM, dimensions=(5.0, 4.0, 3.1))}),
+            ({}, {"room": replace(KEY_ROOM, reflectivity=(0.9, 0.9, 0.8, 0.8, 0.7, 0.6))}),
+            ({"room": RoomSpec((5.0, 4.0, 3.0), target_t60=0.4)},
+             {"room": RoomSpec((5.0, 4.0, 3.0), target_t60=0.5)}),
+            ({}, {"room": replace(KEY_ROOM, speed_of_sound=340.0)}),
+            ({}, {"source": replace(KEY_SOURCE, position=(3.0, 2.0, 1.4))}),
+            ({}, {"source": replace(KEY_SOURCE, azimuth=0.6)}),
+            ({}, {"source": replace(KEY_SOURCE, elevation=0.0)}),
+            ({}, {"source": replace(KEY_SOURCE, directivity=Directivity("cardioid"))}),
+            ({}, {"source": replace(KEY_SOURCE, directivity=Directivity("custom", ((0.0, 1.5, 3.0),
+                                                                                  (1.0, 0.5, 0.3))))}),
+            ({}, {"mic": MicSpec("a", (1.0, 1.0, 1.6))}),
+            ({}, {"config": ImageSynthesisConfig(ir_length=0.2)}),
+            ({}, {"config": ImageSynthesisConfig(ir_length=0.1, max_reflection_order=3)}),
+            ({}, {"config": ImageSynthesisConfig(ir_length=0.1, fractional_delay="sinc")}),
+            ({}, {"config": ImageSynthesisConfig(ir_length=0.1, highpass_hz=60.0)}),
+            ({}, {"config": ImageSynthesisConfig(ir_length=0.1, negative_reflection=True)}),
+            ({}, {"config": ImageSynthesisConfig(ir_length=0.1, image_budget=1_000_000)}),
+            ({}, {"fs": 48000}),
+        ],
+        ids=["dimensions", "reflectivity", "target-t60", "speed-of-sound", "source-position",
+             "azimuth", "elevation", "pattern", "table-gain", "mic-position", "ir-length",
+             "max-order", "fractional-delay", "highpass", "negative-reflection", "image-budget", "fs"],
+    )
+    def test_key_changes_with_any_one_field(self, a, b):
+        assert scene_key(**a) != scene_key(**{**a, **b})
+
+    @pytest.mark.parametrize(
+        "whole, fraction",
+        [
+            ({"room": RoomSpec((5, 4, 3), target_t60=1)},
+             {"room": RoomSpec((5.0, 4.0, 3.0), target_t60=1.0)}),
+            ({"room": replace(KEY_ROOM, speed_of_sound=343)},
+             {"room": replace(KEY_ROOM, speed_of_sound=343.0)}),
+            ({"source": SourceSpec((3, 2, 1))}, {"source": SourceSpec((3.0, 2.0, 1.0))}),
+            ({"mic": MicSpec("a", (1, 1, 2))}, {"mic": MicSpec("a", (1.0, 1.0, 2.0))}),
+            ({"config": ImageSynthesisConfig(ir_length=1, highpass_hz=60)},
+             {"config": ImageSynthesisConfig(ir_length=1.0, highpass_hz=60.0)}),
+        ],
+        ids=["target-t60", "speed-of-sound", "source", "mic", "config"],
+    )
+    def test_whole_number_and_its_float_give_one_key(self, whole, fraction):
+        assert scene_key(**whole) == scene_key(**fraction)
+
+    def test_manifest_whole_numbers_give_the_keys_of_their_floats(self, tmp_path):
+        keys = []
+        for number in (1, 1.0):
+            doc = base_doc(tmp_path)
+            doc["rooms"]["lab"] = {"dimensions": [5, 4, 3], "t60": number}
+            doc["synthesis"] = {"ir_length": number, "highpass_hz": 60 * number}
+            m = parse_manifest(json.dumps(doc), base_dir=tmp_path)
+            [sess] = m.sessions
+            keys.append([IrCache.key(m.rooms["lab"], sess.source, mic, m.synthesis, FS)
+                         for mic in m.arrays["pair"]])
+        assert keys[0] == keys[1]

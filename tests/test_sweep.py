@@ -417,6 +417,7 @@ class TestDeconvolveAgainstFftconvolve:
                           "duration": spec.duration, "amplitude": spec.amplitude,
                           "fade": spec.fade},
             }
+            assert SweepSpec(**ir.meta["sweep"]) == spec
 
 
 class TestInverseSpectrumCache:

@@ -108,6 +108,17 @@ def test_short_fmt_chunk_rejected(tmp_path):
         read_wav(path)
 
 
+def test_sample_rate_of_zero_rejected_naming_the_file(tmp_path):
+    path = tmp_path / "zero.wav"
+    write_wav(path, AudioSignal(16000, np.linspace(-0.5, 0.5, 100)), fmt="pcm16")
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<II", raw, 24, 0, 0)  # the fmt chunk's sample rate and byte rate
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValidationError) as exc_info:
+        read_wav(path)
+    assert str(exc_info.value) == f"{path}: invalid sample rate 0"
+
+
 @pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "float32"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_samples_not_written(tmp_path, fmt, bad):
