@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,6 +18,8 @@ from .core import AudioSignal, ValidationError
 PHAT_FLOOR = 1e-8  # bins below floor * max magnitude are zeroed, not divided
 DEFAULT_MAX_DELAY = 0.010  # seconds; search bound for TDOA peaks
 ZOOM_POINTS = 129  # lags on the parabolic refinement grid, two samples wide
+# Chebyshev terms per bin over the grid: its sum is then within 1e-14 of its peak (18: 7e-14)
+_CHEB_TERMS = 20
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,7 @@ class TdoaEstimate:
 
 
 def _fft_size(n: int) -> int:
-    """The least power of two >= ``n``: every FFT length here, as ``_zoom_plan`` needs."""
+    """The least power of two >= ``n``: every FFT length here, as ``_fine_plan`` needs."""
     return 1 << int(n - 1).bit_length()
 
 
@@ -63,24 +65,38 @@ def _correlation_size(
 
 
 @functools.lru_cache(maxsize=2)
-def _zoom_plan(nfft: int) -> Tuple[Any, np.ndarray, np.ndarray]:
-    """Zoom FFT over lags [0, 2] of an ``nfft``-point half spectrum, shared and read-only.
+def _fine_plan(nfft: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Chebyshev plan of an ``nfft``-point half spectrum over lags [-1, 1], shared and read-only.
 
-    Returns the transform, the half-spectrum weights (DC and Nyquist appear
-    once in the full spectrum, every other bin twice) and the exact twiddle
-    table ``exp(-2j pi m / nfft)``, which moves the grid to any other lag.
+    Bin k turns by ``w = 2 pi k / nfft`` <= pi per sample, so over the grid
+    ``cos(w u)`` and ``sin(w u)`` are short Chebyshev series (Jacobi-Anger).
+    Returns the rows of one (_CHEB_TERMS, bins) plan: each bin's cos
+    coefficients of T_0, T_2, ..., then minus its sin coefficients of T_1,
+    T_3, ..., times its half-spectrum weight (DC and Nyquist appear once in the
+    full spectrum, every other bin twice); those T_m on the grid; and the
+    twiddle table ``exp(-2j pi m / nfft)``, which centres the grid on any lag.
     ``nfft`` is a power of two, so its last bin is Nyquist and an index
     ``& (nfft - 1)`` is that index modulo ``nfft``.
     """
-    from scipy.signal import ZoomFFT  # deferred: scipy.signal takes a second to import
-
-    zoom = ZoomFFT(nfft // 2 + 1, [0.0, 2.0], ZOOM_POINTS, fs=nfft, endpoint=True)
-    weights = np.full(nfft // 2 + 1, 2.0)
-    weights[[0, -1]] = 1.0
+    half = _CHEB_TERMS // 2
+    # interpolation at the nodes x_j = cos(theta_j), as image_source._SINC_CHEB; cos(w x)
+    # is even and sin(w x) odd, so the positive half of the nodes gives each sum twice
+    theta = np.pi * (np.arange(half) + 0.5) / _CHEB_TERMS
+    degrees = np.concatenate([2 * np.arange(half), 2 * np.arange(half) + 1])
+    dct = np.cos(np.outer(degrees, theta)) * (4.0 / _CHEB_TERMS)
+    dct[0] /= 2.0
+    phase = np.outer(np.cos(theta), np.arange(nfft // 2 + 1) * (2.0 * np.pi / nfft))
+    plan = np.empty((_CHEB_TERMS, phase.shape[1]))
+    np.matmul(dct[:half], np.cos(phase, out=plan[half:]), out=plan[:half])  # sin rows as scratch
+    np.sin(phase, out=phase)
+    np.matmul(-dct[half:], phase, out=plan[half:])  # Re(v e^iwu) = Re v cos wu - Im v sin wu
+    del phase
+    plan[:, 1:-1] *= 2.0
+    basis = np.cos(np.outer(np.arccos(np.linspace(-1.0, 1.0, ZOOM_POINTS)), degrees))
     twiddle = np.exp(-2j * np.pi * np.arange(nfft) / nfft)
-    weights.flags.writeable = False
-    twiddle.flags.writeable = False
-    return zoom, weights, twiddle
+    for table in (plan, basis, twiddle):
+        table.flags.writeable = False
+    return plan[:half], plan[half:], basis, twiddle
 
 
 def _gcc_phat_spectra(
@@ -93,7 +109,10 @@ def _gcc_phat_spectra(
 ) -> TdoaEstimate:
     """GCC-PHAT delay from ``conj(rfft(a, nfft))`` and ``rfft(b, nfft)``.
 
-    The second spectrum is overwritten with the whitened cross spectrum.
+    The second spectrum is overwritten with the whitened cross spectrum, and
+    in parabolic mode then with that spectrum centred on the integer peak,
+    whose Chebyshev moments, its products with ``_fine_plan``'s rows, give
+    its sum on the fine grid.
     Every spectrum-sized temporary is computed in place or released once
     used, so a pair holds few large arrays at a time and repeated calls
     reuse heap memory instead of faulting in fresh pages.
@@ -118,19 +137,17 @@ def _gcc_phat_spectra(
     delay_samples = float(lag)
     if interpolation == "parabolic":
         # the whitened correlation peak is sinc-shaped, which biases a three-point
-        # parabola; a zoom FFT of the conjugated half spectrum (the inverse transform's
-        # sign, 1/nfft left out) gives it on a fine lag grid, where the parabola is fit.
-        # The plan's grid starts at lag 0; a phase ramp moves it to start at lag - 1.
-        zoom, weights, twiddle = _zoom_plan(nfft)
+        # parabola; the half spectrum's sum on a fine lag grid (the inverse transform
+        # without its 1/nfft) is fit instead.  A phase ramp centres the spectrum on the
+        # integer peak, and its Chebyshev moments give the sum around it.
+        cos_rows, sin_rows, basis, twiddle = _fine_plan(nfft)
         grid = np.linspace(lag - 1.0, lag + 1.0, ZOOM_POINTS)
-        shifted = np.multiply(weights, white)
-        np.conjugate(shifted, out=shifted)
         index = np.arange(white.size)
-        index *= lag - 1
+        index *= -lag
         index &= nfft - 1
-        shifted *= twiddle[index]
-        del white, index
-        fine = zoom(shifted).real
+        white *= twiddle[index]
+        del index
+        fine = basis @ np.concatenate((cos_rows @ white.real, sin_rows @ white.imag))
         j = int(np.argmax(fine))
         delay_samples = float(grid[j])
         if 0 < j < fine.size - 1:
@@ -162,8 +179,8 @@ def gcc_phat(
     """GCC-PHAT delay of ``b`` relative to ``a``.
 
     ``interpolation`` is "none" (integer-sample) or "parabolic" (sub-sample
-    refinement of the correlation peak on a zoom-FFT lag grid, whose plan is
-    cached per FFT length).
+    refinement of the correlation peak on a 1/64-sample lag grid, summed from
+    Chebyshev moments whose plan is cached per FFT length).
     """
     xa = a.mono
     xb = b.mono
@@ -177,14 +194,13 @@ def gcc_phat(
     )
 
 
-def _fractional_shift(x: np.ndarray, shift: float, pad: int) -> np.ndarray:
-    """Delay ``x`` by a fractional number of samples via an FFT phase ramp."""
-    n = x.size + pad
-    nfft = _fft_size(n)
-    spec = np.fft.rfft(x, nfft)
-    freqs = np.arange(spec.size)
-    spec *= np.exp(-2j * np.pi * freqs * shift / nfft)
-    return np.fft.irfft(spec, nfft)[:n]
+def _phase_ramp(shift: float, nfft: int) -> np.ndarray:
+    """``exp(-2j pi k shift / nfft)`` at each ``rfft`` bin k: a delay by ``shift`` samples."""
+    phase = np.arange(nfft // 2 + 1) * (-2.0 * np.pi * shift / nfft)
+    ramp = np.empty(phase.size, complex)
+    np.cos(phase, out=ramp.real)
+    np.sin(phase, out=ramp.imag)
+    return ramp
 
 
 def delay_and_sum(channels: AudioSignal, delays: Sequence[float]) -> AudioSignal:
@@ -192,8 +208,9 @@ def delay_and_sum(channels: AudioSignal, delays: Sequence[float]) -> AudioSignal
 
     Each channel is advanced by its delay; shifts are applied relative to
     the most-delayed channel so no leading samples are discarded.  Integer
-    delays use exact sample shifts, fractional ones a sinc (FFT) shift.  The
-    delays may spread over no more than the signal's duration.
+    delays use exact sample shifts; fractional ones a phase ramp on the
+    channel's spectrum, and their sum takes one inverse FFT.  The delays may
+    spread over no more than the signal's duration.
     """
     n_ch = channels.num_channels
     if len(delays) != n_ch:
@@ -207,7 +224,9 @@ def delay_and_sum(channels: AudioSignal, delays: Sequence[float]) -> AudioSignal
     shifts = (max(delays) - np.asarray(delays, dtype=float)) * fs
     max_shift = int(np.ceil(float(np.max(shifts)))) if n_ch else 0
     n_out = channels.num_samples + max_shift
+    nfft = _fft_size(n_out)
     out = np.zeros(n_out)
+    beam = None  # the fractional channels' shifted spectra, summed
     for i in range(n_ch):
         s = shifts[i]
         x = channels.data[i]
@@ -215,7 +234,11 @@ def delay_and_sum(channels: AudioSignal, delays: Sequence[float]) -> AudioSignal
             k = int(round(s))
             out[k : k + x.size] += x
         else:
-            out += _fractional_shift(x, s, max_shift)[:n_out]
+            spec = np.fft.rfft(x, nfft)
+            spec *= _phase_ramp(s, nfft)
+            beam = spec if beam is None else np.add(beam, spec, out=beam)
+    if beam is not None:
+        out += np.fft.irfft(beam, nfft)[:n_out]
     return AudioSignal(fs, out / n_ch)
 
 

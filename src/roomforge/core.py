@@ -177,6 +177,8 @@ class SourceSpec:
         if len(pos) != 3:
             raise ValidationError("source position must be a 3-vector")
         object.__setattr__(self, "position", pos)
+        object.__setattr__(self, "azimuth", float(self.azimuth))
+        object.__setattr__(self, "elevation", float(self.elevation))
         if not (math.isfinite(self.azimuth) and math.isfinite(self.elevation)):
             raise ValidationError(
                 f"source azimuth and elevation must be finite, got {self.azimuth}, {self.elevation}"

@@ -2,8 +2,8 @@
 
 The band-limited correlation is evaluated at each of the 129 grid lags by an
 outer product of lags and frequency bins, a (129, nfft / 2 + 1) complex
-matrix.  ``roomforge.array_dsp.gcc_phat`` computes the same sum with a zoom
-FFT; tests compare it against this.
+matrix.  ``roomforge.array_dsp.gcc_phat`` computes the same sum from a
+Chebyshev moment plan; tests compare it against this.
 """
 
 from __future__ import annotations

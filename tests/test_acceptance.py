@@ -32,7 +32,7 @@ from roomforge import (
     run_job,
     synthesize_rir,
 )
-from roomforge.array_dsp import _fractional_shift
+from roomforge.array_dsp import _fft_size, _phase_ramp
 from roomforge.engine import fft_convolve
 from roomforge.manifest import load_manifest, plan_and_run
 from roomforge.wavio import write_wav
@@ -222,8 +222,9 @@ def test_criterion_6_gcc_phat(capsys):
             assert rev.delay == -est.delay  # antisymmetry, exact
 
         wide = rng.standard_normal(4 * fs)
+        nfft = _fft_size(wide.size + 64)
         for d in (3.25, 10.5, 42.75):
-            shifted = _fractional_shift(wide, d, pad=64)[: wide.size]
+            shifted = np.fft.irfft(np.fft.rfft(wide, nfft) * _phase_ramp(d, nfft), nfft)[: wide.size]
             est = gcc_phat(
                 AudioSignal(fs, wide), AudioSignal(fs, shifted), interpolation="parabolic"
             )

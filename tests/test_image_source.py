@@ -632,3 +632,16 @@ def test_import_leaves_scipy_signal_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_parabolic_gcc_phat_and_steering_leave_scipy_signal_unloaded():
+    code = (
+        "import sys; import numpy as np; from roomforge import AudioSignal, gcc_phat, steer_and_sum\n"
+        "x = np.random.default_rng(0).standard_normal((3, 4000)); x[1] = np.roll(x[0], 3)\n"
+        "d = gcc_phat(AudioSignal(16000, x[0]), AudioSignal(16000, x[1]), interpolation='parabolic')\n"
+        "b = steer_and_sum(AudioSignal(16000, x), interpolation='parabolic')\n"
+        "print(round(d.delay * 16000), 'scipy.signal' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["3", "False"]

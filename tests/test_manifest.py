@@ -1432,11 +1432,13 @@ class TestIrCache:
             ({"room": replace(KEY_ROOM, speed_of_sound=343)},
              {"room": replace(KEY_ROOM, speed_of_sound=343.0)}),
             ({"source": SourceSpec((3, 2, 1))}, {"source": SourceSpec((3.0, 2.0, 1.0))}),
+            ({"source": SourceSpec((3.0, 2.0, 1.0), azimuth=0, elevation=1)},
+             {"source": SourceSpec((3.0, 2.0, 1.0), azimuth=0.0, elevation=1.0)}),
             ({"mic": MicSpec("a", (1, 1, 2))}, {"mic": MicSpec("a", (1.0, 1.0, 2.0))}),
             ({"config": ImageSynthesisConfig(ir_length=1, highpass_hz=60)},
              {"config": ImageSynthesisConfig(ir_length=1.0, highpass_hz=60.0)}),
         ],
-        ids=["target-t60", "speed-of-sound", "source", "mic", "config"],
+        ids=["target-t60", "speed-of-sound", "source", "source-angles", "mic", "config"],
     )
     def test_whole_number_and_its_float_give_one_key(self, whole, fraction):
         assert scene_key(**whole) == scene_key(**fraction)
