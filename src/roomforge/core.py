@@ -11,6 +11,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
+import reprlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
@@ -33,6 +35,26 @@ class ValidationError(ValueError):
     """Raised when a domain object violates its invariants."""
 
 
+def _number(value, name: str, sequence: bool = False):
+    """The one rule for a numeric field: ``value`` as a float, or with ``sequence`` a tuple of floats.
+
+    Real numbers pass, numpy's too; a bool, a string, None, any other object and a bare
+    number where a sequence belongs do not.  float()'s OverflowError passes through.
+    """
+    items = value if sequence else (value,)
+    if not ((isinstance(items, (list, tuple)) or isinstance(items, np.ndarray) and items.ndim == 1)
+            and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in items)):
+        kind = "numbers" if sequence else "a number"
+        raise ValidationError(f"{name} must be {kind}, got {reprlib.repr(value)}")
+    floats = tuple(map(float, items))
+    return floats if sequence else floats[0]
+
+
+def _check_sample_rate(sample_rate) -> None:
+    if sample_rate <= 0:
+        raise ValidationError(f"sample rate must be positive, got {sample_rate}")
+
+
 @dataclass(frozen=True)
 class RoomSpec:
     """Shoebox room: dimensions plus either per-wall reflectivity or a target T60.
@@ -48,16 +70,14 @@ class RoomSpec:
     speed_of_sound: float = DEFAULT_SPEED_OF_SOUND
 
     def __post_init__(self):
-        dims = tuple(float(d) for d in self.dimensions)
+        dims = _number(self.dimensions, "dimensions", sequence=True)
         if len(dims) != 3 or not all(math.isfinite(d) and d > 0 for d in dims):
-            raise ValidationError(
-                f"room dimensions must be 3 finite positive lengths, got {self.dimensions}"
-            )
+            raise ValidationError(f"room dimensions must be 3 finite positive lengths, got {dims}")
         object.__setattr__(self, "dimensions", dims)
         if (self.reflectivity is None) == (self.target_t60 is None):
             raise ValidationError("specify exactly one of reflectivity or target_t60")
         if self.reflectivity is not None:
-            betas = tuple(float(b) for b in self.reflectivity)
+            betas = _number(self.reflectivity, "reflectivity", sequence=True)
             if len(betas) == 1:
                 betas = betas * 6
             if len(betas) != 6:
@@ -66,12 +86,12 @@ class RoomSpec:
                 raise ValidationError(f"reflection coefficients must lie in [0, 1], got {betas}")
             object.__setattr__(self, "reflectivity", betas)
         if self.target_t60 is not None:
+            object.__setattr__(self, "target_t60", _number(self.target_t60, "t60"))
             if not (math.isfinite(self.target_t60) and self.target_t60 > 0):
                 raise ValidationError(f"target T60 must be finite and positive, got {self.target_t60}")
-            object.__setattr__(self, "target_t60", float(self.target_t60))
+        object.__setattr__(self, "speed_of_sound", _number(self.speed_of_sound, "speed_of_sound"))
         if not (300.0 <= self.speed_of_sound <= 360.0):
             raise ValidationError(f"speed_of_sound {self.speed_of_sound} outside sanity range [300, 360] m/s")
-        object.__setattr__(self, "speed_of_sound", float(self.speed_of_sound))
 
     @property
     def volume(self) -> float:
@@ -104,8 +124,8 @@ class Directivity:
         if self.pattern == "custom":
             if self.table is None:
                 raise ValidationError("custom directivity requires a gain table")
-            angles = np.asarray(self.table[0], dtype=float)
-            gains = np.asarray(self.table[1], dtype=float)
+            angles = np.asarray(_number(self.table[0], "angles", sequence=True))
+            gains = np.asarray(_number(self.table[1], "gains", sequence=True))
             if angles.size != gains.size or angles.size < 2:
                 raise ValidationError("directivity table needs matching angle/gain arrays of length >= 2")
             # NaN passes every order and range check below, each a comparison
@@ -119,7 +139,7 @@ class Directivity:
                 raise ValidationError("directivity table gains must lie in [0, 1]")
             object.__setattr__(self, "table", (tuple(angles.tolist()), tuple(gains.tolist())))
         elif self.pattern not in FIRST_ORDER_PATTERNS:
-            raise ValidationError(f"unknown directivity pattern {self.pattern!r}")
+            raise ValidationError(f"unknown directivity pattern {reprlib.repr(self.pattern)}")
 
     def gain(self, angle):
         return directivity_gain(self, angle)
@@ -173,12 +193,12 @@ class SourceSpec:
     directivity: Directivity = field(default_factory=Directivity)
 
     def __post_init__(self):
-        pos = tuple(float(x) for x in self.position)
+        pos = _number(self.position, "position", sequence=True)
         if len(pos) != 3:
             raise ValidationError("source position must be a 3-vector")
         object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "azimuth", float(self.azimuth))
-        object.__setattr__(self, "elevation", float(self.elevation))
+        object.__setattr__(self, "azimuth", _number(self.azimuth, "azimuth"))
+        object.__setattr__(self, "elevation", _number(self.elevation, "elevation"))
         if not (math.isfinite(self.azimuth) and math.isfinite(self.elevation)):
             raise ValidationError(
                 f"source azimuth and elevation must be finite, got {self.azimuth}, {self.elevation}"
@@ -199,7 +219,7 @@ class MicSpec:
     position: Tuple[float, float, float]
 
     def __post_init__(self):
-        pos = tuple(float(x) for x in self.position)
+        pos = _number(self.position, "position", sequence=True)
         if len(pos) != 3:
             raise ValidationError("mic position must be a 3-vector")
         object.__setattr__(self, "position", pos)
@@ -240,8 +260,7 @@ class AudioSignal:
     data: np.ndarray
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValidationError(f"sample rate must be positive, got {self.sample_rate}")
+        _check_sample_rate(self.sample_rate)
         arr = np.asarray(self.data, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr[np.newaxis, :]
@@ -289,8 +308,7 @@ class ImpulseResponse:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValidationError(f"sample rate must be positive, got {self.sample_rate}")
+        _check_sample_rate(self.sample_rate)
         arr = np.asarray(self.samples, dtype=np.float64).ravel()
         if arr.size == 0:
             raise ValidationError("impulse response must be non-empty")

@@ -55,7 +55,9 @@ from .core import (
     RoomSpec,
     SourceSpec,
     ValidationError,
+    _check_sample_rate,
     _first_order_gain,
+    _number,
 )
 
 DEFAULT_IMAGE_BUDGET = 10_000_000
@@ -121,6 +123,8 @@ class ImageSynthesisConfig:
     image_budget: int = DEFAULT_IMAGE_BUDGET
 
     def __post_init__(self):
+        object.__setattr__(self, "ir_length", _number(self.ir_length, "ir_length"))
+        object.__setattr__(self, "highpass_hz", _number(self.highpass_hz, "highpass_hz"))
         if not (math.isfinite(self.ir_length) and self.ir_length > 0):
             raise ValidationError(f"ir_length must be finite and positive, got {self.ir_length}")
         order = self.max_reflection_order
@@ -133,14 +137,14 @@ class ImageSynthesisConfig:
             raise ValidationError(f"unknown fractional_delay mode {reprlib.repr(self.fractional_delay)}")
         if not (math.isfinite(self.highpass_hz) and self.highpass_hz >= 0):
             raise ValidationError(f"highpass_hz must be finite and >= 0, got {self.highpass_hz}")
-        object.__setattr__(self, "ir_length", float(self.ir_length))
-        object.__setattr__(self, "highpass_hz", float(self.highpass_hz))
 
     def validate_rate(self, sample_rate: int) -> int:
         """Check the config against ``sample_rate``; return the IR's length in samples.
 
-        Each message starts with the name of the field at fault.
+        Each message but a non-positive rate's starts with the name of the field at
+        fault; ``parse_manifest``, which passes only a pipeline rate, relies on it.
         """
+        _check_sample_rate(sample_rate)
         samples = self.ir_length * sample_rate
         if not samples <= MAX_IR_SAMPLES:  # an infinite count too
             raise ValidationError(

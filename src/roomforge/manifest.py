@@ -48,6 +48,7 @@ from .core import (
     SourceSpec,
     ValidationError,
     _is_path_component,
+    _number,
     validate_mic_array,
 )
 from .image_source import (
@@ -146,14 +147,6 @@ def _field(doc: dict, key: str, path: str, errors: list, kind, default=None):
     return value
 
 
-def _no_bool(value, name: str):
-    """``value``, unless it is a JSON true or false or a list holding one: Python reads those as 1 or 0."""
-    if isinstance(value, bool) or isinstance(value, list) and any(isinstance(v, bool) for v in value):
-        kind = "numbers" if isinstance(value, list) else "a number"
-        raise ValidationError(f"{name} must be {kind}, got {reprlib.repr(value)}")
-    return value
-
-
 def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManifest:
     """Parse and validate a manifest, reporting every error at once."""
     base = Path(base_dir)
@@ -175,11 +168,10 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
         path = f"$.rooms.{name}"
         try:
             rooms[name] = RoomSpec(
-                dimensions=tuple(_no_bool(spec["dimensions"], "dimensions")),
-                reflectivity=(tuple(_no_bool(spec["reflectivity"], "reflectivity"))
-                              if "reflectivity" in spec else None),
-                target_t60=_no_bool(spec.get("t60"), "t60"),
-                speed_of_sound=_no_bool(spec.get("speed_of_sound", DEFAULT_SPEED_OF_SOUND), "speed_of_sound"),
+                dimensions=spec["dimensions"],
+                reflectivity=spec.get("reflectivity"),
+                target_t60=spec.get("t60"),
+                speed_of_sound=spec.get("speed_of_sound", DEFAULT_SPEED_OF_SOUND),
             )
         except KeyError as exc:  # "dimensions", the one key read with []
             errors.append((f"{path}.{exc.args[0]}", "missing required field"))
@@ -194,7 +186,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
         try:
             layout = []
             for j, m in enumerate(mics):
-                layout.append(MicSpec(id=m["id"], position=tuple(_no_bool(m["position"], "position"))))
+                layout.append(MicSpec(id=m["id"], position=m["position"]))
             validate_mic_array(layout)
             arrays[name] = layout
         except KeyError as exc:  # "id" or "position" of mic j, the keys read with []
@@ -207,10 +199,10 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
     syn = _field(doc, "synthesis", "$", errors, "an object", {})
     try:
         synthesis = ImageSynthesisConfig(
-            ir_length=_no_bool(syn.get("ir_length", ImageSynthesisConfig.ir_length), "ir_length"),
+            ir_length=syn.get("ir_length", ImageSynthesisConfig.ir_length),
             max_reflection_order=syn.get("max_order", ImageSynthesisConfig.max_reflection_order),
             fractional_delay=syn.get("fractional_delay", ImageSynthesisConfig.fractional_delay),
-            highpass_hz=_no_bool(syn.get("highpass_hz", ImageSynthesisConfig.highpass_hz), "highpass_hz"),
+            highpass_hz=syn.get("highpass_hz", ImageSynthesisConfig.highpass_hz),
         )
     except (ValueError, TypeError, OverflowError) as exc:
         errors.append(("$.synthesis", str(exc)))
@@ -279,9 +271,10 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
         source = None
         try:
             source = SourceSpec(
-                position=tuple(_no_bool(src_doc["position"], "position")),
-                azimuth=math.radians(_no_bool(src_doc.get("azimuth_deg", 0.0), "azimuth_deg")),
-                elevation=math.radians(_no_bool(src_doc.get("elevation_deg", 0.0), "elevation_deg")),
+                position=src_doc["position"],
+                # math.radians would take true for 1 degree, so the degree fields are checked here
+                azimuth=math.radians(_number(src_doc.get("azimuth_deg", 0.0), "azimuth_deg")),
+                elevation=math.radians(_number(src_doc.get("elevation_deg", 0.0), "elevation_deg")),
                 directivity=_parse_directivity(src_doc.get("directivity", "omnidirectional")),
             )
         except KeyError as exc:  # "position", the one key read with []
@@ -380,9 +373,9 @@ def _parse_directivity(value) -> Directivity:
     if isinstance(value, str):
         return Directivity(value)
     if isinstance(value, dict) and value.keys() >= {"angles_deg", "gains"}:
-        angles = tuple(math.radians(a) for a in _no_bool(value["angles_deg"], "angles_deg"))
-        return Directivity("custom", table=(angles, tuple(_no_bool(value["gains"], "gains"))))
-    raise ValidationError(f"cannot interpret directivity {value!r}")
+        angles = tuple(map(math.radians, _number(value["angles_deg"], "angles_deg", sequence=True)))
+        return Directivity("custom", table=(angles, value["gains"]))
+    raise ValidationError(f"cannot interpret directivity {reprlib.repr(value)}")
 
 
 def load_manifest(path: Union[str, Path]) -> ScenarioManifest:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import AudioSignal, ImpulseResponse, ValidationError
+from .core import AudioSignal, ImpulseResponse, ValidationError, _check_sample_rate
 from .engine import fft_convolve, fft_length, spectra_product
 
 DEFAULT_PRE_PEAK_GUARD = 0.005  # seconds retained before the direct-path peak
@@ -45,6 +45,7 @@ class SweepSpec:
 
     def validate_rate(self, sample_rate: int) -> int:
         """Check the sweep against ``sample_rate``; return its length in samples."""
+        _check_sample_rate(sample_rate)
         if self.f_end >= sample_rate / 2:
             raise ValidationError(
                 f"f_end {self.f_end} Hz reaches Nyquist for sample rate {sample_rate}"

@@ -73,6 +73,17 @@ def test_number_that_is_not_finite_is_invalid(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fs", ["0", "-16000"])
+@pytest.mark.parametrize(
+    "argv", [RIR, ["sweep", "gen"], ["sweep", "invert"]], ids=["rir", "sweep-gen", "sweep-invert"]
+)
+def test_sample_rate_that_is_not_positive_is_invalid(tmp_path, capsys, argv, fs):
+    out = tmp_path / "out.wav"
+    assert run_cli(*argv, "--fs", fs, "-o", out) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: sample rate must be positive, got {fs}\n"
+    assert not out.exists()
+
+
 class TestRirCommand:
     def test_synthesize_and_save(self, tmp_path):
         out = tmp_path / "h.wav"
@@ -728,6 +739,14 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert f"  {path}: must be " in captured.err and "Traceback" not in captured.err
         assert "plan:" not in captured.out
+
+    def test_string_where_a_number_belongs_is_invalid(self, tmp_path, capsys):
+        manifest = write_run_manifest(tmp_path, ["s01"], {"ir_length": 0.1, "max_order": 2})
+        manifest.write_text(manifest.read_text().replace("[5.0, 4.0, 3.0]", '"543"'))
+        assert run_cli("run", manifest, "--dry-run") == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert "  $.rooms.lab: dimensions must be numbers, got '543'" in captured.err
+        assert "Traceback" not in captured.err and "plan:" not in captured.out
 
     @pytest.mark.parametrize(
         "edit, path",

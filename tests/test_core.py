@@ -6,7 +6,9 @@ import pytest
 from roomforge import (
     AudioSignal,
     Directivity,
+    ImageSynthesisConfig,
     ImpulseResponse,
+    IrCache,
     MicSpec,
     RoomSpec,
     SourceSpec,
@@ -154,6 +156,71 @@ class TestSourceSpec:
     def test_non_finite_angle_rejected(self, angles):
         with pytest.raises(ValidationError, match="must be finite"):
             SourceSpec((1, 1, 1), azimuth=angles[0], elevation=angles[1], directivity="cardioid")
+
+
+# keyword arguments that build each constructor; RoomSpec takes reflectivity or a T60
+VALID_KWARGS = {
+    RoomSpec: [dict(dimensions=(5.0, 4.0, 3.0), reflectivity=(0.8,), speed_of_sound=343.0),
+               dict(dimensions=(5.0, 4.0, 3.0), target_t60=0.5)],
+    Directivity: [dict(pattern="custom", table=((0.0, 3.0), (1.0, 0.5)))],
+    SourceSpec: [dict(position=(3.0, 2.0, 1.5), azimuth=0.5, elevation=-0.1)],
+    MicSpec: [dict(id="m", position=(1.0, 1.0, 1.5))],
+    ImageSynthesisConfig: [dict(ir_length=0.125, highpass_hz=50.0)],
+}
+# fields a message names by another word: the manifest's, or the table row at fault
+MESSAGE_NAMES = {"target_t60": "t60", "table": "angles"}
+
+
+def not_numbers(sequence):
+    """Values that a numeric field refuses, whatever numbers it holds."""
+    if not sequence:
+        return ["1", True, np.True_, None, {"x": 1.0}, [1.0]]
+    return ["543", 5.0, True, np.True_, ("1", 1.0, 1.0), (1.0, True, 1.0), (1.0, np.True_, 1.0),
+            np.array([True, True, True]), {1.0: 1.0}]
+
+
+# every field typed with float, alone or in a tuple, so that one added later is checked too
+NOT_A_NUMBER_CASES = [
+    pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}-{i}")
+    for cls in VALID_KWARGS
+    for f in dataclasses.fields(cls)
+    if "float" in str(f.type)
+    for i, value in enumerate(not_numbers("Tuple" in str(f.type)))
+    # None is how an optional field is left out
+    if not (value is None and "Optional" in str(f.type))
+]
+
+
+class TestNumericFields:
+    @pytest.mark.parametrize("cls, name, value", NOT_A_NUMBER_CASES)
+    def test_field_that_is_not_a_number_is_refused(self, cls, name, value):
+        kwargs = next((k for k in VALID_KWARGS[cls] if name in k), VALID_KWARGS[cls][0])
+        if name == "table":  # a pair of rows: the angles are the first
+            value = (value, kwargs["table"][1])
+        # the message names the field; numpy 1 and 2 echo a numpy scalar differently
+        field = MESSAGE_NAMES.get(name, name)
+        with pytest.raises(ValidationError, match=rf"^{field} must be (a number|numbers), got "):
+            cls(**{**kwargs, name: value})
+
+    def test_numpy_scalars_build_their_float_twins(self):
+        table = (np.array([0.0, 3.0], dtype=np.float32), (np.int64(1), 0.5))
+        built = (
+            RoomSpec(np.array([5, 4, 3]), reflectivity=(np.float32(0.75),), speed_of_sound=np.int64(343)),
+            SourceSpec((np.float32(3.0), np.int64(2), 1.5), azimuth=np.float32(0.5),
+                       elevation=np.float64(-0.25), directivity=Directivity("custom", table=table)),
+            MicSpec("m", np.array([1.0, 1.0, 1.5], dtype=np.float32)),
+            ImageSynthesisConfig(ir_length=np.float32(0.125), highpass_hz=np.int64(50)),
+        )
+        twins = (
+            RoomSpec((5.0, 4.0, 3.0), reflectivity=(0.75,), speed_of_sound=343.0),
+            SourceSpec((3.0, 2.0, 1.5), azimuth=0.5, elevation=-0.25,
+                       directivity=Directivity("custom", table=((0.0, 3.0), (1.0, 0.5)))),
+            MicSpec("m", (1.0, 1.0, 1.5)),
+            ImageSynthesisConfig(ir_length=0.125, highpass_hz=50.0),
+        )
+        assert built == twins
+        # the key is the JSON of every field, which a numpy scalar would fail or change
+        assert IrCache.key(*built, 16000) == IrCache.key(*twins, 16000)
 
 
 class TestMicArray:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import reprlib
 import sys
 import threading
 import time
@@ -62,6 +63,36 @@ KEY_SOURCE = SourceSpec((3.0, 2.0, 1.5), azimuth=0.5, elevation=-0.1,
 def scene_key(room=KEY_ROOM, source=KEY_SOURCE, mic=MicSpec("a", (1.0, 1.0, 1.5)),
               config=ImageSynthesisConfig(ir_length=0.1), fs=FS):
     return IrCache.key(room, source, mic, config, fs)
+
+
+def _set_directivity(doc, key, value):
+    table = {"angles_deg": [0, 180], "gains": [1, 0]}
+    doc["sessions"][0]["source"]["directivity"] = dict(table, **{key: value})
+
+
+# every numeric field of a manifest: (block path, name in the message, whether it is a list, setter)
+NUMERIC_FIELDS = {
+    "dimensions": ("$.rooms.lab", "dimensions", True, lambda d, v: d["rooms"]["lab"].update(dimensions=v)),
+    "reflectivity": ("$.rooms.lab", "reflectivity", True,
+                     lambda d, v: d["rooms"]["lab"].update(reflectivity=v)),
+    "t60": ("$.rooms.lab", "t60", False,
+            lambda d, v: d["rooms"].update(lab={"dimensions": [5.0, 4.0, 3.0], "t60": v})),
+    "speed_of_sound": ("$.rooms.lab", "speed_of_sound", False,
+                       lambda d, v: d["rooms"]["lab"].update(speed_of_sound=v)),
+    "mic-position": ("$.arrays.pair", "position", True,
+                     lambda d, v: d["arrays"]["pair"][1].update(position=v)),
+    "source-position": ("$.sessions[0].source", "position", True,
+                        lambda d, v: d["sessions"][0]["source"].update(position=v)),
+    "azimuth_deg": ("$.sessions[0].source", "azimuth_deg", False,
+                    lambda d, v: d["sessions"][0]["source"].update(azimuth_deg=v)),
+    "elevation_deg": ("$.sessions[0].source", "elevation_deg", False,
+                      lambda d, v: d["sessions"][0]["source"].update(elevation_deg=v)),
+    "angles_deg": ("$.sessions[0].source", "angles_deg", True,
+                   lambda d, v: _set_directivity(d, "angles_deg", v)),
+    "gains": ("$.sessions[0].source", "gains", True, lambda d, v: _set_directivity(d, "gains", v)),
+    "ir_length": ("$.synthesis", "ir_length", False, lambda d, v: d["synthesis"].update(ir_length=v)),
+    "highpass_hz": ("$.synthesis", "highpass_hz", False, lambda d, v: d["synthesis"].update(highpass_hz=v)),
+}
 
 
 SNR_OUT_OF_RANGE = "is out of range: 10 ** (snr_db / 20) is not a positive finite float"
@@ -275,11 +306,11 @@ class TestParseManifest:
         "edit, error",
         [
             (lambda d: d["rooms"]["lab"].update(dimensions=[5.0, "x", 3.0]),
-             ("$.rooms.lab", "could not convert string to float: 'x'")),
+             ("$.rooms.lab", "dimensions must be numbers, got [5.0, 'x', 3.0]")),
             (lambda d: d["arrays"]["pair"][1].update(position=["x", 1.0, 1.5]),
-             ("$.arrays.pair", "could not convert string to float: 'x'")),
+             ("$.arrays.pair", "position must be numbers, got ['x', 1.0, 1.5]")),
             (lambda d: d["sessions"][0]["source"].update(position=[3.0, 2.0, "x"]),
-             ("$.sessions[0].source", "could not convert string to float: 'x'")),
+             ("$.sessions[0].source", "position must be numbers, got [3.0, 2.0, 'x']")),
             (lambda d: d["synthesis"].update(ir_length=float("inf")),
              ("$.synthesis", "ir_length must be finite and positive, got inf")),
             (lambda d: d["synthesis"].update(highpass_hz=float("nan")),
@@ -366,6 +397,17 @@ class TestParseManifest:
             (lambda d: d["sessions"][0]["source"].update(
                 directivity={"angles_deg": [0, 180], "gains": [True, 0]}),
              ("$.sessions[0].source", "gains must be numbers, got [True, 0]")),
+            # a string is not its characters, nor a bare number a list of them
+            (lambda d: d["rooms"]["lab"].update(dimensions="543"),
+             ("$.rooms.lab", "dimensions must be numbers, got '543'")),
+            (lambda d: d["arrays"]["pair"][1].update(position="111"),
+             ("$.arrays.pair", "position must be numbers, got '111'")),
+            (lambda d: d["sessions"][0]["source"].update(position="111"),
+             ("$.sessions[0].source", "position must be numbers, got '111'")),
+            (lambda d: d["rooms"]["lab"].update(reflectivity=0.8),
+             ("$.rooms.lab", "reflectivity must be numbers, got 0.8")),
+            (lambda d: d["rooms"]["lab"].update(speed_of_sound=None),
+             ("$.rooms.lab", "speed_of_sound must be a number, got None")),
         ],
         ids=["room", "mic", "source", "ir-length", "highpass", "no-dimensions", "no-position",
              "room-inf", "t60-nan", "azimuth-nan", "mic-no-id", "mic-no-position",
@@ -376,7 +418,8 @@ class TestParseManifest:
              "max-order-fraction", "max-order-bool", "ir-length-bool", "highpass-bool", "t60-bool",
              "reflectivity-bool", "dimensions-bool", "speed-of-sound-bool", "mic-position-bool",
              "source-position-bool", "azimuth-bool", "elevation-bool", "directivity-angle-bool",
-             "directivity-gain-bool"],
+             "directivity-gain-bool", "dimensions-string", "mic-position-string",
+             "source-position-string", "reflectivity-bare", "speed-of-sound-null"],
     )
     def test_number_that_is_not_one_names_its_path(self, tmp_path, edit, error):
         doc = base_doc(tmp_path)
@@ -384,6 +427,50 @@ class TestParseManifest:
         with pytest.raises(ManifestError) as exc_info:
             parse_manifest(json.dumps(doc), base_dir=tmp_path)
         assert exc_info.value.errors[0] == error
+
+    @pytest.mark.parametrize(
+        "directivity, start",
+        [(lambda n: {f"k{i}": i for i in range(n)}, "cannot interpret directivity {'k0': 0, "),
+         (lambda n: "x" * n, "unknown directivity pattern 'xxxxx")],
+        ids=["object", "pattern"],
+    )
+    def test_long_directivity_is_echoed_shortened(self, directivity, start):
+        doc = base_doc(None)
+        doc["sessions"][0]["source"]["directivity"] = directivity(100_000)
+        with pytest.raises(ManifestError) as exc_info:
+            parse_manifest(json.dumps(doc))
+        [(path, message)] = exc_info.value.errors
+        assert path == "$.sessions[0].source" and message.startswith(start) and len(message) < 300
+
+    @pytest.mark.parametrize("value", ["5", ["5", "4", "3"]], ids=["string", "list-of-strings"])
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS)
+    def test_string_in_a_numeric_field_names_its_path(self, field, value):
+        path, name, sequence, set_field = NUMERIC_FIELDS[field]
+        doc = base_doc(None)
+        set_field(doc, value)
+        with pytest.raises(ManifestError) as exc_info:
+            parse_manifest(json.dumps(doc))
+        kind = "numbers" if sequence else "a number"
+        assert exc_info.value.errors[0] == (path, f"{name} must be {kind}, got {reprlib.repr(value)}")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        field=st.sampled_from(list(NUMERIC_FIELDS)),
+        value=st.one_of(
+            st.text(),
+            st.booleans(),
+            st.lists(st.text(), max_size=4),
+            st.dictionaries(st.text(max_size=4), st.integers() | st.text(), max_size=3),
+        ),
+    )
+    def test_numeric_field_that_is_not_a_number_is_a_manifest_error(self, field, value):
+        # null is left out: "t60": null means no t60
+        path, _, _, set_field = NUMERIC_FIELDS[field]
+        doc = base_doc(None)
+        set_field(doc, value)
+        with pytest.raises(ManifestError) as exc_info:
+            parse_manifest(json.dumps(doc))
+        assert exc_info.value.errors[0][0] == path
 
     @pytest.mark.parametrize("snr_db", [20, 20.0, 300, -300])
     def test_snr_in_range_is_kept(self, tmp_path, snr_db):
