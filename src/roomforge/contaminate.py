@@ -17,7 +17,7 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from .core import AudioSignal, ImpulseResponse, ValidationError
+from .core import AudioSignal, ImpulseResponse, ValidationError, _integer, _number
 from .engine import (
     fft_convolve,  # noqa: F401 - kept as a module attribute: perfbench's tracer wraps it here
     fft_convolve_many,
@@ -74,6 +74,20 @@ def _tile_noise(noise: np.ndarray, out: np.ndarray, offset: int, fade: int) -> n
     return out
 
 
+def _check_snr_db(snr_db) -> float:
+    """``snr_db`` as a float, if the noise gain can divide by its amplitude ratio 10 ** (snr_db / 20)."""
+    snr_db = _number(snr_db, "snr_db")
+    try:
+        in_range = 0.0 < 10.0 ** (snr_db / 20.0) < np.inf  # not for NaN
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise ValidationError(
+            f"{snr_db!r} dB is out of range: 10 ** (snr_db / 20) is not a positive finite float"
+        )
+    return snr_db
+
+
 def noise_gain(signal_rms: float, noise_rms: float, target_snr_db: float) -> float:
     """Scale factor g so that rms(signal) / rms(g * noise) hits the target SNR."""
     return signal_rms / (noise_rms * 10.0 ** (target_snr_db / 20.0))
@@ -81,7 +95,7 @@ def noise_gain(signal_rms: float, noise_rms: float, target_snr_db: float) -> flo
 
 @dataclass
 class ContaminationJob:
-    """One contamination unit: clean signal, per-channel IRs, optional noise."""
+    """One contamination unit: clean signal, per-channel IRs, optional noise; checked whole when built."""
 
     clean: AudioSignal
     irs: List[ImpulseResponse]
@@ -104,8 +118,17 @@ class ContaminationJob:
             raise ValidationError("target_snr_db requires a noise signal")
         if self.noise is not None and self.target_snr_db is None:
             raise ValidationError("noise requires a target_snr_db")
-        if self.noise is not None and self.noise.num_samples == 0:
-            raise ValidationError("noise signal has no samples")
+        if self.noise is not None:
+            self.target_snr_db = _check_snr_db(self.target_snr_db)
+            if self.noise.num_samples == 0:
+                raise ValidationError("noise signal has no samples")
+            if self.noise.sample_rate != self.clean.sample_rate:
+                raise ValidationError("sample-rate mismatch between signal and noise")
+            if _rms(self.noise.mono) == 0.0:
+                raise ValidationError("noise signal is silent")
+        self.seed = _integer(self.seed, "seed")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.normalization not in NORMALIZATIONS:
             raise ValidationError(f"unknown normalization {self.normalization!r}")
 
@@ -129,11 +152,7 @@ def job_channels(job: ContaminationJob) -> Iterator[np.ndarray]:
     x = job.clean.mono
     n_out = x.size + max(h.num_samples for h in job.irs) - 1
     if job.noise is not None:
-        if job.noise.sample_rate != fs:
-            raise ValidationError("sample-rate mismatch between signal and noise")
         noise = job.noise.mono
-        if _rms(noise) == 0.0:
-            raise ValidationError("noise signal is silent")
         # The noise tile and its scratch row in one block, freed whole when the job
         # ends: glibc then keeps the pages of the per-channel buffers for reuse
         # instead of returning them to the OS between channels, which costs a page

@@ -50,9 +50,23 @@ def _number(value, name: str, sequence: bool = False):
     return floats if sequence else floats[0]
 
 
-def _check_sample_rate(sample_rate) -> None:
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, numpy's too; a bool is not (and ``np.bool_`` is no ``Integral``)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _integer(value, name: str) -> int:
+    """The one rule for an integer field: ``value`` as an int, if ``_is_integer``."""
+    if not _is_integer(value):
+        raise ValidationError(f"{name} must be an integer, got {reprlib.repr(value)}")
+    return int(value)
+
+
+def _check_sample_rate(sample_rate) -> int:
+    sample_rate = _integer(sample_rate, "sample_rate")
     if sample_rate <= 0:
         raise ValidationError(f"sample rate must be positive, got {sample_rate}")
+    return sample_rate
 
 
 @dataclass(frozen=True)
@@ -260,7 +274,7 @@ class AudioSignal:
     data: np.ndarray
 
     def __post_init__(self):
-        _check_sample_rate(self.sample_rate)
+        self.sample_rate = _check_sample_rate(self.sample_rate)
         arr = np.asarray(self.data, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr[np.newaxis, :]
@@ -308,7 +322,7 @@ class ImpulseResponse:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_sample_rate(self.sample_rate)
+        object.__setattr__(self, "sample_rate", _check_sample_rate(self.sample_rate))
         arr = np.asarray(self.samples, dtype=np.float64).ravel()
         if arr.size == 0:
             raise ValidationError("impulse response must be non-empty")
@@ -319,10 +333,9 @@ class ImpulseResponse:
             raise ValidationError(f"unknown IR provenance {self.provenance!r}")
         object.__setattr__(self, "samples", arr)
         idx = self.direct_path_index
-        if idx is None:
-            idx = np.argmax(np.abs(arr))
-        elif isinstance(idx, bool) or not isinstance(idx, (int, np.integer)) or not 0 <= idx < arr.size:
-            raise ValidationError(f"direct_path_index must be an integer in [0, {arr.size}), got {idx!r}")
+        idx = np.argmax(np.abs(arr)) if idx is None else _integer(idx, "direct_path_index")
+        if not 0 <= idx < arr.size:
+            raise ValidationError(f"direct_path_index must be an integer in [0, {arr.size}), got {idx}")
         object.__setattr__(self, "direct_path_index", int(idx))
 
     @property

@@ -39,7 +39,6 @@ lattice once per group of microphones whose tables fit.
 from __future__ import annotations
 
 import math
-import numbers
 import reprlib
 import sys
 from dataclasses import dataclass
@@ -57,6 +56,8 @@ from .core import (
     ValidationError,
     _check_sample_rate,
     _first_order_gain,
+    _integer,
+    _is_integer,
     _number,
 )
 
@@ -128,11 +129,15 @@ class ImageSynthesisConfig:
         if not (math.isfinite(self.ir_length) and self.ir_length > 0):
             raise ValidationError(f"ir_length must be finite and positive, got {self.ir_length}")
         order = self.max_reflection_order
-        if order != "auto" and (isinstance(order, bool) or not isinstance(order, numbers.Integral)
-                                or order < 0):
-            raise ValidationError(
-                f"max_reflection_order must be 'auto' or an integer >= 0, got {reprlib.repr(order)}"
-            )
+        if order != "auto":
+            if not (_is_integer(order) and order >= 0):
+                raise ValidationError(
+                    f"max_reflection_order must be 'auto' or an integer >= 0, got {reprlib.repr(order)}"
+                )
+            object.__setattr__(self, "max_reflection_order", int(order))
+        object.__setattr__(self, "image_budget", _integer(self.image_budget, "image_budget"))
+        if self.image_budget < 1:
+            raise ValidationError(f"image_budget must be positive, got {self.image_budget}")
         if self.fractional_delay not in FRACTIONAL_DELAYS:
             raise ValidationError(f"unknown fractional_delay mode {reprlib.repr(self.fractional_delay)}")
         if not (math.isfinite(self.highpass_hz) and self.highpass_hz >= 0):
@@ -141,10 +146,10 @@ class ImageSynthesisConfig:
     def validate_rate(self, sample_rate: int) -> int:
         """Check the config against ``sample_rate``; return the IR's length in samples.
 
-        Each message but a non-positive rate's starts with the name of the field at
-        fault; ``parse_manifest``, which passes only a pipeline rate, relies on it.
+        Each message but a bad rate's starts with the name of the field at fault;
+        ``parse_manifest``, which passes only a pipeline rate, relies on it.
         """
-        _check_sample_rate(sample_rate)
+        sample_rate = _check_sample_rate(sample_rate)
         samples = self.ir_length * sample_rate
         if not samples <= MAX_IR_SAMPLES:  # an infinite count too
             raise ValidationError(
@@ -210,7 +215,7 @@ def _lattice_orders(room: RoomSpec, config: ImageSynthesisConfig):
         # a half-width past the float range is infinite, which check_room reports
         half = [max_dist / (2.0 * L) for L in room.dimensions]
         return [math.ceil(h) + 1 if math.isfinite(h) else math.inf for h in half], None
-    order = int(config.max_reflection_order)
+    order = config.max_reflection_order
     return [order // 2 + 1] * 3, order
 
 

@@ -34,6 +34,7 @@ import numpy as np
 from .contaminate import (
     NORMALIZATIONS,
     ContaminationJob,
+    _check_snr_db,
     job_channels,
     run_job,  # noqa: F401 - kept as a module attribute: perfbench's tracer wraps it here
 )
@@ -47,6 +48,7 @@ from .core import (
     RoomSpec,
     SourceSpec,
     ValidationError,
+    _is_integer,
     _is_path_component,
     _number,
     validate_mic_array,
@@ -118,10 +120,7 @@ _KINDS = {
     "a list": lambda v: isinstance(v, list),
     "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
     "a string": lambda v: isinstance(v, str),
-    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    # an int is finite even when it is too large for a float, which math.isfinite cannot take
-    "a finite number": lambda v: isinstance(v, int) and not isinstance(v, bool)
-    or isinstance(v, float) and math.isfinite(v),
+    "an integer": _is_integer,
 }
 
 
@@ -147,6 +146,13 @@ def _field(doc: dict, key: str, path: str, errors: list, kind, default=None):
     return value
 
 
+def _known_keys(doc, path: str, errors: list, *keys: str) -> None:
+    """Report each key of ``doc``, if it is an object, that is not one of ``keys``: nothing reads it."""
+    for key in doc if isinstance(doc, dict) else ():
+        if key not in keys:
+            errors.append((f"{path}.{key}", f"unknown field; expected one of {', '.join(keys)}"))
+
+
 def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManifest:
     """Parse and validate a manifest, reporting every error at once."""
     base = Path(base_dir)
@@ -157,6 +163,8 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
         raise ManifestError([("$", f"not valid JSON: {exc}")])
     if not isinstance(doc, dict):
         raise ManifestError([("$", "manifest root must be an object")])
+    _known_keys(doc, "$", errors, "seed", "sample_rate", "clean_dir", "output_dir", "format", "normalization",
+                "rooms", "arrays", "synthesis", "noise", "sessions")
 
     seed = _field(doc, "seed", "$", errors, "an integer", 0)
     sample_rate = _field(doc, "sample_rate", "$", errors, "an integer")
@@ -166,6 +174,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
     rooms: Dict[str, RoomSpec] = {}
     for name, spec in _field(doc, "rooms", "$", errors, "an object", {}).items():
         path = f"$.rooms.{name}"
+        _known_keys(spec, path, errors, "dimensions", "reflectivity", "t60", "speed_of_sound")
         try:
             rooms[name] = RoomSpec(
                 dimensions=spec["dimensions"],
@@ -186,6 +195,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
         try:
             layout = []
             for j, m in enumerate(mics):
+                _known_keys(m, f"{path}[{j}]", errors, "id", "position")
                 layout.append(MicSpec(id=m["id"], position=m["position"]))
             validate_mic_array(layout)
             arrays[name] = layout
@@ -197,6 +207,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
         errors.append(("$.arrays", "at least one microphone array is required"))
 
     syn = _field(doc, "synthesis", "$", errors, "an object", {})
+    _known_keys(syn, "$.synthesis", errors, "ir_length", "max_order", "fractional_delay", "highpass_hz")
     try:
         synthesis = ImageSynthesisConfig(
             ir_length=syn.get("ir_length", ImageSynthesisConfig.ir_length),
@@ -212,17 +223,13 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
     target_snr_db = None
     noise = _field(doc, "noise", "$", errors, "an object", {})
     if noise:
+        _known_keys(noise, "$.noise", errors, "file", "snr_db")
         noise_name = _field(noise, "file", "$.noise", errors, "a string")
-        target_snr_db = _field(noise, "snr_db", "$.noise", errors, "a finite number")
-        if target_snr_db is not None:
-            # the noise gain divides by this amplitude ratio
-            try:
-                ratio = 10.0 ** (target_snr_db / 20.0)
-            except OverflowError:
-                ratio = math.inf
-            if not 0.0 < ratio < math.inf:
-                errors.append(("$.noise.snr_db", f"{reprlib.repr(target_snr_db)} dB is out of range: "
-                               "10 ** (snr_db / 20) is not a positive finite float"))
+        target_snr_db = noise.get("snr_db")  # kept as given, so that sidecars echo it
+        try:
+            _check_snr_db(target_snr_db)
+        except (ValueError, OverflowError) as exc:
+            errors.append(("$.noise.snr_db", "missing required field" if target_snr_db is None else str(exc)))
         if noise_name is not None:
             noise_file = base / noise_name
             if not noise_file.exists():
@@ -249,6 +256,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
         if not isinstance(sess, dict):
             errors.append((path, f"must be an object, got {reprlib.repr(sess)}"))
             continue
+        _known_keys(sess, path, errors, "name", "room", "array", "source", "sentences", "ir")
         name = _field(sess, "name", path, errors, "a string", f"session{i}")
         if not _is_path_component(name):
             errors.append((f"{path}.name", f"must be a single path component, got {name!r}"))
@@ -268,6 +276,8 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
             errors.append((f"{path}.array", f"unknown array {array_name!r}"))
 
         src_doc = _field(sess, "source", path, errors, "an object") or {}
+        _known_keys(src_doc, f"{path}.source", errors,
+                    "position", "azimuth_deg", "elevation_deg", "directivity")
         source = None
         try:
             source = SourceSpec(
@@ -303,6 +313,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
                                    f"{(sentence, mic.id)} both write {wav.name}"))
 
         ir_doc = _field(sess, "ir", path, errors, "an object", {})
+        _known_keys(ir_doc, f"{path}.ir", errors, "mode", "files")
         ir_mode = _field(ir_doc, "mode", f"{path}.ir", errors, ("synthesize", "load"), "synthesize")
         ir_files: Dict[str, str] = {}
         if ir_mode == "load":

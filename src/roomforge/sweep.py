@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .core import AudioSignal, ImpulseResponse, ValidationError, _check_sample_rate
+from .core import AudioSignal, ImpulseResponse, ValidationError, _check_sample_rate, _number
 from .engine import fft_convolve, fft_length, spectra_product
 
 DEFAULT_PRE_PEAK_GUARD = 0.005  # seconds retained before the direct-path peak
@@ -34,6 +34,8 @@ class SweepSpec:
     fade: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _number(getattr(self, f.name), f.name))
         if not (0 < self.f_start < self.f_end):
             raise ValidationError(f"need 0 < f_start < f_end, got {self.f_start}, {self.f_end}")
         if not (math.isfinite(self.duration) and self.duration > 0):
@@ -45,7 +47,7 @@ class SweepSpec:
 
     def validate_rate(self, sample_rate: int) -> int:
         """Check the sweep against ``sample_rate``; return its length in samples."""
-        _check_sample_rate(sample_rate)
+        sample_rate = _check_sample_rate(sample_rate)
         if self.f_end >= sample_rate / 2:
             raise ValidationError(
                 f"f_end {self.f_end} Hz reaches Nyquist for sample rate {sample_rate}"

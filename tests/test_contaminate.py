@@ -274,9 +274,8 @@ class TestRunJob:
 
     def test_noise_at_another_rate_rejected(self):
         noise = AudioSignal(48000, np.random.default_rng(20).standard_normal(48000))
-        job = ContaminationJob(clean=self._speech(), irs=[delta_ir()], noise=noise, target_snr_db=10.0)
         with pytest.raises(ValidationError, match="sample-rate mismatch between signal and noise"):
-            run_job(job)
+            ContaminationJob(clean=self._speech(), irs=[delta_ir()], noise=noise, target_snr_db=10.0)
 
     def test_mono_job_equals_convolve_then_mix_noise(self):
         # convolve + mix_noise and run_job share one convolution and one noise path
@@ -353,6 +352,40 @@ SOME = AudioSignal(FS, np.random.default_rng(23).standard_normal(200))
 def test_signal_with_no_samples_rejected(call, message):
     with pytest.raises(ValidationError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "snr_db",
+    [float("nan"), float("inf"), float("-inf"), True, np.True_, "10", 1e308, -1e308],
+    ids=["nan", "inf", "minus-inf", "bool", "numpy-bool", "string", "overflow", "underflow"],
+)
+def test_snr_that_the_noise_gain_cannot_take_is_refused(snr_db):
+    # the gain divides by 10 ** (snr_db / 20): it must be a positive finite float
+    with pytest.raises(ValidationError, match="snr_db"):
+        ContaminationJob(SOME, [delta_ir()], noise=SOME, target_snr_db=snr_db)
+    with pytest.raises(ValidationError, match="snr_db"):
+        mix_noise(SOME, SOME, snr_db, seed=0)
+
+
+@pytest.mark.parametrize("seed", [True, np.True_, -1, 1.5, "3"])
+def test_seed_that_is_not_a_natural_number_is_refused(seed):
+    with pytest.raises(ValidationError, match="^seed must be "):
+        ContaminationJob(SOME, [delta_ir()], seed=seed)
+    with pytest.raises(ValidationError, match="^seed must be "):
+        mix_noise(SOME, SOME, 10.0, seed=seed)
+
+
+def test_numpy_snr_and_seed_build_their_twins():
+    built = ContaminationJob(SOME, [delta_ir()], noise=SOME, target_snr_db=np.int64(12), seed=np.uint64(5))
+    twin = ContaminationJob(SOME, [delta_ir()], noise=SOME, target_snr_db=12.0, seed=5)
+    assert type(built.target_snr_db) is float and type(built.seed) is int
+    assert run_job(built).data.tobytes() == run_job(twin).data.tobytes()
+
+
+def test_silent_noise_is_refused_by_the_job():
+    # a job that exists can run: the noise checks are the job's, not job_channels'
+    with pytest.raises(ValidationError, match="noise signal is silent"):
+        ContaminationJob(SOME, [delta_ir()], noise=AudioSignal(FS, np.zeros(50)), target_snr_db=10.0)
 
 
 @pytest.mark.parametrize("function, bound", [("mix_noise", 3.5), ("convolve", 3.1)])

@@ -1,10 +1,12 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from roomforge import (
     AudioSignal,
+    ContaminationJob,
     Directivity,
     ImageSynthesisConfig,
     ImpulseResponse,
@@ -12,12 +14,14 @@ from roomforge import (
     MicSpec,
     RoomSpec,
     SourceSpec,
+    SweepSpec,
     ValidationError,
     angle_between,
     directivity_gain,
 )
 from roomforge.core import validate_mic_array
 from roomforge.image_source import placement_faults
+from roomforge.storage import save_ir
 
 
 class TestDirectivityGain:
@@ -165,10 +169,16 @@ VALID_KWARGS = {
     Directivity: [dict(pattern="custom", table=((0.0, 3.0), (1.0, 0.5)))],
     SourceSpec: [dict(position=(3.0, 2.0, 1.5), azimuth=0.5, elevation=-0.1)],
     MicSpec: [dict(id="m", position=(1.0, 1.0, 1.5))],
-    ImageSynthesisConfig: [dict(ir_length=0.125, highpass_hz=50.0)],
+    ImageSynthesisConfig: [dict(ir_length=0.125, highpass_hz=50.0, max_reflection_order=3,
+                                image_budget=10**6)],
+    SweepSpec: [dict(f_start=20.0, f_end=2000.0, duration=1.0, amplitude=0.5, fade=0.1)],
+    AudioSignal: [dict(sample_rate=16000, data=np.ones(4))],
+    ImpulseResponse: [dict(sample_rate=16000, samples=np.ones(4), direct_path_index=2)],
+    ContaminationJob: [dict(clean=AudioSignal(16000, np.ones(4)), irs=[ImpulseResponse(16000, np.ones(2))],
+                            noise=AudioSignal(16000, np.ones(3)), target_snr_db=10.0, seed=3)],
 }
 # fields a message names by another word: the manifest's, or the table row at fault
-MESSAGE_NAMES = {"target_t60": "t60", "table": "angles"}
+MESSAGE_NAMES = {"target_t60": "t60", "table": "angles", "target_snr_db": "snr_db"}
 
 
 def not_numbers(sequence):
@@ -189,6 +199,14 @@ NOT_A_NUMBER_CASES = [
     # None is how an optional field is left out
     if not (value is None and "Optional" in str(f.type))
 ]
+# every field typed with int, so that one added later is checked too
+NOT_AN_INTEGER_CASES = [
+    pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}-{i}")
+    for cls in VALID_KWARGS
+    for f in dataclasses.fields(cls)
+    if re.search(r"\bint\b", str(f.type))
+    for i, value in enumerate([True, np.True_, "16000", 16000.5])
+]
 
 
 class TestNumericFields:
@@ -201,6 +219,31 @@ class TestNumericFields:
         field = MESSAGE_NAMES.get(name, name)
         with pytest.raises(ValidationError, match=rf"^{field} must be (a number|numbers), got "):
             cls(**{**kwargs, name: value})
+
+    @pytest.mark.parametrize("cls, name, value", NOT_AN_INTEGER_CASES)
+    def test_field_that_is_not_an_integer_is_refused(self, cls, name, value):
+        # an order may also be "auto", which its message says
+        kind = "('auto' or )?an integer( >= 0)?"
+        with pytest.raises(ValidationError, match=rf"^{name} must be {kind}, got "):
+            cls(**{**VALID_KWARGS[cls][0], name: value})
+
+    def test_numpy_integers_build_their_int_twins(self, tmp_path):
+        built = (ImpulseResponse(np.int64(16000), np.ones(8), direct_path_index=np.int32(5)),
+                 ImageSynthesisConfig(max_reflection_order=np.int64(3), image_budget=np.uint32(10**6)))
+        twins = (ImpulseResponse(16000, np.ones(8), direct_path_index=5),
+                 ImageSynthesisConfig(max_reflection_order=3, image_budget=10**6))
+        for b, t in zip(built, twins):
+            values = [getattr(b, f.name) for f in dataclasses.fields(b)]
+            assert [type(v) for v in values] == [type(getattr(t, f.name)) for f in dataclasses.fields(t)]
+        assert built[1] == twins[1]
+        assert type(AudioSignal(np.int16(8000), np.ones(2)).sample_rate) is int
+        scene = (RoomSpec((5.0, 4.0, 3.0), target_t60=0.4), SourceSpec((3.0, 2.0, 1.5)),
+                 MicSpec("m", (1.0, 1.0, 1.5)))
+        assert IrCache.key(*scene, built[1], 16000) == IrCache.key(*scene, twins[1], 16000)
+        # a sidecar is JSON, which a numpy integer would fail
+        save_ir(tmp_path / "built.wav", built[0])
+        save_ir(tmp_path / "twin.wav", twins[0])
+        assert (tmp_path / "built.json").read_bytes() == (tmp_path / "twin.json").read_bytes()
 
     def test_numpy_scalars_build_their_float_twins(self):
         table = (np.array([0.0, 3.0], dtype=np.float32), (np.int64(1), 0.5))

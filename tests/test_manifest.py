@@ -289,7 +289,6 @@ class TestParseManifest:
             (lambda d: d["sessions"][0].update(source=[3.0, 2.0, 1.5]), "$.sessions[0].source"),
             (lambda d: d.update(output_dir=5), "$.output_dir"),
             (lambda d: d.update(noise={"file": 5, "snr_db": 10}), "$.noise.file"),
-            (lambda d: d.update(noise={"file": "n.wav", "snr_db": "10"}), "$.noise.snr_db"),
             (lambda d: d["sessions"][0].update(ir={"mode": "load", "files": {"m0": 0}}),
              "$.sessions[0].ir.files"),
         ],
@@ -334,9 +333,9 @@ class TestParseManifest:
             (lambda d: d["synthesis"].update(ir_length=1e-5),
              ("$.synthesis.ir_length", "ir_length 1e-05 s is shorter than one sample at 16000 Hz")),
             (lambda d: d.update(noise={"file": "n.wav", "snr_db": float("nan")}),
-             ("$.noise.snr_db", "must be a finite number, got nan")),
+             ("$.noise.snr_db", f"nan dB {SNR_OUT_OF_RANGE}")),
             (lambda d: d.update(noise={"file": "n.wav", "snr_db": float("-inf")}),
-             ("$.noise.snr_db", "must be a finite number, got -inf")),
+             ("$.noise.snr_db", f"-inf dB {SNR_OUT_OF_RANGE}")),
             (lambda d: d["sessions"][0]["source"].update(
                 directivity={"angles_deg": [0, 180], "gains": [1, float("nan")]}),
              ("$.sessions[0].source", "directivity table angles and gains must be finite")),
@@ -361,7 +360,7 @@ class TestParseManifest:
             (lambda d: d.update(noise={"file": "n.wav", "snr_db": -1e300}),
              ("$.noise.snr_db", f"-1e+300 dB {SNR_OUT_OF_RANGE}")),
             (lambda d: d.update(noise={"file": "n.wav", "snr_db": -(10**400)}),
-             ("$.noise.snr_db", f"-10000000000000000...0000000000000000000 dB {SNR_OUT_OF_RANGE}")),
+             ("$.noise.snr_db", "int too large to convert to float")),
             (lambda d: d["synthesis"].update(max_order=float("inf")),
              ("$.synthesis", f"{MAX_ORDER_INVALID}, got inf")),
             (lambda d: d["synthesis"].update(max_order=float("nan")),
@@ -408,6 +407,11 @@ class TestParseManifest:
              ("$.rooms.lab", "reflectivity must be numbers, got 0.8")),
             (lambda d: d["rooms"]["lab"].update(speed_of_sound=None),
              ("$.rooms.lab", "speed_of_sound must be a number, got None")),
+            (lambda d: d.update(noise={"file": "n.wav", "snr_db": "10"}),
+             ("$.noise.snr_db", "snr_db must be a number, got '10'")),
+            (lambda d: d.update(noise={"file": "n.wav", "snr_db": True}),
+             ("$.noise.snr_db", "snr_db must be a number, got True")),
+            (lambda d: d.update(noise={"file": "n.wav"}), ("$.noise.snr_db", "missing required field")),
         ],
         ids=["room", "mic", "source", "ir-length", "highpass", "no-dimensions", "no-position",
              "room-inf", "t60-nan", "azimuth-nan", "mic-no-id", "mic-no-position",
@@ -419,7 +423,8 @@ class TestParseManifest:
              "reflectivity-bool", "dimensions-bool", "speed-of-sound-bool", "mic-position-bool",
              "source-position-bool", "azimuth-bool", "elevation-bool", "directivity-angle-bool",
              "directivity-gain-bool", "dimensions-string", "mic-position-string",
-             "source-position-string", "reflectivity-bare", "speed-of-sound-null"],
+             "source-position-string", "reflectivity-bare", "speed-of-sound-null", "snr-string",
+             "snr-bool", "snr-missing"],
     )
     def test_number_that_is_not_one_names_its_path(self, tmp_path, edit, error):
         doc = base_doc(tmp_path)
@@ -477,7 +482,60 @@ class TestParseManifest:
         (tmp_path / "n.wav").touch()
         doc = base_doc(tmp_path)
         doc["noise"] = {"file": "n.wav", "snr_db": snr_db}
-        assert parse_manifest(json.dumps(doc), base_dir=tmp_path).target_snr_db == snr_db
+        kept = parse_manifest(json.dumps(doc), base_dir=tmp_path).target_snr_db
+        assert kept == snr_db and type(kept) is type(snr_db)  # as given: sidecars echo it
+
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (lambda d: d.update(sampling_rate=FS), "$.sampling_rate"),
+            (lambda d: d["rooms"]["lab"].update(absorption=0.2), "$.rooms.lab.absorption"),
+            (lambda d: d["arrays"]["pair"][1].update(gain_db=3), "$.arrays.pair[1].gain_db"),
+            (lambda d: d["synthesis"].update(highpass=60), "$.synthesis.highpass"),
+            # the name that a `forge rir` sidecar gives max_order
+            (lambda d: d["synthesis"].update(max_reflection_order=2), "$.synthesis.max_reflection_order"),
+            (lambda d: d.update(noise={"file": "n.wav", "snr_db": 10, "gain": 1}), "$.noise.gain"),
+            (lambda d: d["sessions"][0].update(speaker="spk1"), "$.sessions[0].speaker"),
+            # a job sidecar's field, in radians
+            (lambda d: d["sessions"][0]["source"].update(azimuth=1.57), "$.sessions[0].source.azimuth"),
+            (lambda d: d["sessions"][0]["source"].update(directivty="cardioid"),
+             "$.sessions[0].source.directivty"),
+            (lambda d: d["sessions"][0].update(ir={"mode": "synthesize", "file": "x.wav"}),
+             "$.sessions[0].ir.file"),
+        ],
+        ids=["root", "room", "mic", "synthesis", "synthesis-sidecar-name", "noise", "session",
+             "source-sidecar-name", "source-misspelt", "ir"],
+    )
+    def test_unknown_key_is_an_error_at_its_path(self, tmp_path, edit, path):
+        (tmp_path / "n.wav").touch()
+        doc = base_doc(tmp_path)
+        edit(doc)
+        with pytest.raises(ManifestError) as exc_info:
+            parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        [(where, message)] = exc_info.value.errors
+        assert where == path and message.startswith("unknown field; expected one of ")
+
+    def test_unknown_keys_are_reported_with_the_other_errors(self, tmp_path):
+        doc = base_doc(tmp_path)
+        doc["synthesis"].update(highpass=60, ir_length=-1)
+        doc["sessions"][0]["source"].update(azimuth=1.57)
+        with pytest.raises(ManifestError) as exc_info:
+            parse_manifest(json.dumps(doc), base_dir=tmp_path)
+        assert exc_info.value.errors == [
+            ("$.synthesis.highpass",
+             "unknown field; expected one of ir_length, max_order, fractional_delay, highpass_hz"),
+            ("$.synthesis", "ir_length must be finite and positive, got -1.0"),
+            ("$.sessions[0].source.azimuth",
+             "unknown field; expected one of position, azimuth_deg, elevation_deg, directivity"),
+        ]
+
+    def test_readme_example_parses(self, tmp_path):
+        # the JSON block under "Manifest schema": its keys are the ones parse_manifest reads
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Manifest schema", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "noise.wav").touch()
+        m = parse_manifest(block, base_dir=tmp_path)
+        assert m.job_count() == 2 and m.target_snr_db == 15 and m.noise_file == tmp_path / "noise.wav"
 
     def test_sentences_string_is_not_three_sentences(self, tmp_path):
         doc = base_doc(tmp_path)
