@@ -39,14 +39,17 @@ def _number(value, name: str, sequence: bool = False):
     """The one rule for a numeric field: ``value`` as a float, or with ``sequence`` a tuple of floats.
 
     Real numbers pass, numpy's too; a bool, a string, None, any other object and a bare
-    number where a sequence belongs do not.  float()'s OverflowError passes through.
+    number where a sequence belongs do not, nor does an integer too large for a float.
     """
     items = value if sequence else (value,)
     if not ((isinstance(items, (list, tuple)) or isinstance(items, np.ndarray) and items.ndim == 1)
             and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in items)):
         kind = "numbers" if sequence else "a number"
         raise ValidationError(f"{name} must be {kind}, got {reprlib.repr(value)}")
-    floats = tuple(map(float, items))
+    try:
+        floats = tuple(map(float, items))
+    except OverflowError:  # not printed: repr fails on an int of more than 4300 digits
+        raise ValidationError(f"{name}: integer too large to convert to float") from None
     return floats if sequence else floats[0]
 
 

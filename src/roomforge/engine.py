@@ -2,10 +2,11 @@
 
 Full linear convolution (len(x) + len(h) - 1) of one signal with many
 filters.  The signal is transformed once per distinct FFT length and each
-filter once, with the same transforms, lengths and product order as
-``scipy.signal.fftconvolve``, so every output equals it bit for bit and
-repeated runs are bit-identical.  ``fft_length`` and ``spectra_product``
-hold those two rules for callers that keep a filter's spectrum themselves.
+filter once, with ``numpy.fft`` and the same lengths and product order as
+``scipy.signal.fftconvolve``, so every output equals it bit for bit (numpy
+>= 2.0 and ``scipy.fft`` transform with the same C++ pocketfft) and repeated
+runs are bit-identical.  ``fft_length`` and ``spectra_product`` hold those
+two rules for callers that keep a filter's spectrum themselves.
 """
 
 from __future__ import annotations
@@ -25,11 +26,20 @@ def _operand(a) -> np.ndarray:
 
 
 def fft_length(n: int) -> int:
-    """FFT length for an ``n``-sample full convolution, as fftconvolve picks it."""
-    # scipy.fft, not scipy.signal: importing scipy.signal takes about a second
-    from scipy import fft as sp_fft
+    """FFT length for an ``n``-sample full convolution, as fftconvolve picks it.
 
-    return sp_fft.next_fast_len(n, real=True)
+    The least 2^a * 3^b * 5^c >= n: ``scipy.fft.next_fast_len(n, real=True)``.
+    """
+    best = 1 << max(n - 1, 0).bit_length()  # the least power of two >= n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            q = -(-n // p35)  # times the least power of two >= n / p35
+            best = min(best, p35 << (q - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def spectra_product(x_spectrum: np.ndarray, h_spectrum: np.ndarray, nfft: int, n: int,
@@ -40,9 +50,7 @@ def spectra_product(x_spectrum: np.ndarray, h_spectrum: np.ndarray, nfft: int, n
     bit-identical to fftconvolve; it is written into ``out``, one of the two
     spectra that the caller owns.
     """
-    from scipy import fft as sp_fft
-
-    return sp_fft.irfft(np.multiply(x_spectrum, h_spectrum, out=out), nfft)[:n]
+    return np.fft.irfft(np.multiply(x_spectrum, h_spectrum, out=out), nfft)[:n]
 
 
 def fft_convolve_many(x: np.ndarray, hs: Iterable[np.ndarray], length: int = 0) -> Iterator[np.ndarray]:
@@ -54,8 +62,6 @@ def fft_convolve_many(x: np.ndarray, hs: Iterable[np.ndarray], length: int = 0) 
     is long enough, else in a copy.
     """
     x = _operand(x)
-    from scipy import fft as sp_fft
-
     spectra = {}
     for h in hs:
         h = _operand(h)
@@ -66,8 +72,8 @@ def fft_convolve_many(x: np.ndarray, hs: Iterable[np.ndarray], length: int = 0) 
         else:
             nfft = fft_length(n)
             if nfft not in spectra:
-                spectra[nfft] = sp_fft.rfft(x, nfft)
-            spectrum = sp_fft.rfft(h, nfft)
+                spectra[nfft] = np.fft.rfft(x, nfft)
+            spectrum = np.fft.rfft(h, nfft)
             y = spectra_product(spectra[nfft], spectrum, nfft, min(size, nfft), out=spectrum)
             del spectrum  # not held while the caller has the output
             y[n:] = 0.0  # the circular tail past the linear convolution

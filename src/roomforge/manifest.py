@@ -184,7 +184,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
             )
         except KeyError as exc:  # "dimensions", the one key read with []
             errors.append((f"{path}.{exc.args[0]}", "missing required field"))
-        except (ValueError, TypeError, OverflowError) as exc:
+        except (ValueError, TypeError) as exc:
             errors.append((path, str(exc)))
     if not rooms:
         errors.append(("$.rooms", "at least one room is required"))
@@ -201,7 +201,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
             arrays[name] = layout
         except KeyError as exc:  # "id" or "position" of mic j, the keys read with []
             errors.append((f"{path}[{j}].{exc.args[0]}", "missing required field"))
-        except (ValueError, TypeError, OverflowError) as exc:
+        except (ValueError, TypeError) as exc:
             errors.append((path, str(exc)))
     if not arrays:
         errors.append(("$.arrays", "at least one microphone array is required"))
@@ -215,7 +215,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
             fractional_delay=syn.get("fractional_delay", ImageSynthesisConfig.fractional_delay),
             highpass_hz=syn.get("highpass_hz", ImageSynthesisConfig.highpass_hz),
         )
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError) as exc:
         errors.append(("$.synthesis", str(exc)))
         synthesis = ImageSynthesisConfig()
 
@@ -228,7 +228,7 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
         target_snr_db = noise.get("snr_db")  # kept as given, so that sidecars echo it
         try:
             _check_snr_db(target_snr_db)
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             errors.append(("$.noise.snr_db", "missing required field" if target_snr_db is None else str(exc)))
         if noise_name is not None:
             noise_file = base / noise_name
@@ -285,11 +285,12 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
                 # math.radians would take true for 1 degree, so the degree fields are checked here
                 azimuth=math.radians(_number(src_doc.get("azimuth_deg", 0.0), "azimuth_deg")),
                 elevation=math.radians(_number(src_doc.get("elevation_deg", 0.0), "elevation_deg")),
-                directivity=_parse_directivity(src_doc.get("directivity", "omnidirectional")),
+                directivity=_parse_directivity(src_doc.get("directivity", "omnidirectional"),
+                                               f"{path}.source.directivity", errors),
             )
         except KeyError as exc:  # "position", the one key read with []
             errors.append((f"{path}.source.{exc.args[0]}", "missing required field"))
-        except (ValueError, TypeError, OverflowError) as exc:
+        except (ValueError, TypeError) as exc:
             errors.append((f"{path}.source", str(exc)))
 
         sentences = _field(sess, "sentences", path, errors, "a list of strings")
@@ -380,10 +381,12 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
     )
 
 
-def _parse_directivity(value) -> Directivity:
+def _parse_directivity(value, path: str, errors: list) -> Directivity:
+    """A pattern name, or an object with a gain table whose other keys are errors at ``path``."""
     if isinstance(value, str):
         return Directivity(value)
     if isinstance(value, dict) and value.keys() >= {"angles_deg", "gains"}:
+        _known_keys(value, path, errors, "angles_deg", "gains")
         angles = tuple(map(math.radians, _number(value["angles_deg"], "angles_deg", sequence=True)))
         return Directivity("custom", table=(angles, value["gains"]))
     raise ValidationError(f"cannot interpret directivity {reprlib.repr(value)}")

@@ -105,9 +105,7 @@ def inverse_filter(spec: SweepSpec, sample_rate: int) -> AudioSignal:
 @functools.lru_cache(maxsize=2)
 def _inverse_spectrum(spec: SweepSpec, sample_rate: int, nfft: int) -> np.ndarray:
     """``rfft`` of the inverse filter at ``nfft`` points, shared and read-only."""
-    from scipy import fft as sp_fft
-
-    spectrum = sp_fft.rfft(inverse_filter(spec, sample_rate).mono, nfft)
+    spectrum = np.fft.rfft(inverse_filter(spec, sample_rate).mono, nfft)
     spectrum.flags.writeable = False
     return spectrum
 
@@ -149,7 +147,9 @@ def deconvolve_ir(
     filter's spectrum, which is cached per ``(spec, sample_rate, nfft)``, one
     FFT length per recording length.  The last two spectra are kept, each
     ``(nfft // 2 + 1) * 16`` bytes (46 MB for a 60 s / 48 kHz sweep in a
-    recording of its own length, 47 MB with a 2 s tail).  The samples equal
+    recording of its own length, 47 MB with a 2 s tail).  Beside them a call
+    holds at most two arrays of about ``8 * nfft`` bytes at once: the
+    recording's spectrum and the deconvolution.  The samples equal
     ``fftconvolve(recording, inverse)`` bit for bit.
     """
     for name, seconds in (("ir_length", ir_length), ("pre_peak_guard", pre_peak_guard)):
@@ -180,15 +180,17 @@ def deconvolve_ir(
     if recording.num_samples < sweep_len:
         raise ValidationError("recording shorter than the excitation sweep")
 
-    from scipy import fft as sp_fft
-
     nfft = fft_length(n)
     inverse = _inverse_spectrum(spec, fs, nfft)
-    spectrum = sp_fft.rfft(recording.mono, nfft)
+    spectrum = np.fft.rfft(recording.mono, nfft)
     raw = spectra_product(spectrum, inverse, nfft, n, out=spectrum)
+    del spectrum  # not held beside raw
 
-    peak_idx = int(np.argmax(np.abs(raw)))
-    peak = float(np.abs(raw[peak_idx]))
+    # the first index of largest magnitude, as argmax(abs(raw)) picks it, without
+    # an abs(raw) temporary: the larger of the two extremes, the earlier on a tie
+    high, low = int(np.argmax(raw)), int(np.argmin(raw))
+    peak_idx = high if (raw[high], -high) > (-raw[low], -low) else low
+    peak = abs(float(raw[peak_idx]))
     if peak == 0.0:
         raise ValidationError("sweep not found: silent deconvolution result")
     start = max(peak_idx - guard, 0)

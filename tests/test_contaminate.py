@@ -398,7 +398,7 @@ def test_peak_memory_is_a_few_signal_sizes(function, bound):
     h = ImpulseResponse(fs, 0.05 * rng.standard_normal(fs // 2))
     noise = AudioSignal(fs, rng.standard_normal(3 * fs))
     call = {"mix_noise": lambda: mix_noise(x, noise, 10.0, seed=1), "convolve": lambda: convolve(x, h)}
-    convolve(AudioSignal(fs, np.ones(8)), ImpulseResponse(fs, np.ones(8)))  # imports scipy.fft
+    convolve(AudioSignal(fs, np.ones(8)), ImpulseResponse(fs, np.ones(8)))  # imports numpy.fft, loaded on first use
     tracemalloc.start()
     try:
         call[function]()

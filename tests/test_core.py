@@ -199,6 +199,14 @@ NOT_A_NUMBER_CASES = [
     # None is how an optional field is left out
     if not (value is None and "Optional" in str(f.type))
 ]
+# every field typed with float, given an integer that no float holds
+TOO_LARGE_CASES = [
+    pytest.param(cls, f.name, (1.0, 10**400, 1.0) if "Tuple" in str(f.type) else -(10**400),
+                 id=f"{cls.__name__}.{f.name}")
+    for cls in VALID_KWARGS
+    for f in dataclasses.fields(cls)
+    if "float" in str(f.type)
+]
 # every field typed with int, so that one added later is checked too
 NOT_AN_INTEGER_CASES = [
     pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}-{i}")
@@ -218,6 +226,16 @@ class TestNumericFields:
         # the message names the field; numpy 1 and 2 echo a numpy scalar differently
         field = MESSAGE_NAMES.get(name, name)
         with pytest.raises(ValidationError, match=rf"^{field} must be (a number|numbers), got "):
+            cls(**{**kwargs, name: value})
+
+    @pytest.mark.parametrize("cls, name, value", TOO_LARGE_CASES)
+    def test_integer_too_large_for_a_float_is_refused(self, cls, name, value):
+        # float() raises OverflowError on it; the field's rule names the field instead
+        kwargs = next((k for k in VALID_KWARGS[cls] if name in k), VALID_KWARGS[cls][0])
+        if name == "table":
+            value = (value, kwargs["table"][1])
+        field = MESSAGE_NAMES.get(name, name)
+        with pytest.raises(ValidationError, match=rf"^{field}: integer too large to convert to float$"):
             cls(**{**kwargs, name: value})
 
     @pytest.mark.parametrize("cls, name, value", NOT_AN_INTEGER_CASES)

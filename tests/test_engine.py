@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
-from roomforge.engine import fft_convolve, fft_convolve_many
+from roomforge.engine import fft_convolve, fft_convolve_many, fft_length
 
 
 def nested_loop_convolve(x, h):
@@ -133,21 +134,44 @@ def test_many_matches_direct_convolution_within_bound(nx, nhs, extra, seed):
 
 
 def test_signal_transformed_once_per_fft_length(monkeypatch):
-    import scipy.fft
-
     rng = np.random.default_rng(4)
     x = rng.standard_normal(5000)
     hs = [rng.standard_normal(700) for _ in range(6)] + [rng.standard_normal(3000)]
     transformed = []
-    rfft = scipy.fft.rfft
+    rfft = np.fft.rfft
 
     def counting_rfft(a, n=None, *args, **kwargs):
         transformed.append((a.size, n))
         return rfft(a, n, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, "rfft", counting_rfft)
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
     for _ in fft_convolve_many(x, hs):
         pass
     # two FFT lengths: x twice, each IR once
     assert sum(size == x.size for size, _ in transformed) == 2
     assert len(transformed) == 2 + len(hs)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 10**8))
+@example(1)
+@example(1025)  # past a power of two: 1080 = 2^3 * 3^3 * 5
+@example(552_961)  # past 552960 = 2^12 * 3^3 * 5: 559872 = 2^8 * 3^7
+def test_fft_length_is_scipys_next_fast_len(n):
+    # the least 2^a * 3^b * 5^c >= n, the length fftconvolve transforms at
+    assert fft_length(n) == scipy.fft.next_fast_len(n, real=True)
+
+
+def test_numpy_and_scipy_transforms_agree_bit_for_bit():
+    # the engine transforms with numpy.fft and is checked against fftconvolve, which
+    # uses scipy.fft: the two must give the same bytes at the lengths the engine picks
+    # (each one up to 600 and a few long ones), from operands shorter than the
+    # transform, as the engine passes them
+    rng = np.random.default_rng(34)
+    lengths = sorted({fft_length(n) for n in range(2, 600)}
+                     | {fft_length(n) for n in (16_000, 38_399, 236_799, 527_999, 614_399)})
+    for nfft in lengths:
+        x = rng.standard_normal(rng.integers(1, nfft + 1))
+        spectrum = np.fft.rfft(x, nfft)
+        assert spectrum.tobytes() == scipy.fft.rfft(x, nfft).tobytes(), nfft
+        assert np.fft.irfft(spectrum, nfft).tobytes() == scipy.fft.irfft(spectrum, nfft).tobytes(), nfft

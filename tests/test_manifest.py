@@ -343,24 +343,24 @@ class TestParseManifest:
                 directivity={"angles_deg": [0, float("nan"), 180], "gains": [1, 0.5, 0]}),
              ("$.sessions[0].source", "directivity table angles and gains must be finite")),
             (lambda d: d["rooms"]["lab"].update(dimensions=[10**400, 4.0, 3.0]),
-             ("$.rooms.lab", "int too large to convert to float")),
+             ("$.rooms.lab", "dimensions: integer too large to convert to float")),
             (lambda d: d["rooms"].update(lab={"dimensions": [5.0, 4.0, 3.0], "t60": 10**400}),
-             ("$.rooms.lab", "int too large to convert to float")),
+             ("$.rooms.lab", "t60: integer too large to convert to float")),
             (lambda d: d["arrays"]["pair"][1].update(position=[1.0, 10**400, 1.5]),
-             ("$.arrays.pair", "int too large to convert to float")),
+             ("$.arrays.pair", "position: integer too large to convert to float")),
             (lambda d: d["sessions"][0]["source"].update(position=[3.0, 2.0, 10**400]),
-             ("$.sessions[0].source", "int too large to convert to float")),
+             ("$.sessions[0].source", "position: integer too large to convert to float")),
             (lambda d: d["sessions"][0]["source"].update(azimuth_deg=10**400),
-             ("$.sessions[0].source", "int too large to convert to float")),
+             ("$.sessions[0].source", "azimuth_deg: integer too large to convert to float")),
             (lambda d: d["synthesis"].update(ir_length=10**400),
-             ("$.synthesis", "int too large to convert to float")),
+             ("$.synthesis", "ir_length: integer too large to convert to float")),
             # the noise gain divides by 10 ** (snr_db / 20), which overflows or underflows to 0
             (lambda d: d.update(noise={"file": "n.wav", "snr_db": 1e300}),
              ("$.noise.snr_db", f"1e+300 dB {SNR_OUT_OF_RANGE}")),
             (lambda d: d.update(noise={"file": "n.wav", "snr_db": -1e300}),
              ("$.noise.snr_db", f"-1e+300 dB {SNR_OUT_OF_RANGE}")),
             (lambda d: d.update(noise={"file": "n.wav", "snr_db": -(10**400)}),
-             ("$.noise.snr_db", "int too large to convert to float")),
+             ("$.noise.snr_db", "snr_db: integer too large to convert to float")),
             (lambda d: d["synthesis"].update(max_order=float("inf")),
              ("$.synthesis", f"{MAX_ORDER_INVALID}, got inf")),
             (lambda d: d["synthesis"].update(max_order=float("nan")),
@@ -502,9 +502,12 @@ class TestParseManifest:
              "$.sessions[0].source.directivty"),
             (lambda d: d["sessions"][0].update(ir={"mode": "synthesize", "file": "x.wav"}),
              "$.sessions[0].ir.file"),
+            (lambda d: d["sessions"][0]["source"].update(
+                directivity={"angles_deg": [0, 180], "gains": [1, 0.5], "gain": 2}),
+             "$.sessions[0].source.directivity.gain"),
         ],
         ids=["root", "room", "mic", "synthesis", "synthesis-sidecar-name", "noise", "session",
-             "source-sidecar-name", "source-misspelt", "ir"],
+             "source-sidecar-name", "source-misspelt", "ir", "directivity"],
     )
     def test_unknown_key_is_an_error_at_its_path(self, tmp_path, edit, path):
         (tmp_path / "n.wav").touch()

@@ -1,8 +1,8 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.fft
 import scipy.signal
 
 from roomforge import (
@@ -173,6 +173,22 @@ class TestDeconvolveIr:
         ref[second] = 0.5
         assert band_residual_db(ir.samples, ref, FS, 40, 18000) <= -40.0
 
+    def test_peak_memory_is_two_transform_sizes(self):
+        # the recording's spectrum and its inverse transform, each 8 * nfft bytes, and
+        # no third array of that size: no abs(raw), no zero-padded copy of the recording
+        h = np.zeros(FS // 2)
+        h[0], h[FS // 100] = 1.0, 0.5
+        recording = AudioSignal(FS, np.pad(self._record(h).mono, (0, FS)))
+        deconvolve_ir(recording, self.SPEC, ir_length=0.5)  # caches the inverse filter's spectrum
+        tracemalloc.start()
+        try:
+            deconvolve_ir(recording, self.SPEC, ir_length=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nfft = fft_length(recording.num_samples + generate_ess(self.SPEC, FS).num_samples - 1)
+        assert peak <= 2.1 * 8 * nfft
+
     def test_sweep_itself_gives_delta(self):
         # near-full-band sweep so the band-limited delta has compact support
         spec = SweepSpec(10, 23900, 10.0, amplitude=0.8)
@@ -336,6 +352,16 @@ class TestDeconvolveIr:
         assert ir.direct_path_index == 0
         assert ir.samples[0] == 1.0
 
+    def test_negative_peak_is_found_like_a_positive_one(self):
+        # the peak is the largest magnitude of either sign: a recording of the negated
+        # room deconvolves to the negated IR, at the same direct path
+        h = np.zeros(FS // 2)
+        h[FS // 200], h[FS // 100] = 1.0, -0.6
+        ir = deconvolve_ir(self._record(h), self.SPEC, ir_length=0.25)
+        negated = deconvolve_ir(self._record(-h), self.SPEC, ir_length=0.25)
+        assert negated.direct_path_index == ir.direct_path_index
+        np.testing.assert_array_equal(negated.samples, -ir.samples)
+
 
 class TestGateOnImageMethodIrs:
     """The sweep gate accepts reverberant rooms: the tail is no part of its floor."""
@@ -447,13 +473,13 @@ class TestInverseSpectrumCache:
         _inverse_spectrum.cache_clear()
         inverse = inverse_filter(self.SPEC, self.FS).data
         calls = []
-        rfft = scipy.fft.rfft
+        rfft = np.fft.rfft
 
         def counting_rfft(a, n=None, *args, **kwargs):
             calls.append(np.shares_memory(a, inverse))
             return rfft(a, n, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, "rfft", counting_rfft)
+        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
         first, second = self._recording(0), self._recording(9001)
         sweep_len = first.num_samples
         assert fft_length(2 * sweep_len - 1) != fft_length(second.num_samples + sweep_len - 1)
