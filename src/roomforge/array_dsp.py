@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import AudioSignal, ValidationError
+from .core import AudioSignal, ValidationError, _number
 
 PHAT_FLOOR = 1e-8  # bins below floor * max magnitude are zeroed, not divided
 DEFAULT_MAX_DELAY = 0.010  # seconds; search bound for TDOA peaks
@@ -53,7 +53,7 @@ def _correlation_size(
         raise ValidationError("sample-rate mismatch between channels")
     if interpolation not in ("none", "parabolic"):
         raise ValidationError(f"unknown interpolation mode {interpolation!r}")
-    if not 0.0 <= max_delay < np.inf:
+    if not _number(max_delay, "max_delay") >= 0.0:
         raise ValidationError(f"max_delay must be finite and non-negative, got {max_delay}")
     if not all(np.any(x) for x in signals):
         raise ValidationError("no signal: silent input channel")
@@ -212,6 +212,7 @@ def delay_and_sum(channels: AudioSignal, delays: Sequence[float]) -> AudioSignal
     channel's spectrum, and their sum takes one inverse FFT.  The delays may
     spread over no more than the signal's duration.
     """
+    delays = _number(delays, "delays", sequence=True)
     n_ch = channels.num_channels
     if len(delays) != n_ch:
         raise ValidationError(f"{len(delays)} delays for {n_ch} channels")
@@ -300,6 +301,5 @@ def oracle_select(per_channel_scores: Dict[str, float]) -> str:
     if not per_channel_scores:
         raise ValidationError("empty score map")
     for ch, score in per_channel_scores.items():
-        if not np.isfinite(score):
-            raise ValidationError(f"non-finite score for channel {ch!r}")
+        _number(score, f"score for channel {ch!r}")
     return min(per_channel_scores, key=lambda ch: (per_channel_scores[ch], ch))

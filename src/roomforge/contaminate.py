@@ -78,7 +78,7 @@ def _check_snr_db(snr_db) -> float:
     """``snr_db`` as a float, if the noise gain can divide by its amplitude ratio 10 ** (snr_db / 20)."""
     snr_db = _number(snr_db, "snr_db")
     try:
-        in_range = 0.0 < 10.0 ** (snr_db / 20.0) < np.inf  # not for NaN
+        in_range = 0.0 < 10.0 ** (snr_db / 20.0) < np.inf
     except OverflowError:
         in_range = False
     if not in_range:

@@ -36,10 +36,11 @@ class ValidationError(ValueError):
 
 
 def _number(value, name: str, sequence: bool = False):
-    """The one rule for a numeric field: ``value`` as a float, or with ``sequence`` a tuple of floats.
+    """The one rule for a numeric field: ``value`` as a finite float, or with ``sequence`` a tuple of them.
 
     Real numbers pass, numpy's too; a bool, a string, None, any other object and a bare
-    number where a sequence belongs do not, nor does an integer too large for a float.
+    number where a sequence belongs do not, nor does an integer too large for a float,
+    NaN or an infinity.
     """
     items = value if sequence else (value,)
     if not ((isinstance(items, (list, tuple)) or isinstance(items, np.ndarray) and items.ndim == 1)
@@ -50,6 +51,8 @@ def _number(value, name: str, sequence: bool = False):
         floats = tuple(map(float, items))
     except OverflowError:  # not printed: repr fails on an int of more than 4300 digits
         raise ValidationError(f"{name}: integer too large to convert to float") from None
+    if not all(map(math.isfinite, floats)):
+        raise ValidationError(f"{name} must be finite, got {reprlib.repr(value)}")
     return floats if sequence else floats[0]
 
 
@@ -88,7 +91,7 @@ class RoomSpec:
 
     def __post_init__(self):
         dims = _number(self.dimensions, "dimensions", sequence=True)
-        if len(dims) != 3 or not all(math.isfinite(d) and d > 0 for d in dims):
+        if len(dims) != 3 or not all(d > 0 for d in dims):
             raise ValidationError(f"room dimensions must be 3 finite positive lengths, got {dims}")
         object.__setattr__(self, "dimensions", dims)
         if (self.reflectivity is None) == (self.target_t60 is None):
@@ -104,7 +107,7 @@ class RoomSpec:
             object.__setattr__(self, "reflectivity", betas)
         if self.target_t60 is not None:
             object.__setattr__(self, "target_t60", _number(self.target_t60, "t60"))
-            if not (math.isfinite(self.target_t60) and self.target_t60 > 0):
+            if not self.target_t60 > 0:
                 raise ValidationError(f"target T60 must be finite and positive, got {self.target_t60}")
         object.__setattr__(self, "speed_of_sound", _number(self.speed_of_sound, "speed_of_sound"))
         if not (300.0 <= self.speed_of_sound <= 360.0):
@@ -145,9 +148,6 @@ class Directivity:
             gains = np.asarray(_number(self.table[1], "gains", sequence=True))
             if angles.size != gains.size or angles.size < 2:
                 raise ValidationError("directivity table needs matching angle/gain arrays of length >= 2")
-            # NaN passes every order and range check below, each a comparison
-            if not (np.isfinite(angles).all() and np.isfinite(gains).all()):
-                raise ValidationError("directivity table angles and gains must be finite")
             if np.any(np.diff(angles) <= 0):
                 raise ValidationError("directivity table angles must be strictly increasing")
             if angles[0] < 0 or angles[-1] > np.pi:
@@ -216,10 +216,6 @@ class SourceSpec:
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "azimuth", _number(self.azimuth, "azimuth"))
         object.__setattr__(self, "elevation", _number(self.elevation, "elevation"))
-        if not (math.isfinite(self.azimuth) and math.isfinite(self.elevation)):
-            raise ValidationError(
-                f"source azimuth and elevation must be finite, got {self.azimuth}, {self.elevation}"
-            )
         if isinstance(self.directivity, str):
             object.__setattr__(self, "directivity", Directivity(self.directivity))
 

@@ -126,7 +126,7 @@ class ImageSynthesisConfig:
     def __post_init__(self):
         object.__setattr__(self, "ir_length", _number(self.ir_length, "ir_length"))
         object.__setattr__(self, "highpass_hz", _number(self.highpass_hz, "highpass_hz"))
-        if not (math.isfinite(self.ir_length) and self.ir_length > 0):
+        if not self.ir_length > 0:
             raise ValidationError(f"ir_length must be finite and positive, got {self.ir_length}")
         order = self.max_reflection_order
         if order != "auto":
@@ -140,7 +140,7 @@ class ImageSynthesisConfig:
             raise ValidationError(f"image_budget must be positive, got {self.image_budget}")
         if self.fractional_delay not in FRACTIONAL_DELAYS:
             raise ValidationError(f"unknown fractional_delay mode {reprlib.repr(self.fractional_delay)}")
-        if not (math.isfinite(self.highpass_hz) and self.highpass_hz >= 0):
+        if not self.highpass_hz >= 0:
             raise ValidationError(f"highpass_hz must be finite and >= 0, got {self.highpass_hz}")
 
     def validate_rate(self, sample_rate: int) -> int:
@@ -307,10 +307,16 @@ def _add_sinc_kernels(weights: np.ndarray, out: np.ndarray) -> None:
         out[j : j + span] += frame.sum(axis=0)
 
 
+def _arrival(room: RoomSpec, source: SourceSpec, mic: MicSpec, sample_rate: int) -> float:
+    """The direct path's arrival in samples, unrounded; infinite if the distance overflows a float."""
+    with np.errstate(over="ignore"):
+        distance = np.linalg.norm(np.asarray(mic.position, dtype=float) - np.asarray(source.position))
+        return distance / room.speed_of_sound * sample_rate
+
+
 def direct_path_index(room: RoomSpec, source: SourceSpec, mic: MicSpec, sample_rate: int) -> int:
     """Sample index of the direct path: source-mic distance over the speed of sound."""
-    distance = np.linalg.norm(np.asarray(mic.position, dtype=float) - np.asarray(source.position))
-    return int(round(distance / room.speed_of_sound * sample_rate))
+    return int(round(_arrival(room, source, mic, sample_rate)))
 
 
 def placement_faults(room: RoomSpec, source: SourceSpec, mics: Sequence[MicSpec],
@@ -318,20 +324,24 @@ def placement_faults(room: RoomSpec, source: SourceSpec, mics: Sequence[MicSpec]
     """What keeps ``source`` and ``mics`` from synthesis in ``room``, as (culprit, message) pairs.
 
     The culprit is the "source" or a "mic" outside the room, a "mic" at the source, or,
-    given ``config``, the "ir_length" that ends before a mic's direct path arrives; the
-    config must then pass ``validate_rate(sample_rate)``, whose error is raised.
+    given ``config``, the "ir_length" that ends before the direct path to a mic inside the
+    room arrives, from a source inside it; the config must then pass
+    ``validate_rate(sample_rate)``, whose error is raised.
     """
     faults = []
-    if not room.contains(source.position):
+    source_inside = room.contains(source.position)
+    if not source_inside:
         faults.append(("source", f"source position {source.position} outside room {room.dimensions}"))
     n_ir = None if config is None else config.validate_rate(sample_rate)
     for mic in mics:
-        if not room.contains(mic.position):
+        inside = room.contains(mic.position)
+        if not inside:
             faults.append(("mic", f"mic {mic.id!r} position {mic.position} outside room {room.dimensions}"))
         if mic.position == source.position:
             faults.append(("mic", f"source and mic {mic.id!r} positions coincide"))
-        if n_ir is not None:
-            index = direct_path_index(room, source, mic, sample_rate)
+        if n_ir is not None and inside and source_inside:
+            arrival = _arrival(room, source, mic, sample_rate)
+            index = round(arrival) if arrival < math.inf else arrival  # round() takes no infinity
             if index >= n_ir:
                 faults.append(("ir_length", f"mic {mic.id!r}: the direct path arrives at sample "
                                f"{index}, past the end of the {n_ir}-sample IR ({config.ir_length} s)"))

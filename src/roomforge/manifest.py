@@ -146,11 +146,18 @@ def _field(doc: dict, key: str, path: str, errors: list, kind, default=None):
     return value
 
 
-def _known_keys(doc, path: str, errors: list, *keys: str) -> None:
-    """Report each key of ``doc``, if it is an object, that is not one of ``keys``: nothing reads it."""
-    for key in doc if isinstance(doc, dict) else ():
+def _known_keys(doc, path: str, errors: list, *keys: str) -> bool:
+    """Whether ``doc`` is an object; if not, that is an error at ``path``.
+
+    Each key of an object that is not one of ``keys`` is an error at its path: nothing reads it.
+    """
+    if not isinstance(doc, dict):
+        errors.append((path, f"must be an object, got {reprlib.repr(doc)}"))
+        return False
+    for key in doc:
         if key not in keys:
             errors.append((f"{path}.{key}", f"unknown field; expected one of {', '.join(keys)}"))
+    return True
 
 
 def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManifest:
@@ -174,7 +181,8 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
     rooms: Dict[str, RoomSpec] = {}
     for name, spec in _field(doc, "rooms", "$", errors, "an object", {}).items():
         path = f"$.rooms.{name}"
-        _known_keys(spec, path, errors, "dimensions", "reflectivity", "t60", "speed_of_sound")
+        if not _known_keys(spec, path, errors, "dimensions", "reflectivity", "t60", "speed_of_sound"):
+            continue
         try:
             rooms[name] = RoomSpec(
                 dimensions=spec["dimensions"],
@@ -192,10 +200,14 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
     arrays: Dict[str, List[MicSpec]] = {}
     for name, mics in _field(doc, "arrays", "$", errors, "an object", {}).items():
         path = f"$.arrays.{name}"
+        if not isinstance(mics, list):
+            errors.append((path, f"must be a list, got {reprlib.repr(mics)}"))
+            continue
+        if not all([_known_keys(m, f"{path}[{j}]", errors, "id", "position") for j, m in enumerate(mics)]):
+            continue
         try:
             layout = []
             for j, m in enumerate(mics):
-                _known_keys(m, f"{path}[{j}]", errors, "id", "position")
                 layout.append(MicSpec(id=m["id"], position=m["position"]))
             validate_mic_array(layout)
             arrays[name] = layout
@@ -253,10 +265,8 @@ def parse_manifest(text: str, base_dir: Union[str, Path] = ".") -> ScenarioManif
     session_paths: Dict[str, str] = {}  # name -> JSON path of the session that has it
     for i, sess in enumerate(_field(doc, "sessions", "$", errors, "a list", [])):
         path = f"$.sessions[{i}]"
-        if not isinstance(sess, dict):
-            errors.append((path, f"must be an object, got {reprlib.repr(sess)}"))
+        if not _known_keys(sess, path, errors, "name", "room", "array", "source", "sentences", "ir"):
             continue
-        _known_keys(sess, path, errors, "name", "room", "array", "source", "sentences", "ir")
         name = _field(sess, "name", path, errors, "a string", f"session{i}")
         if not _is_path_component(name):
             errors.append((f"{path}.name", f"must be a single path component, got {name!r}"))

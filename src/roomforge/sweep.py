@@ -38,7 +38,7 @@ class SweepSpec:
             object.__setattr__(self, f.name, _number(getattr(self, f.name), f.name))
         if not (0 < self.f_start < self.f_end):
             raise ValidationError(f"need 0 < f_start < f_end, got {self.f_start}, {self.f_end}")
-        if not (math.isfinite(self.duration) and self.duration > 0):
+        if not self.duration > 0:
             raise ValidationError(f"sweep duration must be finite and positive, got {self.duration}")
         if not (0 < self.amplitude <= 1):
             raise ValidationError("amplitude must lie in (0, 1]")
@@ -152,9 +152,8 @@ def deconvolve_ir(
     recording's spectrum and the deconvolution.  The samples equal
     ``fftconvolve(recording, inverse)`` bit for bit.
     """
-    for name, seconds in (("ir_length", ir_length), ("pre_peak_guard", pre_peak_guard)):
-        if not math.isfinite(seconds):
-            raise ValidationError(f"{name} must be finite, got {seconds}")
+    ir_length = _number(ir_length, "ir_length")
+    pre_peak_guard = _number(pre_peak_guard, "pre_peak_guard")
     fs = recording.sample_rate
     sweep_len = spec.validate_rate(fs)
     n = recording.num_samples + sweep_len - 1  # samples of the deconvolution

@@ -254,6 +254,12 @@ class TestDelayAndSum:
         with pytest.raises(ValidationError):
             delay_and_sum(AudioSignal(FS, np.ones((3, 100))), [0.0, 1e-4])
 
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf])
+    def test_delay_that_is_not_finite_is_named(self, delay):
+        with pytest.raises(ValidationError) as exc_info:
+            delay_and_sum(AudioSignal(FS, np.ones((2, 100))), [0.0, delay])
+        assert str(exc_info.value) == f"delays must be finite, got [0.0, {delay}]"
+
     def test_array_gain_on_white_noise(self):
         # coherent signal adds in amplitude, independent noise in power:
         # averaging N channels buys 10 * log10(N) dB of SNR

@@ -70,14 +70,17 @@ class TestDirectivityGain:
             Directivity("custom", table=((0.0, np.pi), (1.5, 0.5)))
 
     @pytest.mark.parametrize(
-        "table",
-        [((0.0, np.pi), (1.0, float("nan"))), ((0.0, float("nan"), np.pi), (1.0, 0.5, 0.2)),
-         ((float("nan"), np.pi), (1.0, 0.2)), ((0.0, np.pi), (float("inf"), 0.2))],
+        "table, message",
+        [(((0.0, np.pi), (1.0, float("nan"))), "gains must be finite, got (1.0, nan)"),
+         (((0.0, float("nan"), np.pi), (1.0, 0.5, 0.2)),
+          "angles must be finite, got (0.0, nan, 3.141592653589793)"),
+         (((float("nan"), np.pi), (1.0, 0.2)), "angles must be finite, got (nan, 3.141592653589793)"),
+         (((0.0, np.pi), (float("inf"), 0.2)), "gains must be finite, got (inf, 0.2)")],
         ids=["gain-nan", "angle-nan", "first-angle-nan", "gain-inf"],
     )
-    def test_custom_table_that_is_not_finite_rejected(self, table):
+    def test_custom_table_that_is_not_finite_rejected(self, table, message):
         # NaN passes the order and range checks, which are comparisons
-        with pytest.raises(ValidationError, match="directivity table angles and gains must be finite"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             Directivity("custom", table=table)
 
     def test_angle_outside_range_rejected(self):

@@ -627,11 +627,16 @@ def test_array_working_set_is_a_few_chunks(config, fs, bound_mb):
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal costs about a second to import; the package and the CLI defer it
-    code = "import sys, roomforge, roomforge.cli; print('scipy.signal' in sys.modules)"
+    # scipy.signal costs about a second to import; the package and the CLI defer it, and
+    # load no package but numpy, so a module-level import of any other fails here
+    code = (
+        "import sys; before = set(sys.modules); import roomforge, roomforge.cli\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(*sorted(loaded - set(sys.stdlib_module_names)))"
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["numpy", "roomforge"]
 
 
 def test_parabolic_gcc_phat_and_steering_leave_scipy_signal_unloaded():
